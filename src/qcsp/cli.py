@@ -235,7 +235,20 @@ def _compute_witness(lang, config: RunConfig):
     )
 
 
-def _solve_with_method(lang, target, method: str, config: RunConfig, trace: list) -> tuple[bool, dict]:
+def _reduction_witness(lang, target, methods, config: RunConfig):
+    """The switchability witness shared by every reduction method in
+    ``methods``, or None when none of them runs a reduction or the override
+    is set."""
+    if config.override_witness or isinstance(target, CspInstance):
+        return None
+    if all(method == "oracle" for method in methods):
+        return None
+    return _compute_witness(lang, config)
+
+
+def _solve_with_method(
+    target, method: str, witness, config: RunConfig, trace: list
+) -> tuple[bool, dict]:
     budgets = config.budgets
     if isinstance(target, CspInstance):
         verdict = solve_csp(target, budgets)
@@ -243,7 +256,6 @@ def _solve_with_method(lang, target, method: str, config: RunConfig, trace: list
     if method == "oracle":
         verdict = oracle_qcsp(target, budgets)
         return verdict.truth, verdict.to_json()
-    witness = None if config.override_witness else _compute_witness(lang, config)
     if method == "pgp-csp":
         bundle = reduce_pgp_to_csp(
             target, config.r, witness=witness, override=config.override_witness, budgets=budgets
@@ -275,7 +287,8 @@ def _solve_with_method(lang, target, method: str, config: RunConfig, trace: list
 def _run_solve(config: RunConfig) -> int:
     lang, target = _load_input(config)
     trace: list = []
-    truth, report = _solve_with_method(lang, target, config.method, config, trace)
+    witness = _reduction_witness(lang, target, [config.method], config)
+    truth, report = _solve_with_method(target, config.method, witness, config, trace)
     if config.trace:
         report = {**report, "trace": trace}
     print(emit_report(report, config.output_format))
@@ -414,12 +427,14 @@ def _run_classify(config: RunConfig) -> int:
 def _run_verify(config: RunConfig) -> int:
     if len(config.methods) < 2:
         raise QcspError("verify needs at least two --methods")
-    lang, target = _load_input(config)
-    results = {}
     for method in config.methods:
         if method not in SOLVE_METHODS:
             raise QcspError(f"unknown method {method!r}")
-        truth, _ = _solve_with_method(lang, target, method, config, [])
+    lang, target = _load_input(config)
+    witness = _reduction_witness(lang, target, config.methods, config)
+    results = {}
+    for method in config.methods:
+        truth, _ = _solve_with_method(target, method, witness, config, [])
         results[method] = truth
     agreement = len(set(results.values())) == 1
     print(emit_report({"methods": results, "agreement": agreement}, config.output_format))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping
 
 FORALL = "forall"
@@ -72,6 +73,21 @@ class Relation:
 
     def sorted_tuples(self) -> list[tuple[int, ...]]:
         return sorted(self.tuples)
+
+    @cached_property
+    def supports(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Support table for bitset filtering, built once per relation.
+
+        Tuples are numbered in sorted order.  Entry p lists, for each value v
+        occurring at position p in ascending order, the pair ``(1 << v, mask)``
+        where bit i of mask is set when tuple i holds v at position p.
+        """
+        columns: list[dict[int, int]] = [{} for _ in range(self.arity)]
+        for i, t in enumerate(self.sorted_tuples()):
+            bit = 1 << i
+            for p, v in enumerate(t):
+                columns[p][v] = columns[p].get(v, 0) | bit
+        return tuple(tuple((1 << v, m) for v, m in sorted(col.items())) for col in columns)
 
     def __len__(self) -> int:
         return len(self.tuples)

@@ -10,7 +10,6 @@ actually generate the powers.
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -26,7 +25,7 @@ from .algebra import (
     switchability_witness,
 )
 from .budgets import DEFAULT_BUDGETS, Budgets
-from .errors import WitnessRequiredError
+from .errors import QcspError, WitnessRequiredError
 from .model import (
     EXISTS,
     FORALL,
@@ -34,8 +33,6 @@ from .model import (
     ConstraintLanguage,
     QuantifiedSentence,
     check_wellformed,
-    const_name,
-    gamma_star,
     validate_sentence,
 )
 from .transforms import (
@@ -137,148 +134,210 @@ def oracle_qcsp(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS
 # CSP backtracking with generalized arc consistency
 
 
-def solve_csp(inst: CspInstance, budgets: Budgets = DEFAULT_BUDGETS) -> SolveVerdict:
-    """Sound and complete backtracking with lexicographic variable and value order.
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
-    After the initial arc-consistency pass the constraint graph is split on
-    the variables still carrying more than one value; each connected component
-    is searched independently (lexicographically inside the component), which
-    keeps chronological backtracking from thrashing across unrelated blocks.
+
+class _CompiledCsp:
+    """A conjunction of atoms compiled once and searched from any start domains.
+
+    Domains are int bitsets over the domain elements.  Each atom keeps its
+    relation's support table (:attr:`Relation.supports`), the mask of all the
+    relation's tuples, its variable indices and the relation's tuple set.
     """
-    size = inst.language.domain.size
-    variables = list(inst.variables)
+
+    def __init__(self, language: ConstraintLanguage, variables, atoms) -> None:
+        self.variables = list(variables)
+        self.full = (1 << language.domain.size) - 1
+        n = len(self.variables)
+        index = dict(zip(self.variables, range(n)))
+        self.rank = [0] * n
+        for r, i in enumerate(sorted(range(n), key=self.variables.__getitem__)):
+            self.rank[i] = r
+        relations = language.relations
+        self.atoms: list[tuple[tuple, int, tuple[int, ...], frozenset]] = []
+        self.scopes: list[set[int]] = []
+        self.watch: list[list[int]] = [[] for _ in range(n)]
+        for aid, atom in enumerate(atoms):
+            rel = relations[atom.relation]
+            idxs = tuple(map(index.__getitem__, atom.args))
+            scope = set(idxs)
+            for i in scope:
+                self.watch[i].append(aid)
+            self.scopes.append(scope)
+            self.atoms.append((rel.supports, (1 << len(rel.tuples)) - 1, idxs, rel.tuples))
+
+    def components(self, domains: list[int]) -> list[list[int]]:
+        """Connected components of the variables with more than one value
+        left, linked through shared atoms; each in name order, and the
+        components ordered by their first name."""
+        branching = [i for i, d in enumerate(domains) if d & (d - 1)]
+        if not branching:
+            return []
+        parent = list(range(len(domains)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for scope in self.scopes:
+            live = [i for i in scope if domains[i] & (domains[i] - 1)]
+            for a, b in zip(live, live[1:]):
+                parent[find(a)] = find(b)
+        groups: dict[int, list[int]] = {}
+        for i in branching:
+            groups.setdefault(find(i), []).append(i)
+        rank = self.rank
+        return sorted(
+            (sorted(g, key=rank.__getitem__) for g in groups.values()),
+            key=lambda g: rank[g[0]],
+        )
+
+    def solve(self, domains: list[int]) -> tuple[bool, int]:
+        """Search from ``domains`` (mutated in place); returns (truth, nodes).
+
+        On success every domain is a singleton.  After the initial
+        propagation the constraint graph is split on the variables still
+        carrying more than one value, and each connected component is searched
+        independently, variables in name order and values ascending, which
+        keeps chronological backtracking from thrashing across unrelated
+        blocks.
+        """
+        atoms = self.atoms
+        watch = self.watch
+        trail: list[tuple[int, int]] = []
+        in_queue = [False] * len(atoms)
+        nodes = 0
+
+        def propagate(seed_atoms) -> bool:
+            # FIFO revision to the arc-consistent fixpoint: an atom's valid
+            # tuples are those whose every entry is still in its variable's
+            # domain; each domain keeps the values some valid tuple supports.
+            queue = list(seed_atoms)
+            for aid in queue:
+                in_queue[aid] = True
+            head = 0
+            while head < len(queue):
+                aid = queue[head]
+                head += 1
+                in_queue[aid] = False
+                supports, valid, idxs, _ = atoms[aid]
+                for p, w in enumerate(idxs):
+                    dom = domains[w]
+                    acc = 0
+                    for bit, m in supports[p]:
+                        if dom & bit:
+                            acc |= m
+                    valid &= acc
+                    if not valid:
+                        break
+                if valid:
+                    for p, w in enumerate(idxs):
+                        dom = domains[w]
+                        new = 0
+                        for bit, m in supports[p]:
+                            if m & valid:
+                                new |= bit
+                        new &= dom
+                        if new == dom:
+                            continue
+                        if not new:
+                            valid = 0
+                            break
+                        trail.append((w, dom))
+                        domains[w] = new
+                        for a2 in watch[w]:
+                            if not in_queue[a2]:
+                                in_queue[a2] = True
+                                queue.append(a2)
+                if not valid:
+                    for a2 in queue[head:]:
+                        in_queue[a2] = False
+                    return False
+            return True
+
+        def undo(mark: int) -> None:
+            while len(trail) > mark:
+                w, old = trail.pop()
+                domains[w] = old
+
+        if not propagate(range(len(atoms))):
+            return False, 0
+
+        def search(order: list[int]) -> bool:
+            nonlocal nodes
+            # frames: (var, remaining values, trail mark before its assignment, cursor)
+            stack: list[tuple[int, list[int], int, int]] = []
+            cursor = 0
+            pending: tuple[int, list[int], int] | None = None
+            while True:
+                if pending is None:
+                    v = None
+                    c = cursor
+                    while c < len(order):
+                        d = domains[order[c]]
+                        if d & (d - 1):
+                            v = order[c]
+                            break
+                        c += 1
+                    if v is None:
+                        return True
+                    d = domains[v]
+                    pending = (v, [x for x in range(d.bit_length()) if d >> x & 1], c)
+                v, values, cursor = pending
+                placed = False
+                while values:
+                    value = values.pop(0)
+                    nodes += 1
+                    mark = len(trail)
+                    trail.append((v, domains[v]))
+                    domains[v] = 1 << value
+                    if propagate(watch[v]):
+                        stack.append((v, values, mark, cursor))
+                        placed = True
+                        break
+                    undo(mark)
+                if placed:
+                    pending = None
+                    continue
+                if not stack:
+                    return False
+                v, values, mark, cursor = stack.pop()
+                undo(mark)
+                pending = (v, values, cursor)
+
+        for component in self.components(domains):
+            if not search(component):
+                return False, nodes
+        for _, _, idxs, tuples in atoms:
+            if tuple(_lowest(domains[i]) for i in idxs) not in tuples:
+                raise QcspError("CSP search ended on an assignment that violates an atom")
+        return True, nodes
+
+
+def solve_csp(inst: CspInstance, budgets: Budgets = DEFAULT_BUDGETS) -> SolveVerdict:
+    """Sound and complete backtracking with generalized arc consistency.
+
+    Domains are int bitsets and the trail stores (variable, old domain).  An
+    atom is revised against its relation's support table: the still-valid
+    tuples are the AND over positions of the OR of the supports of the values
+    left in that position's domain, and each domain keeps the values whose
+    support meets them (compact-table filtering, recomputed per revision).
+    Search is lexicographic in variable name and value inside each connected
+    component of the branching variables (see :meth:`_CompiledCsp.solve`);
+    the witness takes each variable's lowest remaining value, and is checked
+    against every atom before it is returned.
+    """
     if not inst.atoms:
         return SolveVerdict(True, "csp", {}, {"nodes": 0})
-
-    index = {v: i for i, v in enumerate(variables)}
-    compiled: list[tuple[list[tuple[int, ...]], tuple[int, ...]]] = []
-    watch: list[list[int]] = [[] for _ in variables]
-    for atom in inst.atoms:
-        rel = inst.language.relations[atom.relation]
-        idxs = tuple(index[v] for v in atom.args)
-        aid = len(compiled)
-        compiled.append((rel.sorted_tuples(), idxs))
-        for i in set(idxs):
-            watch[i].append(aid)
-
-    domains: list[set[int]] = [set(range(size)) for _ in variables]
-    trail: list[tuple[int, set[int]]] = []
-    in_queue = [False] * len(compiled)
-    nodes = 0
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            w, removed = trail.pop()
-            domains[w] |= removed
-
-    def propagate(seed_atoms) -> bool:
-        queue = deque()
-        for aid in seed_atoms:
-            if not in_queue[aid]:
-                in_queue[aid] = True
-                queue.append(aid)
-        while queue:
-            aid = queue.popleft()
-            in_queue[aid] = False
-            tuples, idxs = compiled[aid]
-            arity = len(idxs)
-            allowed: list[set[int]] = [set() for _ in range(arity)]
-            for t in tuples:
-                ok = True
-                for p in range(arity):
-                    if t[p] not in domains[idxs[p]]:
-                        ok = False
-                        break
-                if ok:
-                    for p in range(arity):
-                        allowed[p].add(t[p])
-            for p in range(arity):
-                w = idxs[p]
-                new = domains[w] & allowed[p]
-                if len(new) < len(domains[w]):
-                    trail.append((w, domains[w] - new))
-                    domains[w] = new
-                    if not new:
-                        while queue:
-                            in_queue[queue.popleft()] = False
-                        return False
-                    for a2 in watch[w]:
-                        if not in_queue[a2]:
-                            in_queue[a2] = True
-                            queue.append(a2)
-        return True
-
-    if not propagate(range(len(compiled))):
-        return SolveVerdict(False, "csp", None, {"nodes": 0})
-
-    # connected components over the still-branching variables
-    parent = list(range(len(variables)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for _, idxs in compiled:
-        live = [i for i in set(idxs) if len(domains[i]) > 1]
-        for a, b in zip(live, live[1:]):
-            parent[find(a)] = find(b)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(variables)):
-        if len(domains[i]) > 1:
-            groups.setdefault(find(i), []).append(i)
-    components = sorted(
-        (sorted(g, key=lambda i: variables[i]) for g in groups.values()),
-        key=lambda g: variables[g[0]],
-    )
-
-    def search(order: list[int]) -> bool:
-        nonlocal nodes
-        # frames: (var, remaining values, trail mark before its assignment, cursor)
-        stack: list[tuple[int, list[int], int, int]] = []
-        cursor = 0
-        pending: tuple[int, list[int], int] | None = None
-        while True:
-            if pending is None:
-                v = None
-                c = cursor
-                while c < len(order):
-                    if len(domains[order[c]]) > 1:
-                        v = order[c]
-                        break
-                    c += 1
-                if v is None:
-                    return True
-                pending = (v, sorted(domains[v]), c)
-            v, values, cursor = pending
-            placed = False
-            while values:
-                value = values.pop(0)
-                nodes += 1
-                mark = len(trail)
-                trail.append((v, domains[v] - {value}))
-                domains[v] = {value}
-                if propagate(list(watch[v])):
-                    stack.append((v, values, mark, cursor))
-                    placed = True
-                    break
-                undo(mark)
-            if placed:
-                pending = None
-                continue
-            if not stack:
-                return False
-            v, values, mark, cursor = stack.pop()
-            undo(mark)
-            pending = (v, values, cursor)
-
-    for component in components:
-        if not search(component):
-            return SolveVerdict(False, "csp", None, {"nodes": nodes})
-    witness = {variables[i]: min(domains[i]) for i in range(len(variables))}
-    for tuples, idxs in compiled:
-        assert tuple(witness[variables[i]] for i in idxs) in set(tuples)
+    model = _CompiledCsp(inst.language, inst.variables, inst.atoms)
+    domains = [model.full] * len(model.variables)
+    truth, nodes = model.solve(domains)
+    if not truth:
+        return SolveVerdict(False, "csp", None, {"nodes": nodes})
+    witness = {v: _lowest(d) for v, d in zip(model.variables, domains)}
     return SolveVerdict(True, "csp", witness, {"nodes": nodes})
 
 
@@ -298,8 +357,9 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
 
     The universal block distributes over the conjunction, so the matrix is
     split into components connected through shared existential variables;
-    each component is checked satisfiable under every assignment of the
-    universals it actually touches.
+    each component is compiled once and checked satisfiable under every
+    assignment of the universals it actually touches, solved with those
+    universals' domains pinned to the assigned singletons.
     """
     if not sentence.is_pi2():
         raise ValueError("input must be in forall*exists* form")
@@ -309,7 +369,6 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
     size = sentence.language.domain.size
     universal_pos = {v: i for i, v in enumerate(sentence.universals())}
     existentials = set(sentence.existentials())
-    glang = gamma_star(sentence.language)
 
     # union-find over existential variables; atoms join their existentials
     parent: dict[str, str] = {v: v for v in existentials}
@@ -341,11 +400,10 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
         )
         budgets.check("component assignments", size ** len(touched), budgets.max_game_tree)
         evars = sorted({v for a in atoms for v in a.args if v not in universal_pos})
+        model = _CompiledCsp(sentence.language, touched + evars, atoms)
+        free = [model.full] * len(evars)
         for values in product(range(size), repeat=len(touched)):
-            fixed = dict(zip(touched, values))
-            inst_atoms = list(atoms) + [Atom(const_name(val), (v,)) for v, val in fixed.items()]
-            inst = CspInstance(glang, tuple(touched + evars), tuple(inst_atoms))
-            if not solve_csp(inst, budgets).truth:
+            if not model.solve([1 << val for val in values] + free)[0]:
                 return False
         return True
 
@@ -366,6 +424,8 @@ def _check_witness_gate(
     witness: SwitchabilityWitness | None, r: int, override: bool
 ) -> bool:
     """Returns True when the result must carry the conditional caveat."""
+    if r < 0:
+        raise ValueError(f"switch bound must be >= 0, got {r}")
     valid = witness is not None and witness.verdict == WITNESSED and witness.r <= r
     if valid:
         return False

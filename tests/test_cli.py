@@ -142,6 +142,38 @@ def test_verify_agreement(files, capsys):
     assert data["methods"] == {"oracle": True, "pgp-csp": True}
 
 
+def test_verify_computes_the_witness_once(files, capsys, monkeypatch):
+    import qcsp.cli
+
+    calls = []
+    real = qcsp.cli.switchability_witness
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qcsp.cli, "switchability_witness", counting)
+    lang, true_s, _ = files
+    code = run_cli(["verify", "--language", lang, "--sentence", true_s,
+                    "--methods", "pgp-csp,pi2,power-csp", "--r", "2", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert data["methods"] == {"pgp-csp": True, "pi2": True, "power-csp": True}
+    assert len(calls) == 1
+
+
+def test_negative_switch_bound_exit_two(tmp_path, capsys):
+    lang = tmp_path / "lang.txt"
+    lang.write_text(LANG_DOC)
+    sent = tmp_path / "s.txt"
+    sent.write_text("forall x\nexists y\nconstraint NOT x x\n")
+    for method in ("pgp-csp", "pi2"):
+        code = run_cli(["solve", "--language", lang, "--sentence", sent,
+                        "--method", method, "--r", "-1", "--override-witness"])
+        assert code == 2
+        assert "switch bound must be >= 0" in capsys.readouterr().err
+
+
 def test_transform_eliminate_round_trips(files, capsys):
     lang, true_s, _ = files
     code = run_cli(["transform", "--language", lang, "--sentence", true_s,

@@ -134,3 +134,19 @@ def test_validate_reports_unknown_and_unquantified(xor0_lang):
     s = QuantifiedSentence((), (Atom("NOPE", ("z",)),), xor0_lang)
     kinds = {i.kind for i in validate_sentence(s)}
     assert kinds == {"unknown-relation", "unquantified-variable"}
+
+
+@given(st.sets(st.tuples(*[st.integers(0, 3)] * 3), max_size=20))
+@settings(max_examples=60, deadline=None)
+def test_relation_supports_match_tuple_scan(rows):
+    rel = Relation("R", 3, frozenset(rows))
+    ordered = rel.sorted_tuples()
+    assert rel.supports is rel.supports  # built once per relation
+    for p in range(3):
+        table = rel.supports[p]
+        assert [bit.bit_length() - 1 for bit, _ in table] == sorted({t[p] for t in ordered})
+        for bit, mask in table:
+            v = bit.bit_length() - 1
+            assert [i for i in range(len(ordered)) if mask >> i & 1] == [
+                i for i, t in enumerate(ordered) if t[p] == v
+            ]

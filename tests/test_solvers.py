@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qcsp import (
     Atom,
     BudgetError,
+    QcspError,
     Budgets,
     ConstraintLanguage,
     CspInstance,
@@ -25,7 +26,10 @@ from qcsp import (
 )
 from qcsp.solvers import pi2_truth
 from helpers import (
+    CYCLE3,
+    LT3,
     NOT,
+    lang_dom3,
     lang_mixed2,
     random_pi2,
     random_sentence,
@@ -130,6 +134,78 @@ def test_solve_agrees_with_enumeration(data):
         atoms.append(Atom(rel, tuple(data.draw(st.sampled_from(names)) for _ in range(arity))))
     inst = CspInstance(lang, tuple(names), tuple(atoms))
     assert solve_csp(inst).truth == sat_by_enumeration(inst)
+
+
+def test_solve_zero_ary_atoms():
+    lang = ConstraintLanguage.of(
+        2, Relation("T", 0, frozenset({()})), Relation("F", 0, frozenset()), NOT
+    )
+    sat = CspInstance(lang, ("x", "y"), (Atom("T", ()), Atom("NOT", ("x", "y"))))
+    assert solve_csp(sat).witness == {"x": 0, "y": 1}
+    unsat = CspInstance(lang, ("x", "y"), (Atom("F", ()), Atom("NOT", ("x", "y"))))
+    assert solve_csp(unsat).truth is False
+
+
+def test_solve_arc_consistency_alone_decides_chains():
+    # a < b < c has one solution over {0, 1, 2} and a 4-chain has none;
+    # generalized arc consistency settles both before any branching
+    lang = lang_dom3()
+    chain = CspInstance(lang, ("a", "b", "c"), (Atom("LT", ("a", "b")), Atom("LT", ("b", "c"))))
+    verdict = solve_csp(chain)
+    assert verdict.witness == {"a": 0, "b": 1, "c": 2}
+    assert verdict.stats["nodes"] == 0
+    longer = CspInstance(
+        lang, ("a", "b", "c", "d"), chain.atoms + (Atom("LT", ("c", "d")),)
+    )
+    verdict = solve_csp(longer)
+    assert verdict.truth is False
+    assert verdict.stats["nodes"] == 0
+
+
+def test_solve_repeated_variable_needs_search():
+    # each position of R(x, x, y) alone supports x in {0, 1}; no value fits both
+    lang = ConstraintLanguage.of(3, Relation("R", 3, frozenset({(0, 1, 2), (1, 0, 2)})))
+    inst = CspInstance(lang, ("x", "y"), (Atom("R", ("x", "x", "y")),))
+    assert solve_csp(inst).truth is False
+    assert sat_by_enumeration(inst) is False
+
+
+def test_solve_witness_check_is_not_an_assert():
+    # a support table that claims (1,) for a relation holding only (0,) makes
+    # propagation unsound; the final witness check must catch it even under -O
+    rel = Relation("E", 1, frozenset({(0,)}))
+    rel.__dict__["supports"] = (((1 << 1, 1),),)
+    inst = CspInstance(ConstraintLanguage.of(2, rel), ("x",), (Atom("E", ("x",)),))
+    with pytest.raises(QcspError, match="violates an atom"):
+        solve_csp(inst)
+
+
+@st.composite
+def dom3_instances(draw):
+    rows = draw(st.sets(st.tuples(*[st.integers(0, 2)] * 3), max_size=12))
+    lang = ConstraintLanguage.of(3, LT3, CYCLE3, Relation("R", 3, frozenset(rows)))
+    nv = draw(st.integers(min_value=1, max_value=5))
+    names = [f"v{i}" for i in range(nv)]
+    atoms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        rel = draw(st.sampled_from(sorted(lang.relations)))
+        arity = lang.relations[rel].arity
+        atoms.append(Atom(rel, tuple(draw(st.sampled_from(names)) for _ in range(arity))))
+    if draw(st.booleans()):
+        atoms.append(Atom("R", (names[0], names[0], names[-1])))
+    return CspInstance(lang, tuple(names), tuple(atoms))
+
+
+@given(dom3_instances())
+@settings(max_examples=150, deadline=None)
+def test_solve_dom3_agrees_with_enumeration(inst):
+    verdict = solve_csp(inst)
+    assert verdict.truth == sat_by_enumeration(inst)
+    if verdict.truth and inst.atoms:
+        w = verdict.witness
+        assert set(w) == set(inst.variables)
+        for atom in inst.atoms:
+            assert tuple(w[v] for v in atom.args) in inst.language.relations[atom.relation].tuples
 
 
 def test_solve_agrees_with_enumeration_twelve_vars():
@@ -267,6 +343,28 @@ def test_pi2_matches_oracle(xor0_lang, xor0_witness):
         s = random_sentence(rnd, xor0_lang, max_vars=3, max_atoms=1)
         out = reduce_to_pi2(s, 2, witness=xor0_witness)
         assert pi2_truth(out) == oracle_qcsp(s).truth
+
+
+def test_pi2_truth_matches_oracle_dom3():
+    rnd = random.Random(73)
+    lang = lang_dom3()
+    truths = set()
+    for _ in range(200):
+        s = random_pi2(rnd, lang, max_univ=2, max_exist=3, max_atoms=3)
+        truth = oracle_qcsp(s).truth
+        assert pi2_truth(s) == truth
+        truths.add(truth)
+    assert truths == {True, False}
+
+
+def test_reductions_reject_negative_switch_bound(mixed_lang):
+    # false sentence: an empty index set would make the bundle vacuously true
+    s = sent(mixed_lang, [("forall", "x"), ("exists", "y")], [Atom("NOT", ("x", "x"))])
+    assert oracle_qcsp(s).truth is False
+    with pytest.raises(ValueError, match="switch bound must be >= 0"):
+        reduce_pgp_to_csp(s, -1, override=True)
+    with pytest.raises(ValueError, match="switch bound must be >= 0"):
+        reduce_to_pi2(s, -1, override=True)
 
 
 def test_pi2_on_pi2_input(xor0_lang, xor0_witness):
