@@ -8,10 +8,10 @@ explicit budgets because their natural formulations are exponential.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Iterable, Sequence
+from itertools import groupby, product
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .model import (
 WITNESSED = "witnessed"
 REFUTED_AT_BOUNDS = "refuted-at-bounds"
 INCONCLUSIVE = "inconclusive"
-
-# below this many combination checks a plain Python loop beats array setup
-_NUMPY_CUTOFF = 50_000
 
 
 @dataclass(frozen=True)
@@ -75,88 +72,159 @@ def lift_operation(f: OperationTable, k: int, budgets: Budgets = DEFAULT_BUDGETS
     power_size = size**k
     budgets.check("power domain for lifted operation", power_size, budgets.max_power_domain)
     budgets.check("lifted operation table", power_size**f.arity, budgets.max_op_tables)
-    pdom = DomainSpec(power_size)
-    table = []
-    for combo in product(range(power_size), repeat=f.arity):
-        digits = [decode_rank(e, size, k) for e in combo]
-        out = tuple(f.apply(tuple(d[i] for d in digits)) for i in range(k))
-        table.append(encode_tuple(out, size))
-    return OperationTable(f.arity, pdom, tuple(table))
+    digits = np.array(list(product(range(size), repeat=k)), dtype=np.intp)  # row c: digits of c
+    table = np.asarray(f.table).reshape((size,) * f.arity)
+    args = np.indices((power_size,) * f.arity).reshape(f.arity, -1)
+    codes = table[tuple(digits[a] for a in args)] @ size ** np.arange(k - 1, -1, -1)
+    return OperationTable(f.arity, DomainSpec(power_size), tuple(codes.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # preservation
 
-
-def _preserves_python(f: OperationTable, tuples: list[tuple[int, ...]], member: frozenset) -> bool:
-    size = f.domain.size
-    table = f.table
-    arity = len(tuples[0])
-    for combo in product(tuples, repeat=f.arity):
-        out = []
-        for j in range(arity):
-            idx = 0
-            for t in combo:
-                idx = idx * size + t[j]
-            out.append(table[idx])
-        if tuple(out) not in member:
-            return False
-    return True
+# cells of one block of argument combinations; bounds the arrays built at once
+_BLOCK_CELLS = 1 << 18
 
 
-def _preserves_numpy(
-    f: OperationTable, tuples: list[tuple[int, ...]], budgets: Budgets
-) -> bool:
-    size = f.domain.size
-    m = f.arity
-    t = len(tuples)
-    arity = len(tuples[0])
-    cells = (t**m) * arity
-    budgets.check("preservation check cells", cells, budgets.max_preserve_cells)
-    arr = np.asarray(tuples, dtype=np.int64)
-    f_nd = np.asarray(f.table, dtype=np.int64).reshape((size,) * m)
-    views = []
-    for i in range(m):
-        shape = [1] * m + [arity]
-        shape[i] = t
-        views.append(arr.reshape(shape))
-    out = f_nd[tuple(views)]  # shape (t,)*m + (arity,)
-    pows = size ** np.arange(arity - 1, -1, -1, dtype=np.int64)
-    codes = out.reshape(-1, arity) @ pows
-    rel_codes = arr @ pows
-    return bool(np.isin(codes, rel_codes).all())
+def _entry_blocks(args: Sequence[np.ndarray], size: int, copies: int = 1) -> Iterator[np.ndarray]:
+    """Table entries hit by every combination of one row a_i of each
+    ``args[i]`` (shape (rows, width)): column j of its block row is the rank
+    of (a_1[j], ..., a_m[j]) in A^m.  Blocks follow the combinations in
+    lexicographic order, and ``copies`` copies of one block take at most
+    ``_BLOCK_CELLS`` cells (or one combination, if that is more).
+    """
+    m, width = len(args), args[0].shape[1]
+    cells = max(1, width * copies)
+    s, rest = m, np.zeros((1, width), dtype=np.intp)
+    while s and len(args[s - 1]) * len(rest) * cells <= _BLOCK_CELLS:
+        s -= 1
+        rest = (args[s][:, None] * size ** (m - 1 - s) + rest).reshape(-1, width)
+    lead = [len(a) for a in args[:s]]
+    total, step = math.prod(lead), max(1, _BLOCK_CELLS // max(1, len(rest) * cells))
+    for lo in range(0, total, step):
+        block = np.zeros((min(step, total - lo), 1), dtype=np.intp)
+        picks = np.unravel_index(np.arange(lo, lo + len(block)), lead) if s else ()
+        for a, i in zip(args, picks):
+            block = block * size + a[i]
+        yield (block[:, None] * size ** (m - s) + rest).reshape(-1, width)
+
+
+def _digits(cols: np.ndarray, size: int, base: int) -> np.ndarray:
+    """``cols``, one row per column of values below ``size``, with each row
+    replaced by the rows of its base-``base`` digits, most significant first
+    (``base`` is ``size`` or a power of two)."""
+    if base == size:
+        return cols
+    bits = base.bit_length() - 1
+    width = -(-(size - 1).bit_length() // bits)  # digits per value
+    shifts = bits * np.arange(width - 1, -1, -1)[:, None]
+    return (cols[:, None] >> shifts & base - 1).reshape(len(cols) * width, *cols.shape[1:])
+
+
+def _row_index(rel: Relation, m: int, size: int, budgets: Budgets) -> tuple[np.ndarray, tuple]:
+    """Rows of a nonempty relation and an exact membership index over them,
+    after the budget check of an arity-m preservation check.
+
+    The index reads a tuple's digits (base |A|, or a power of two if |A| is
+    too wide for ``cap``) in stages.  A stage over digits ``lo:hi`` maps
+    (prefix number, rank of those digits) to the number of the longer prefix
+    among the rows', or to -1, which reads the table's last row, all -1.
+    Tables hold at most ``cap`` entries: O((|rel| * arity + _BLOCK_CELLS) *
+    log|A|) in all.
+    """
+    budgets.check("preservation check cells", len(rel) ** m * rel.arity, budgets.max_preserve_cells)
+    rows = np.array(rel.sorted_tuples(), dtype=np.intp)
+    cap = max(2 * len(rel) + 2, _BLOCK_CELLS // rel.arity)
+    base = size if (len(rel) + 1) * size <= cap else 1 << (cap // (len(rel) + 1)).bit_length() - 1
+    digits = _digits(rows.T, size, base).T
+    stages, state, count, lo = [], 0, 1, 0
+    while lo < digits.shape[1]:
+        hi = lo + 1
+        while hi < digits.shape[1] and (count + 1) * base ** (hi + 1 - lo) <= cap:
+            hi += 1
+        pows = base ** np.arange(hi - lo - 1, -1, -1, dtype=np.intp)
+        codes = state * pows[0] * base + digits[:, lo:hi] @ pows
+        state = np.cumsum(np.diff(codes, prepend=-1) > 0) - 1  # rows are sorted
+        step = np.full((count + 1) * pows[0] * base, -1, dtype=np.intp)
+        step[codes] = state
+        stages.append((lo, hi, pows, step))
+        count, lo = int(state[-1]) + 1, hi
+    return rows, (base, stages)
+
+
+def _members(index: tuple, cols: np.ndarray, size: int) -> np.ndarray:
+    """Which of the tuples whose j-th entries are ``cols[j]`` lie in the
+    relation indexed by ``index`` (see ``_row_index``)."""
+    base, stages = index
+    cols = _digits(cols, size, base)
+    state: np.ndarray | int = 0
+    for lo, hi, pows, step in stages:
+        code = pows @ cols[lo:hi]
+        if lo:
+            code += state * pows[0] * base
+        state = step[code]
+    return state >= 0
 
 
 def preserves(f: OperationTable, rel: Relation, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
-    """True iff applying ``f`` coordinatewise to any tuples of ``rel`` stays in ``rel``."""
-    for t in rel.tuples:
-        for v in t:
-            if not (0 <= v < f.domain.size):
-                raise ValueError(
-                    f"relation {rel.name} has element {v} outside the operation domain"
-                )
+    """True iff applying ``f`` coordinatewise to any tuples of ``rel`` stays in ``rel``.
+
+    Looks the images of the m-combinations of rows up in ``_row_index``, one
+    block at a time, so memory is bounded by the block and the index, not by
+    |rel|^m.
+    """
+    for v in {v for t in rel.tuples for v in t}:
+        if not (0 <= v < f.domain.size):
+            raise ValueError(f"relation {rel.name} has element {v} outside the operation domain")
     if not rel.tuples or rel.arity == 0:
         return True
-    tuples = rel.sorted_tuples()
-    if len(tuples) ** f.arity * rel.arity <= _NUMPY_CUTOFF:
-        return _preserves_python(f, tuples, rel.tuples)
-    return _preserves_numpy(f, tuples, budgets)
+    rows, index = _row_index(rel, f.arity, f.domain.size, budgets)
+    table = np.asarray(f.table, dtype=np.int64)
+    return all(
+        _members(index, table[block].T, f.domain.size).all()
+        for block in _entry_blocks([rows] * f.arity, f.domain.size)
+    )
+
+
+def _sieve(
+    lang: ConstraintLanguage, m: int, fixed: dict, slot_of: dict, what: str, budgets: Budgets
+) -> list[OperationTable]:
+    """Arity-m tables preserving every relation of ``lang``, in ascending k.
+
+    Candidate k sets entry e (in lexicographic argument order) to ``fixed[e]``,
+    or else to digit ``slot_of[e]`` of k in base |A|, most significant first.
+    Each m-combination of relation rows names the entries its image reads,
+    and one array step drops every candidate whose image leaves the relation.
+    ``what`` names the budget check of the candidates against ``max_op_tables``.
+    """
+    size = lang.domain.size
+    n_slots = max(slot_of.values()) + 1 if slot_of else 0
+    budgets.check(what, size**n_slots, budgets.max_op_tables)
+    k = np.arange(size**n_slots, dtype=np.intp)
+    cand = np.empty((size**m, len(k)), dtype=np.min_scalar_type(size - 1))
+    for e in range(size**m):
+        cand[e] = fixed[e] if e in fixed else k // size ** (n_slots - 1 - slot_of[e]) % size
+    for rel in (r for r in lang.sorted_relations() if r.tuples and r.arity):
+        if not cand.shape[1]:
+            break
+        rows, index = _row_index(rel, m, size, budgets)
+        for block in _entry_blocks([rows] * m, size):
+            for entries in dict.fromkeys(map(tuple, block.tolist())):
+                keep = _members(index, cand[list(entries)], size)
+                if not keep.all():
+                    cand = cand[:, keep]
+    return [OperationTable(m, lang.domain, tuple(t)) for t in cand.T.tolist()]
 
 
 def polymorphisms(
     lang: ConstraintLanguage, m: int, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[OperationTable, ...]:
-    """All arity-m operations preserving every relation of the language."""
-    size = lang.domain.size
-    space = size ** (size**m)
-    budgets.check(f"arity-{m} operation enumeration", space, budgets.max_op_tables)
-    rels = lang.sorted_relations()
-    found = []
-    for table in product(range(size), repeat=size**m):
-        f = OperationTable(m, lang.domain, table)
-        if all(preserves(f, r, budgets) for r in rels):
-            found.append(f)
-    return tuple(found)
+    """All arity-m operations preserving every relation of the language, in
+    lexicographic table order: a sieve over all size**(size**m) tables."""
+    if m < 1:
+        raise ValueError("operation arity must be >= 1")
+    entries = {e: e for e in range(lang.domain.size**m)}
+    return tuple(_sieve(lang, m, {}, entries, f"arity-{m} operation enumeration", budgets))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +239,11 @@ def generate_closure(
 ) -> frozenset[tuple[int, ...]]:
     """Least superset of ``seeds`` closed under coordinatewise application of ``ops``.
 
-    Breadth-first over a frontier with a bitset membership index over A^n;
-    deterministic regardless of the input iteration order.
+    Semi-naive passes apply the operations of one arity at once, and only to
+    argument combinations with a point from the last frontier (the first such
+    argument; earlier ones older, later ones any), with a membership array
+    over A^n.  Returns once the closure is all of A^n.  The result does not
+    depend on the input iteration order.
     """
     ops = sorted(set(ops), key=OperationTable.sort_key)
     members = sorted(set(tuple(s) for s in seeds))
@@ -191,42 +262,34 @@ def generate_closure(
     for s in members:
         if any(not (0 <= v < size) for v in s):
             raise ValueError(f"seed {s} out of domain range")
-
-    bits = bytearray((total + 7) // 8)
-
-    def mark(rank: int) -> None:
-        bits[rank >> 3] |= 1 << (rank & 7)
-
-    def seen(rank: int) -> bool:
-        return bool(bits[rank >> 3] & (1 << (rank & 7)))
-
-    for s in members:
-        mark(encode_tuple(s, size))
     budgets.check("closure size", len(members), budgets.max_closure_points)
 
+    pows = size ** np.arange(n - 1, -1, -1, dtype=np.intp)
+    ranks = [encode_tuple(s, size) for s in members]
+    seen = np.zeros(total, dtype=bool)
+    seen[ranks] = True
+    tables = [
+        (m, np.array([f.table for f in fs], dtype=np.intp))
+        for m, fs in groupby(ops, key=lambda f: f.arity)
+    ]
+
     frontier_start = 0
-    while frontier_start < len(members):
-        snapshot = len(members)
-        for f in ops:
-            m = f.arity
-            table = f.table
-            for combo in product(range(snapshot), repeat=m):
-                if max(combo) < frontier_start:
-                    continue
-                args = [members[i] for i in combo]
-                out = []
-                for j in range(n):
-                    idx = 0
-                    for t in args:
-                        idx = idx * size + t[j]
-                    out.append(table[idx])
-                rank = encode_tuple(tuple(out), size)
-                if not seen(rank):
-                    mark(rank)
-                    members.append(tuple(out))
-                    budgets.check("closure size", len(members), budgets.max_closure_points)
-        frontier_start = snapshot
-    return frozenset(members)
+    while frontier_start < len(ranks) < total:
+        points = np.array(ranks, dtype=np.intp)[:, None] // pows % size
+        old, new = points[:frontier_start], points[frontier_start:]
+        for m, table in tables:
+            for p in range(m):
+                args = [old] * p + [new] + [points] * (m - 1 - p)
+                for block in _entry_blocks(args, size, len(table)):
+                    out = (table[:, block] @ pows).ravel()
+                    for rank in dict.fromkeys(out[~seen[out]].tolist()):
+                        seen[rank] = True
+                        ranks.append(rank)
+                        budgets.check("closure size", len(ranks), budgets.max_closure_points)
+                    if len(ranks) == total:
+                        return frozenset(product(range(size), repeat=n))
+        frontier_start = len(points)
+    return frozenset(decode_rank(r, size, n) for r in ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +332,6 @@ def switchability_witness(
     max_arity: int = 3,
     max_power: int = 4,
     budgets: Budgets = DEFAULT_BUDGETS,
-    workers: int | None = None,
 ) -> SwitchabilityWitness:
     """Check whether tuples with at most ``r`` switches generate A^n for n up to
     ``max_power`` under the polymorphisms of arity up to ``max_arity``."""
@@ -280,43 +342,19 @@ def switchability_witness(
         )
     budgets.check("closure membership index", size**max_power, budgets.max_power_rank)
 
-    ops: list[OperationTable] = []
-    for m in range(1, max_arity + 1):
-        ops.extend(polymorphisms(lang, m, budgets))
-    ops_t = tuple(ops)
-
-    def check(n: int) -> tuple[int, bool]:
-        seeds = enumerate_switch_bounded(n, r, lang.domain)
-        closed = generate_closure(seeds, ops_t, n, budgets)
-        return (n, len(closed) == size**n)
-
-    ns = list(range(2, max_power + 1))
+    ops = tuple(f for m in range(1, max_arity + 1) for f in polymorphisms(lang, m, budgets))
     powers: list[tuple[int, bool]] = []
-    exhausted = False
-    if workers:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(check, n) for n in ns]
-            for f in futures:
-                try:
-                    powers.append(f.result())
-                except BudgetError:
-                    exhausted = True
-                    break
-    else:
-        for n in ns:
-            try:
-                powers.append(check(n))
-            except BudgetError:
-                exhausted = True
-                break
-
-    if any(not g for _, g in powers):
+    verdict = WITNESSED
+    for n in range(2, max_power + 1):
+        try:
+            closed = generate_closure(enumerate_switch_bounded(n, r, lang.domain), ops, n, budgets)
+        except BudgetError:
+            verdict = INCONCLUSIVE
+            break
+        powers.append((n, len(closed) == size**n))
+    if not all(g for _, g in powers):
         verdict = REFUTED_AT_BOUNDS
-    elif exhausted or len(powers) < len(ns):
-        verdict = INCONCLUSIVE
-    else:
-        verdict = WITNESSED
-    return SwitchabilityWitness(r, ops_t, tuple(powers), verdict)
+    return SwitchabilityWitness(r, ops, tuple(powers), verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -327,53 +365,40 @@ def is_wnu(f: OperationTable) -> bool:
     """Idempotent and equal on all one-off argument patterns f(y,x,..,x) etc."""
     if f.arity < 2:
         raise ValueError("weak near-unanimity needs arity >= 2")
-    size = f.domain.size
-    for x in range(size):
-        if f.apply((x,) * f.arity) != x:
+    m = f.arity
+    for x in range(f.domain.size):
+        if f.apply((x,) * m) != x:
             return False
-    for x in range(size):
-        for y in range(size):
-            base = [x] * f.arity
-            vals = set()
-            for pos in range(f.arity):
-                args = list(base)
-                args[pos] = y
-                vals.add(f.apply(args))
-            if len(vals) != 1:
+        for y in range(f.domain.size):
+            if len({f.apply((x,) * p + (y,) + (x,) * (m - 1 - p)) for p in range(m)}) != 1:
                 return False
     return True
 
 
-def _wnu_slots(size: int, m: int) -> tuple[dict[tuple[int, ...], int], list]:
-    """Fixed entries plus shared value slots for the candidate tables.
+def _wnu_slots(size: int, m: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Fixed entries and shared value slots of the candidate tables, keyed by
+    entry rank in lexicographic argument order.
 
     Idempotence pins the diagonal; the one-off symmetry shares a single slot
     per (repeated value, odd value) pattern.  Everything else is free.
     """
-    fixed: dict[tuple[int, ...], int] = {}
-    slot_of: dict[tuple[int, ...], int] = {}
+    fixed: dict[int, int] = {}
+    slot_of: dict[int, int] = {}
     keys: dict[object, int] = {}
-    for args in product(range(size), repeat=m):
+    for e, args in enumerate(product(range(size), repeat=m)):
         vals = set(args)
         if len(vals) == 1:
-            fixed[args] = args[0]
+            fixed[e] = args[0]
             continue
-        key: object = None
+        key: object = ("free", args)
         if len(vals) == 2:
             a, b = sorted(vals)
-            ca = args.count(a)
-            if m == 2:
-                key = ("pair", a, b)
-            elif ca == m - 1:
+            if args.count(a) == m - 1:
                 key = ("oneoff", a, b)
-            elif ca == 1:
+            elif args.count(b) == m - 1:
                 key = ("oneoff", b, a)
-        if key is None:
-            key = ("free", args)
-        if key not in keys:
-            keys[key] = len(keys)
-        slot_of[args] = keys[key]
-    return {**fixed}, [slot_of]
+        slot_of[e] = keys.setdefault(key, len(keys))
+    return fixed, slot_of
 
 
 def find_wnu(
@@ -381,22 +406,12 @@ def find_wnu(
 ) -> OperationTable | None:
     """First arity-m weak near-unanimity polymorphism of the language, if any.
 
-    Enumerates only idempotent tables already satisfying the one-off symmetry,
-    which covers the full size**(size**m) table space.
+    Sieves only idempotent tables already satisfying the one-off symmetry,
+    which covers the full size**(size**m) table space; "first" is the order
+    of the slot values.
     """
     if m < 2:
         raise ValueError("weak near-unanimity needs arity >= 2")
-    size = lang.domain.size
-    fixed, (slot_of,) = _wnu_slots(size, m)
-    n_slots = max(slot_of.values()) + 1 if slot_of else 0
-    budgets.check(f"arity-{m} symmetric-table enumeration", size**n_slots, budgets.max_op_tables)
-    args_list = list(product(range(size), repeat=m))
-    rels = lang.sorted_relations()
-    for assignment in product(range(size), repeat=n_slots):
-        table = tuple(
-            fixed[args] if args in fixed else assignment[slot_of[args]] for args in args_list
-        )
-        f = OperationTable(m, lang.domain, table)
-        if all(preserves(f, r, budgets) for r in rels):
-            return f
-    return None
+    fixed, slot_of = _wnu_slots(lang.domain.size, m)
+    found = _sieve(lang, m, fixed, slot_of, f"arity-{m} symmetric-table enumeration", budgets)
+    return found[0] if found else None

@@ -10,7 +10,6 @@ actually generate the powers.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -138,6 +137,14 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _find(parent, x):
+    """Union-find root of ``x`` in ``parent`` (a list or dict), halving the path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class _CompiledCsp:
     """A conjunction of atoms compiled once and searched from any start domains.
 
@@ -175,20 +182,13 @@ class _CompiledCsp:
         if not branching:
             return []
         parent = list(range(len(domains)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         for scope in self.scopes:
             live = [i for i in scope if domains[i] & (domains[i] - 1)]
             for a, b in zip(live, live[1:]):
-                parent[find(a)] = find(b)
+                parent[_find(parent, a)] = _find(parent, b)
         groups: dict[int, list[int]] = {}
         for i in branching:
-            groups.setdefault(find(i), []).append(i)
+            groups.setdefault(_find(parent, i), []).append(i)
         rank = self.rank
         return sorted(
             (sorted(g, key=rank.__getitem__) for g in groups.values()),
@@ -372,13 +372,6 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
 
     # union-find over existential variables; atoms join their existentials
     parent: dict[str, str] = {v: v for v in existentials}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     groups: dict[str, list[Atom]] = {}
     universal_only: list[Atom] = []
     for atom in sentence.matrix:
@@ -387,11 +380,11 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
             universal_only.append(atom)
             continue
         for a, b in zip(evars, evars[1:]):
-            parent[find(a)] = find(b)
+            parent[_find(parent, a)] = _find(parent, b)
     for atom in sentence.matrix:
         evars = sorted(set(atom.args) & existentials)
         if evars:
-            groups.setdefault(find(evars[0]), []).append(atom)
+            groups.setdefault(_find(parent, evars[0]), []).append(atom)
 
     def holds_for_all(atoms: list[Atom]) -> bool:
         touched = sorted(
@@ -488,7 +481,6 @@ def reduce_pgp_to_csp(
     witness: SwitchabilityWitness | None = None,
     override: bool = False,
     budgets: Budgets = DEFAULT_BUDGETS,
-    workers: int | None = None,
 ) -> ReductionBundle:
     """Solve the sentence as a conjunction of plain CSP instances, one per
     collapse pattern with at most r kept universals (2k+1 universals each)."""
@@ -497,15 +489,7 @@ def reduce_pgp_to_csp(
     sets = _index_sets(alt.n, r)
     sentences = [omega(alt, idx) for idx in sets]
     instances = [eliminate_universals(w, budgets) for w in sentences]
-
-    def solve(inst: CspInstance) -> SolveVerdict:
-        return solve_csp(inst, budgets)
-
-    if workers:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(solve, instances))
-    else:
-        verdicts = [solve(inst) for inst in instances]
+    verdicts = [solve_csp(inst, budgets) for inst in instances]
     members = tuple(
         BundleMember(idx, w, inst, v)
         for idx, w, inst, v in zip(sets, sentences, instances, verdicts)
@@ -547,7 +531,7 @@ def reduce_to_pi2(
     check_wellformed(conjoined)
     out = reduce_universal_count(conjoined, budgets)
     if out.universal_count() > s.language.domain.size:
-        raise AssertionError("universal-count reduction exceeded the domain size")
+        raise QcspError("universal-count reduction exceeded the domain size")
     return out
 
 
@@ -627,10 +611,10 @@ def classify(
         )
     lifted = lift_operation(base, plang.power, budgets)
     if not is_wnu(lifted):
-        raise AssertionError("digitwise lift lost the near-unanimity identities")
+        raise QcspError("digitwise lift lost the near-unanimity identities")
     for rel in plang.sorted_relations():
         if not preserves(lifted, rel, budgets):
-            raise AssertionError(f"digitwise lift does not preserve {rel.name}")
+            raise QcspError(f"digitwise lift does not preserve {rel.name}")
     return ClassificationReport(
         P_TIME,
         f"witnessed by a verified arity-{base.arity} weak near-unanimity operation "

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from .budgets import DEFAULT_BUDGETS, Budgets
+from .errors import QcspError
 from .model import (
     EXISTS,
     FORALL,
@@ -305,7 +306,7 @@ def move_universals_left(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
     out = QuantifiedSentence(tuple(prefix), tuple(matrix), s.language)
     check_wellformed(out)
     if not out.is_pi2():
-        raise AssertionError("universal hoisting did not reach forall*exists* form")
+        raise QcspError("universal hoisting did not reach forall*exists* form")
     return out
 
 

@@ -15,6 +15,7 @@ from qcsp import (
     OperationTable,
     QuantifiedSentence,
     Relation,
+    is_wnu,
 )
 
 XOR0 = Relation("XOR0", 3, frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}))
@@ -22,6 +23,13 @@ NOT = Relation("NOT", 2, frozenset({(0, 1), (1, 0)}))
 ONE_IN_THREE = Relation("ONE_IN_THREE", 3, frozenset({(0, 0, 1), (0, 1, 0), (1, 0, 0)}))
 LT3 = Relation("LT", 2, frozenset({(0, 1), (0, 2), (1, 2)}))
 CYCLE3 = Relation("CYC", 3, frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)}))
+# (x or y) and (not z or not w): 9 rows, a ternary WNU (majority), and a
+# power-domain preservation check far beyond the default cell budget
+ORNAND = Relation(
+    "ORNAND",
+    4,
+    frozenset(t for t in product((0, 1), repeat=4) if (t[0] or t[1]) and not (t[2] and t[3])),
+)
 
 
 def lang_xor0() -> ConstraintLanguage:
@@ -116,6 +124,41 @@ def preserves_bruteforce(f: OperationTable, rel: Relation) -> bool:
         if image not in rel.tuples:
             return False
     return True
+
+
+def polymorphisms_bruteforce(lang: ConstraintLanguage, m: int) -> list[OperationTable]:
+    """Every arity-m table in lexicographic order that passes the double loop
+    on every relation."""
+    out = []
+    for table in product(range(lang.domain.size), repeat=lang.domain.size**m):
+        f = OperationTable(m, lang.domain, table)
+        if all(preserves_bruteforce(f, r) for r in lang.relations.values()):
+            out.append(f)
+    return out
+
+
+def first_wnu_bruteforce(lang: ConstraintLanguage, m: int) -> OperationTable | None:
+    return next((f for f in polymorphisms_bruteforce(lang, m) if is_wnu(f)), None)
+
+
+def closure_bruteforce(seeds, ops, n: int) -> frozenset:
+    """Naive fixpoint: apply every operation to every combination of the
+    current set until nothing new appears."""
+    closed = set(seeds)
+    while True:
+        images = {
+            tuple(f.apply(tuple(t[j] for t in combo)) for j in range(n))
+            for f in ops
+            for combo in product(sorted(closed), repeat=f.arity)
+        }
+        if images <= closed:
+            return frozenset(closed)
+        closed |= images
+
+
+def reversed_relations(lang: ConstraintLanguage) -> ConstraintLanguage:
+    """The same language with its relations given in the reverse order."""
+    return ConstraintLanguage(lang.domain, dict(reversed(list(lang.relations.items()))))
 
 
 def sat_by_enumeration(inst: CspInstance) -> bool:

@@ -1,12 +1,15 @@
 import json
+import random
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcsp import (
     BudgetError,
+    Budgets,
     ConstraintLanguage,
     DomainSpec,
     OperationTable,
@@ -20,8 +23,18 @@ from qcsp import (
     switchability_witness,
     table_from_function,
 )
+from qcsp import algebra
 from qcsp.algebra import lift_operation, projection_table
-from helpers import XOR0, ONE_IN_THREE, preserves_bruteforce
+from qcsp.model import encode_tuple
+from helpers import (
+    XOR0,
+    ONE_IN_THREE,
+    closure_bruteforce,
+    first_wnu_bruteforce,
+    polymorphisms_bruteforce,
+    preserves_bruteforce,
+    reversed_relations,
+)
 
 DOM2 = DomainSpec(2)
 MINORITY = table_from_function(DOM2, 3, lambda a, b, c: a ^ b ^ c)
@@ -67,7 +80,7 @@ def test_preserves_agrees_with_double_loop(data):
 
 
 def test_numpy_path_agrees_with_double_loop():
-    # big enough relation to cross the array cutoff
+    # every image of the full relation is a member
     dom = DomainSpec(2)
     rel = Relation("ALL4", 4, frozenset(product(range(2), repeat=4)))
     f = table_from_function(dom, 3, lambda a, b, c: a ^ b ^ c)
@@ -170,17 +183,19 @@ def test_witness_xor0_r1_trivial_power(xor0_lang):
     assert w.powers == ((2, True),)
 
 
-def test_witness_parallel_matches_serial(xor0_lang):
-    serial = switchability_witness(xor0_lang, 2, max_arity=3, max_power=4)
-    parallel = switchability_witness(xor0_lang, 2, max_arity=3, max_power=4, workers=3)
-    assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(
-        parallel.to_json(), sort_keys=True
-    )
+def test_witness_deterministic_under_input_order(mixed_lang):
+    w = switchability_witness(mixed_lang, 2, max_arity=3, max_power=4)
+    v = switchability_witness(reversed_relations(mixed_lang), 2, max_arity=3, max_power=4)
+    assert json.dumps(w.to_json()) == json.dumps(v.to_json())
+    assert w.operations == v.operations
+    for n in (2, 3, 4):
+        seeds = enumerate_switch_bounded(n, 1, DOM2)
+        forward = generate_closure(seeds, w.operations, n)
+        backward = generate_closure(seeds[::-1], w.operations[::-1], n)
+        assert sorted(forward) == sorted(backward)
 
 
 def test_witness_inconclusive_on_budget_exhaustion(xor0_lang):
-    from qcsp import Budgets
-
     tight = Budgets(max_closure_points=3)
     w = switchability_witness(xor0_lang, 2, max_arity=1, max_power=4, budgets=tight)
     assert w.verdict == "inconclusive"
@@ -245,3 +260,153 @@ def test_lift_operation_digitwise():
     for a, b, c in [(3, 5, 6), (0, 15, 9), (7, 7, 7)]:
         assert lifted.apply((a, b, c)) == a ^ b ^ c
     assert is_wnu(lifted)
+
+
+# ---------------------------------------------------------------------------
+# differential checks against the brute-force references
+
+
+def random_language(rnd, size, max_arity):
+    """One to three random relations, plus an empty and a 0-ary one."""
+    rels = [
+        Relation("EMPTY", 2, frozenset()),
+        Relation("NULLARY", 0, frozenset({()})),
+    ]
+    for j in range(rnd.randint(1, 3)):
+        arity = rnd.randint(1, max_arity)
+        universe = list(product(range(size), repeat=arity))
+        rows = rnd.sample(universe, rnd.randint(1, min(5, len(universe))))
+        rels.append(Relation(f"R{j}", arity, frozenset(rows)))
+    return ConstraintLanguage.of(size, *rels)
+
+
+@pytest.mark.parametrize("block_cells", [5, algebra._BLOCK_CELLS])
+@pytest.mark.parametrize(
+    "size, arities, count", [(2, (1, 2, 3), 12), (3, (1, 2), 3)]
+)
+def test_polymorphisms_and_find_wnu_match_bruteforce(
+    size, arities, count, block_cells, monkeypatch
+):
+    monkeypatch.setattr(algebra, "_BLOCK_CELLS", block_cells)
+    rnd = random.Random(size)
+    for _ in range(count):
+        lang = random_language(rnd, size, 3)
+        for m in arities:
+            got = polymorphisms(lang, m)
+            assert list(got) == polymorphisms_bruteforce(lang, m)
+            if m >= 2:
+                assert find_wnu(lang, m) == first_wnu_bruteforce(lang, m)
+
+
+def test_find_wnu_none_matches_bruteforce(one_in_three_lang):
+    assert first_wnu_bruteforce(one_in_three_lang, 3) is None
+    assert find_wnu(one_in_three_lang, 3) is None
+
+
+@pytest.mark.parametrize("block_cells", [3, 64, algebra._BLOCK_CELLS])
+def test_closure_matches_naive_fixpoint(block_cells, monkeypatch):
+    monkeypatch.setattr(algebra, "_BLOCK_CELLS", block_cells)
+    rnd = random.Random(17)
+    for size, max_n, max_m in [(2, 4, 3), (3, 3, 2)]:
+        dom = DomainSpec(size)
+        for _ in range(40):
+            n = rnd.randint(1, max_n)
+            universe = list(product(range(size), repeat=n))
+            seeds = rnd.sample(universe, rnd.randint(1, min(6, len(universe))))
+            ops = []
+            for _ in range(rnd.randint(1, 3)):
+                m = rnd.randint(1, max_m)
+                table = tuple(rnd.randrange(size) for _ in range(size**m))
+                ops.append(OperationTable(m, dom, table))
+            assert generate_closure(seeds, ops, n) == closure_bruteforce(seeds, ops, n)
+
+
+def test_closure_full_at_seeds_and_mid_pass():
+    cube = frozenset(product(range(2), repeat=3))
+    assert generate_closure(cube, [MINORITY], 3) == cube
+    # the first pass fills the cube before it has combined every triple
+    seeds = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+    assert closure_bruteforce(seeds, [MINORITY], 3) == cube
+    assert generate_closure(seeds, [MINORITY], 3) == cube
+    # a budget of exactly |A^n| points is enough: it stops when full
+    tight = Budgets(max_closure_points=8)
+    assert generate_closure(seeds, [MINORITY, MAX2], 3, tight) == cube
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("block_cells", [5, 1000, algebra._BLOCK_CELLS])
+def test_preserves_chunked_matches_bruteforce(m, block_cells, monkeypatch):
+    monkeypatch.setattr(algebra, "_BLOCK_CELLS", block_cells)
+    rnd = random.Random(m)
+    dom = DomainSpec(3)
+    universe = list(product(range(3), repeat=4))
+    for count in (20, 34):
+        rows = rnd.sample(universe, count)
+        for rel in (
+            Relation("R", 4, frozenset(rows)),
+            Relation("C", 4, frozenset(rows) | {(v,) * 4 for v in range(3)}),
+        ):
+            for f in (
+                projection_table(dom, m, m - 1),
+                table_from_function(dom, m, lambda *a: min(a)),
+                OperationTable(m, dom, tuple(rnd.randrange(3) for _ in range(3**m))),
+            ):
+                assert preserves(f, rel) == preserves_bruteforce(f, rel)
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 100, 10**6])
+@pytest.mark.parametrize("copies", [1, 5])
+def test_entry_blocks_enumerate_in_order_within_the_cell_bound(block_cells, copies, monkeypatch):
+    monkeypatch.setattr(algebra, "_BLOCK_CELLS", block_cells)
+    rnd = random.Random(block_cells)
+    args = [np.array([[rnd.randrange(3) for _ in range(2)] for _ in range(k)]) for k in (4, 3, 5)]
+    blocks = list(algebra._entry_blocks(args, 3, copies))
+    want = [
+        [encode_tuple((a[j], b[j], c[j]), 3) for j in range(2)]
+        for a, b, c in product(*args)
+    ]
+    assert np.concatenate(blocks).tolist() == want
+    assert all(block.size * copies <= max(block_cells, 2 * copies) for block in blocks)
+
+
+def test_preserves_checks_cells_before_allocating():
+    rel = Relation("ALL", 4, frozenset(product(range(2), repeat=4)))
+    with pytest.raises(BudgetError) as err:
+        preserves(MINORITY, rel, Budgets(max_preserve_cells=16**3 * 4 - 1))
+    assert err.value.what == "preservation check cells"
+    assert err.value.required == 16**3 * 4
+
+
+def test_preserves_exact_beyond_int64_codes():
+    # |A|^arity = 2^70: the row codes are folded in stages, not wrapped
+    dom = DomainSpec(2)
+    ones = (1,) * 70
+    rel = Relation("W", 70, frozenset({(0,) * 70, ones, (1,) + (0,) * 69}))
+    assert preserves_bruteforce(MINORITY, rel) is False
+    assert preserves(MINORITY, rel) is False
+    mixed = Relation("M", 70, frozenset({(0,) * 70, ones, (0,) * 6 + (1,) * 64}))
+    maj = table_from_function(dom, 3, lambda a, b, c: int(a + b + c >= 2))
+    assert preserves(maj, mixed) == preserves_bruteforce(maj, mixed)
+    assert polymorphisms(ConstraintLanguage.of(2, rel), 1) == tuple(
+        polymorphisms_bruteforce(ConstraintLanguage.of(2, rel), 1)
+    )
+
+
+def test_preserves_wide_domain_reads_values_in_digits():
+    # one value of a 2^20-element domain would not fit in a stage of the row
+    # index, so values are read in base-2^k digits and the index stays small
+    size = 1 << 20
+    rnd = random.Random(20)
+    f = OperationTable(1, DomainSpec(size), tuple(v ^ 1 for v in range(size)))
+    rows = {tuple(rnd.randrange(size) for _ in range(3)) for _ in range(150)}
+    closed = rows | {tuple(v ^ 1 for v in t) for t in rows}
+    for rel in (Relation("C", 3, frozenset(closed)), Relation("R", 3, frozenset(rows))):
+        assert preserves(f, rel) == preserves_bruteforce(f, rel)
+        _, (base, stages) = algebra._row_index(rel, 1, size, Budgets())
+        assert base < size
+        assert sum(step.size for *_, step in stages) <= len(stages) * algebra._BLOCK_CELLS // 3
+
+
+def test_polymorphisms_rejects_arity_zero(xor0_lang):
+    with pytest.raises(ValueError, match="arity must be >= 1"):
+        polymorphisms(xor0_lang, 0)

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from qcsp import ConstraintLanguage
 from qcsp.cli import main
 from qcsp.parsing import parse_language, parse_sentence, serialize_language
+from helpers import ORNAND
 
 LANG_DOC = """\
 domain 2
@@ -130,6 +132,19 @@ def test_classify_subcommand(tmp_path, capsys):
     assert code == 0
     assert data["verdict"] == "P"
     assert "wnu_table" in data
+
+
+def test_classify_exit_codes(tmp_path, capsys):
+    lang = tmp_path / "affine.txt"
+    lang.write_text("domain 2\nrelation XOR0 3\n0 0 0\n0 1 1\n1 0 1\n1 1 0\nend\n")
+    assert run_cli(["classify", "--language", lang, "--r", "2"]) == 0
+    assert "verdict: P\n" in capsys.readouterr().out
+    hard = tmp_path / "ornand.txt"
+    hard.write_text(serialize_language(ConstraintLanguage.of(2, ORNAND)))
+    assert run_cli(["classify", "--language", hard, "--r", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "preservation check cells: requires 1129718145924" in err
+    assert "Traceback" not in err
 
 
 def test_verify_agreement(files, capsys):

@@ -14,6 +14,7 @@ from qcsp import (
     CspInstance,
     QuantifiedSentence,
     Relation,
+    SwitchabilityWitness,
     WitnessRequiredError,
     classify,
     is_wnu,
@@ -24,15 +25,19 @@ from qcsp import (
     solve_csp,
     switchability_witness,
 )
+from qcsp import solvers
+from qcsp.algebra import lift_operation, table_from_function
 from qcsp.solvers import pi2_truth
 from helpers import (
     CYCLE3,
     LT3,
     NOT,
+    ORNAND,
     lang_dom3,
     lang_mixed2,
     random_pi2,
     random_sentence,
+    reversed_relations,
     sat_by_enumeration,
 )
 
@@ -305,15 +310,19 @@ def test_bundle_matches_oracle_random(xor0_lang, xor0_witness):
         assert bundle.combined == oracle_qcsp(s).truth
 
 
-def test_bundle_parallel_matches_serial(xor0_lang, xor0_witness):
+def test_bundle_deterministic_under_input_order(mixed_lang):
+    witness = switchability_witness(mixed_lang, 2, max_arity=3, max_power=4)
+    flipped_witness = SwitchabilityWitness(
+        witness.r, witness.operations[::-1], witness.powers, witness.verdict
+    )
+    flipped = reversed_relations(mixed_lang)
     rnd = random.Random(61)
     for _ in range(10):
-        s = random_sentence(rnd, xor0_lang, max_vars=5, max_atoms=2)
-        serial = reduce_pgp_to_csp(s, 2, witness=xor0_witness)
-        parallel = reduce_pgp_to_csp(s, 2, witness=xor0_witness, workers=4)
-        assert json.dumps(serial.to_json(), sort_keys=True) == json.dumps(
-            parallel.to_json(), sort_keys=True
-        )
+        s = random_sentence(rnd, mixed_lang, max_vars=5, max_atoms=2)
+        a = reduce_pgp_to_csp(s, 2, witness=witness)
+        t = QuantifiedSentence(s.prefix, s.matrix, flipped)
+        b = reduce_pgp_to_csp(t, 2, witness=flipped_witness)
+        assert json.dumps(a.to_json()) == json.dumps(b.to_json())
 
 
 def test_bundle_json_lists_members(xor0_lang, xor0_witness):
@@ -423,3 +432,28 @@ def test_classify_json_keys(xor0_lang):
     assert {"verdict", "caveat", "searched_arities", "searched_tables"} <= set(data)
     assert "wnu_table" in data
     assert data["wnu_table"]["domain_size"] == 16
+
+
+def test_classify_rejects_a_lift_that_breaks_preservation(xor0_lang, monkeypatch):
+    # majority is a weak near-unanimity operation but does not preserve XOR0
+    majority = table_from_function(xor0_lang.domain, 3, lambda a, b, c: int(a + b + c >= 2))
+    monkeypatch.setattr(
+        solvers, "lift_operation", lambda f, k, budgets: lift_operation(majority, k, budgets)
+    )
+    with pytest.raises(QcspError, match="does not preserve"):
+        classify(xor0_lang, 2)
+
+
+def test_classify_four_ary_preservation_budget():
+    lang = ConstraintLanguage.of(2, ORNAND)
+    with pytest.raises(BudgetError) as err:
+        classify(lang, 2)
+    assert err.value.what == "preservation check cells"
+    assert err.value.required == 1129718145924 == (9**4) ** 3 * 4
+
+
+def test_classify_seven_ary_boolean_relation_is_tractable():
+    # the powered relation has 16 rows of arity 7 over the 16-element domain
+    eq7 = Relation("EQ7", 7, frozenset({(0,) * 7, (1,) * 7}))
+    report = classify(ConstraintLanguage.of(2, eq7), 2, wnu_arity=3)
+    assert report.verdict == "P"
