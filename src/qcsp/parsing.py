@@ -41,8 +41,8 @@ from .model import (
     RESERVED_MARK,
 )
 
-_RELATION_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
-_VARIABLE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
+_RELATION_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+_VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 
 _NULLARY_ROW = "()"
 
@@ -90,7 +90,7 @@ def parse_language(text: str) -> ConstraintLanguage:
             if len(tokens) != 3:
                 raise ParseError("expected 'relation <name> <arity>'", lineno, 1)
             name = tokens[1]
-            if not _RELATION_NAME.match(name):
+            if not _RELATION_NAME.fullmatch(name):
                 raise ParseError(f"bad relation name {name!r}", lineno, _column(raw, name))
             if name in relations:
                 raise ParseError(f"duplicate relation name {name!r}", lineno, _column(raw, name))
@@ -141,59 +141,83 @@ def parse_language(text: str) -> ConstraintLanguage:
     return ConstraintLanguage(domain, relations)
 
 
-def _check_variable(name: str, lineno: int, raw: str, allow_reserved: bool) -> None:
-    if not _VARIABLE_NAME.match(name):
-        raise ParseError(f"bad variable name {name!r}", lineno, _column(raw, name))
+def _variable_problem(name: str, allow_reserved: bool) -> str | None:
+    if not _VARIABLE_NAME.fullmatch(name):
+        return f"bad variable name {name!r}"
     if not allow_reserved and RESERVED_MARK in name:
-        raise ParseError(
-            f"variable {name!r} uses the reserved '{RESERVED_MARK}' marker", lineno, _column(raw, name)
-        )
+        return f"variable {name!r} uses the reserved '{RESERVED_MARK}' marker"
+    return None
+
+
+class _SentenceReader:
+    """The checks shared by the text and JSON sentence formats.
+
+    Each check raises ``fail(message, token)``: the text format places the
+    error at the token's line and column, the JSON format names the entry.
+    """
+
+    def __init__(self, lang: ConstraintLanguage, allow_reserved: bool) -> None:
+        self.lang = lang
+        self.allow_reserved = allow_reserved
+        self.prefix: list[tuple[str, str]] = []
+        self.atoms: list[Atom] = []
+        self.quantified: set[str] = set()
+
+    def quantify(self, quantifier: str, var: str, fail) -> None:
+        problem = _variable_problem(var, self.allow_reserved)
+        if problem:
+            raise fail(problem, var)
+        if var in self.quantified:
+            raise fail(f"variable {var!r} quantified twice", var)
+        self.quantified.add(var)
+        self.prefix.append((quantifier, var))
+
+    def constrain(self, name: str, args: list[str], fail) -> None:
+        rel = self.lang.relations.get(name)
+        if rel is None:
+            raise fail(f"unknown relation {name!r}", name)
+        if len(args) != rel.arity:
+            raise fail(f"relation {name} has arity {rel.arity}, got {len(args)} arguments", None)
+        for var in args:
+            problem = _variable_problem(var, self.allow_reserved)
+            if problem:
+                raise fail(problem, var)
+            if var not in self.quantified:
+                raise fail(f"variable {var!r} is not quantified", var)
+        self.atoms.append(Atom(name, tuple(args)))
+
+    def sentence(self) -> QuantifiedSentence:
+        return QuantifiedSentence(tuple(self.prefix), tuple(self.atoms), self.lang)
 
 
 def parse_sentence(
     text: str, lang: ConstraintLanguage, allow_reserved: bool = False
 ) -> QuantifiedSentence:
     """Parse the text sentence format and validate it against ``lang``."""
-    prefix: list[tuple[str, str]] = []
-    atoms: list[Atom] = []
-    quantified: set[str] = set()
+    reader = _SentenceReader(lang, allow_reserved)
     in_matrix = False
 
     for lineno, raw, tokens in _lines(text):
+
+        def fail(message: str, token: str | None) -> ParseError:
+            return ParseError(message, lineno, _column(raw, token) if token else 1)
+
         head = tokens[0]
         if head in (FORALL, EXISTS):
             if in_matrix:
                 raise ParseError("quantifier after the first constraint line", lineno, 1)
             if len(tokens) != 2:
                 raise ParseError(f"expected '{head} <var>'", lineno, 1)
-            var = tokens[1]
-            _check_variable(var, lineno, raw, allow_reserved)
-            if var in quantified:
-                raise ParseError(f"variable {var!r} quantified twice", lineno, _column(raw, var))
-            quantified.add(var)
-            prefix.append((head, var))
+            reader.quantify(head, tokens[1], fail)
         elif head == "constraint":
             in_matrix = True
             if len(tokens) < 2:
                 raise ParseError("expected 'constraint <relation> <vars...>'", lineno, 1)
-            name = tokens[1]
-            rel = lang.relations.get(name)
-            if rel is None:
-                raise ParseError(f"unknown relation {name!r}", lineno, _column(raw, name))
-            args = tokens[2:]
-            if len(args) != rel.arity:
-                raise ParseError(
-                    f"relation {name} has arity {rel.arity}, got {len(args)} arguments", lineno, 1
-                )
-            for var in args:
-                _check_variable(var, lineno, raw, allow_reserved)
-                if var not in quantified:
-                    raise ParseError(f"variable {var!r} is not quantified", lineno, _column(raw, var))
-            atoms.append(Atom(name, tuple(args)))
+            reader.constrain(tokens[1], tokens[2:], fail)
         else:
             raise ParseError(f"unexpected directive {head!r}", lineno, 1)
 
-    return QuantifiedSentence(tuple(prefix), tuple(atoms), lang)
+    return reader.sentence()
 
 
 # ---------------------------------------------------------------------------
@@ -234,29 +258,46 @@ def sentence_to_dict(sentence: QuantifiedSentence) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_field(data: dict, key: str, where: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{where}'{key}' must be a list, got {value!r}")
+    return value
+
+
+def _entry_fail(field: str, index: int):
+    return lambda message, token=None: ParseError(f"{field} entry {index}: {message}")
+
+
 def language_from_dict(data: dict) -> ConstraintLanguage:
+    """Read the JSON language format; booleans are not integers here."""
     if not isinstance(data, dict) or "domain" not in data:
         raise ParseError("language JSON must be an object with a 'domain' field")
     size = data["domain"]
-    if not isinstance(size, int) or size < 1:
+    if not _is_int(size) or size < 1:
         raise ParseError(f"bad domain size {size!r}")
     relations: dict[str, Relation] = {}
-    for entry in data.get("relations", []):
+    for index, entry in enumerate(_list_field(data, "relations", "")):
+        if not isinstance(entry, dict):
+            raise ParseError(f"relations entry {index}: expected an object, got {entry!r}")
         name = entry.get("relation")
         arity = entry.get("arity")
-        rows = entry.get("rows", [])
-        if not isinstance(name, str) or not _RELATION_NAME.match(name):
-            raise ParseError(f"bad relation name {name!r}")
+        if not isinstance(name, str) or not _RELATION_NAME.fullmatch(name):
+            raise ParseError(f"relations entry {index}: bad relation name {name!r}")
         if name in relations:
             raise ParseError(f"duplicate relation name {name!r}")
-        if not isinstance(arity, int) or arity < 0:
+        if not _is_int(arity) or arity < 0:
             raise ParseError(f"relation {name}: bad arity {arity!r}")
         tuples = set()
-        for row in rows:
+        for row in _list_field(entry, "rows", f"relation {name}: "):
             if not isinstance(row, list) or len(row) != arity:
                 raise ParseError(f"relation {name}: row {row!r} does not match arity {arity}")
             for v in row:
-                if not isinstance(v, int) or not (0 <= v < size):
+                if not _is_int(v) or not (0 <= v < size):
                     raise ParseError(f"relation {name}: element {v!r} out of domain 0..{size - 1}")
             tuples.add(tuple(row))
         relations[name] = Relation(name, arity, frozenset(tuples))
@@ -266,18 +307,24 @@ def language_from_dict(data: dict) -> ConstraintLanguage:
 def sentence_from_dict(
     data: dict, lang: ConstraintLanguage, allow_reserved: bool = False
 ) -> QuantifiedSentence:
+    """Read the JSON sentence format entry by entry, with the checks of
+    :func:`parse_sentence`; an error names the offending entry's index."""
     if not isinstance(data, dict):
         raise ParseError("sentence JSON must be an object")
-    lines: list[str] = []
-    for entry in data.get("prefix", []):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ParseError(f"bad prefix entry {entry!r}")
-        lines.append(f"{entry[0]} {entry[1]}")
-    for entry in data.get("constraints", []):
-        if not (isinstance(entry, list) and entry):
-            raise ParseError(f"bad constraint entry {entry!r}")
-        lines.append(" ".join(["constraint", *map(str, entry)]))
-    return parse_sentence("\n".join(lines), lang, allow_reserved=allow_reserved)
+    reader = _SentenceReader(lang, allow_reserved)
+    for index, entry in enumerate(_list_field(data, "prefix", "")):
+        fail = _entry_fail("prefix", index)
+        if not (isinstance(entry, list) and len(entry) == 2 and all(isinstance(x, str) for x in entry)):
+            raise fail(f"expected [quantifier, variable], got {entry!r}")
+        if entry[0] not in (FORALL, EXISTS):
+            raise fail(f"unknown quantifier {entry[0]!r}")
+        reader.quantify(entry[0], entry[1], fail)
+    for index, entry in enumerate(_list_field(data, "constraints", "")):
+        fail = _entry_fail("constraints", index)
+        if not (isinstance(entry, list) and entry and all(isinstance(x, str) for x in entry)):
+            raise fail(f"expected [relation, variables...], got {entry!r}")
+        reader.constrain(entry[0], entry[1:], fail)
+    return reader.sentence()
 
 
 def load_language(path: str | Path) -> ConstraintLanguage:

@@ -360,6 +360,12 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
     each component is compiled once and checked satisfiable under every
     assignment of the universals it actually touches, solved with those
     universals' domains pinned to the assigned singletons.
+
+    A component's shape is its atoms in order, with each universal kept by
+    name and each existential replaced by its first-occurrence number within
+    the component.  Components of equal shape differ only by a bijective
+    renaming of existentials, so they have the same truth: each shape is
+    decided once per call.
     """
     if not sentence.is_pi2():
         raise ValueError("input must be in forall*exists* form")
@@ -368,43 +374,63 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
         raise ValueError(f"invalid sentence: {report.issues[0].message}")
     size = sentence.language.domain.size
     universal_pos = {v: i for i, v in enumerate(sentence.universals())}
-    existentials = set(sentence.existentials())
 
     # union-find over existential variables; atoms join their existentials
-    parent: dict[str, str] = {v: v for v in existentials}
+    parent: dict[str, str] = {v: v for v in sentence.existentials()}
+    firsts: list[str | None] = []
+    for atom in sentence.matrix:
+        evars = [v for v in atom.args if v not in universal_pos]
+        if not evars:
+            firsts.append(None)
+            continue
+        firsts.append(evars[0])
+        root = _find(parent, evars[0])
+        for v in evars[1:]:
+            parent[_find(parent, v)] = root
     groups: dict[str, list[Atom]] = {}
     universal_only: list[Atom] = []
-    for atom in sentence.matrix:
-        evars = sorted(set(atom.args) & existentials)
-        if not evars:
+    for atom, first in zip(sentence.matrix, firsts):
+        if first is None:
             universal_only.append(atom)
-            continue
-        for a, b in zip(evars, evars[1:]):
-            parent[_find(parent, a)] = _find(parent, b)
-    for atom in sentence.matrix:
-        evars = sorted(set(atom.args) & existentials)
-        if evars:
-            groups.setdefault(_find(parent, evars[0]), []).append(atom)
+        else:
+            groups.setdefault(_find(parent, first), []).append(atom)
+
+    # shapes already decided; a shape that fails ends the call, so only
+    # holding ones are kept
+    holding: set[tuple] = set()
 
     def holds_for_all(atoms: list[Atom]) -> bool:
-        touched = sorted(
-            {v for a in atoms for v in a.args if v in universal_pos},
-            key=universal_pos.get,
-        )
+        number: dict[str, int] = {}
+        touched: set[str] = set()
+        shape = []
+        for a in atoms:
+            args = []
+            for v in a.args:
+                if v in universal_pos:
+                    touched.add(v)
+                    args.append(v)
+                else:
+                    args.append(number.setdefault(v, len(number)))
+            shape.append((a.relation, tuple(args)))
         budgets.check("component assignments", size ** len(touched), budgets.max_game_tree)
-        evars = sorted({v for a in atoms for v in a.args if v not in universal_pos})
-        model = _CompiledCsp(sentence.language, touched + evars, atoms)
+        key = tuple(shape)
+        if key in holding:
+            return True
+        pinned = sorted(touched, key=universal_pos.get)
+        evars = sorted(number)
+        model = _CompiledCsp(sentence.language, pinned + evars, atoms)
         free = [model.full] * len(evars)
-        for values in product(range(size), repeat=len(touched)):
+        for values in product(range(size), repeat=len(pinned)):
             if not model.solve([1 << val for val in values] + free)[0]:
                 return False
+        holding.add(key)
         return True
 
     for atom in universal_only:
         if not holds_for_all([atom]):
             return False
-    for key in sorted(groups):
-        if not holds_for_all(groups[key]):
+    for atoms in groups.values():
+        if not holds_for_all(atoms):
             return False
     return True
 

@@ -104,6 +104,40 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "doc", [{"domain": True}, {"domain": 2, "relations": [5]}, {"domain": 2, "relations": 5}]
+)
+def test_malformed_json_language_exit_two(tmp_path, capsys, doc):
+    lang = tmp_path / "lang.json"
+    lang.write_text(json.dumps(doc))
+    code = run_cli(["witness", "--language", lang, "--r", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert "witnessed" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "doc, index",
+    [
+        (
+            {"prefix": [["forall", "x"], ["exists", "y"]], "constraints": [["NOT", "x y"]]},
+            "constraints entry 0",
+        ),
+        ({"prefix": [["forall", "x"], ["forall", "x # junk"]]}, "prefix entry 1"),
+    ],
+)
+def test_malformed_json_sentence_exit_two(tmp_path, capsys, doc, index):
+    lang = tmp_path / "lang.txt"
+    lang.write_text(LANG_DOC)
+    sent = tmp_path / "s.json"
+    sent.write_text(json.dumps(doc))
+    code = run_cli(["solve", "--language", lang, "--sentence", sent])
+    assert code == 2
+    assert index in capsys.readouterr().err
+
+
 def test_missing_file_exit_two(tmp_path, capsys):
     code = run_cli(["solve", "--language", tmp_path / "nope.txt",
                     "--sentence", tmp_path / "nope2.txt"])

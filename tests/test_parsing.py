@@ -1,10 +1,15 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcsp import (
     Atom,
+    ConstraintLanguage,
     ParseError,
+    Relation,
     gamma_star,
     parse_language,
     parse_sentence,
@@ -19,7 +24,7 @@ from qcsp.parsing import (
     sentence_from_dict,
     sentence_to_dict,
 )
-from helpers import lang_mixed2
+from helpers import lang_dom3, lang_mixed2, random_sentence
 
 XOR0_DOC = """\
 domain 2
@@ -178,3 +183,132 @@ def test_json_mirror_errors():
         language_from_dict({"relations": []})
     with pytest.raises(ParseError):
         language_from_dict({"domain": 2, "relations": [{"relation": "R", "arity": 1, "rows": [[2]]}]})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"domain": True},
+        {"domain": False},
+        {"domain": 2, "relations": [{"relation": "R", "arity": True, "rows": [[0]]}]},
+        {"domain": 2, "relations": [{"relation": "R", "arity": 1, "rows": [[True]]}]},
+        {"domain": 2, "relations": [{"relation": "R", "arity": 1, "rows": [[0.0]]}]},
+        {"domain": 2, "relations": 5},
+        {"domain": 2, "relations": {"relation": "R"}},
+        {"domain": 2, "relations": [5]},
+        {"domain": 2, "relations": [["R", 1]]},
+        {"domain": 2, "relations": [{"relation": "R", "arity": 1, "rows": 0}]},
+        {"domain": 2, "relations": [{"relation": "R", "arity": 1, "rows": {"0": 1}}]},
+        {"domain": 2, "relations": [{"relation": "R\n", "arity": 1, "rows": []}]},
+    ],
+)
+def test_language_from_dict_rejects_malformed(doc):
+    with pytest.raises(ParseError):
+        language_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"prefix": 5}, "'prefix' must be a list"),
+        ({"prefix": [], "constraints": "NOT x y"}, "'constraints' must be a list"),
+        (
+            {"prefix": [["forall", "x"], ["exists", "y"]], "constraints": [["NOT", "x y"]]},
+            "constraints entry 0",
+        ),
+        ({"prefix": [["forall", "x"], ["exists", "y"]], "constraints": [["NOT", "x", "y"], ["NOT", "x", 5]]},
+         "constraints entry 1"),
+        ({"prefix": [["forall", "x # junk"]]}, "prefix entry 0"),
+        ({"prefix": [["forall", "x"], ["exists", 5]]}, "prefix entry 1"),
+        ({"prefix": [["forall", "x"], ["some", "y"]]}, "prefix entry 1"),
+        ({"prefix": [["forall", "x"], ["exists", "x"]]}, "prefix entry 1"),
+        ({"prefix": [["forall", "x"], ["exists", "y\n"]]}, "prefix entry 1"),
+        ({"prefix": [["forall", "x", "y"]]}, "prefix entry 0"),
+        ({"prefix": [["forall", "x$1"]]}, "prefix entry 0"),
+        ({"prefix": [["forall", "x"]], "constraints": [["NOT", "x", "z"]]}, "constraints entry 0"),
+        ({"prefix": [["forall", "x"]], "constraints": [["NOPE", "x"]]}, "constraints entry 0"),
+        ({"prefix": [["forall", "x"]], "constraints": [[]]}, "constraints entry 0"),
+    ],
+)
+def test_sentence_from_dict_rejects_malformed(doc, where):
+    with pytest.raises(ParseError, match=where):
+        sentence_from_dict(doc, lang_mixed2())
+
+
+def test_sentence_from_dict_reads_reserved_names_when_allowed():
+    doc = {"prefix": [["forall", "x$1"], ["exists", "y"]], "constraints": [["NOT", "x$1", "y"]]}
+    s = sentence_from_dict(doc, lang_mixed2(), allow_reserved=True)
+    assert s.matrix == (Atom("NOT", ("x$1", "y")),)
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["forall", "exists", "NOT", "XOR0", "x", "y", "x y", "x$1", ""])
+    | st.text(max_size=3)
+)
+_JSON_KEYS = st.sampled_from(["domain", "relations", "relation", "arity", "rows", "prefix", "constraints"])
+_JSON = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_KEYS | st.text(max_size=3), inner, max_size=4),
+    max_leaves=24,
+)
+_RELATION_DICTS = st.fixed_dictionaries({}, optional={"relation": _JSON, "arity": _JSON, "rows": _JSON})
+
+
+@given(
+    _JSON
+    | st.fixed_dictionaries(
+        {"domain": _JSON_LEAVES}, optional={"relations": _JSON | st.lists(_RELATION_DICTS, max_size=3)}
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_language_from_dict_raises_only_parse_error(doc):
+    try:
+        lang = language_from_dict(doc)
+    except ParseError:
+        return
+    assert language_from_dict(json.loads(json.dumps(language_to_dict(lang)))) == lang
+
+
+@given(_JSON | st.fixed_dictionaries({}, optional={"prefix": _JSON, "constraints": _JSON}))
+@settings(max_examples=300, deadline=None)
+def test_sentence_from_dict_raises_only_parse_error(doc):
+    try:
+        s = sentence_from_dict(doc, lang_mixed2())
+    except ParseError:
+        return
+    assert sentence_from_dict(sentence_to_dict(s), lang_mixed2()) == s
+
+
+@st.composite
+def languages(draw):
+    size = draw(st.integers(min_value=1, max_value=3))
+    name = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+    names = draw(st.lists(name, max_size=3, unique=True))
+    relations = []
+    for name in names:
+        arity = draw(st.integers(min_value=0, max_value=3))
+        rows = draw(st.frozensets(st.tuples(*[st.integers(0, size - 1)] * arity), max_size=6))
+        relations.append(Relation(name, arity, rows))
+    return ConstraintLanguage.of(size, *relations)
+
+
+@given(languages())
+@settings(max_examples=100, deadline=None)
+def test_language_dict_round_trip(lang):
+    doc = json.loads(json.dumps(language_to_dict(lang)))
+    assert language_from_dict(doc) == lang
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(["mixed", "dom3"]))
+@settings(max_examples=100, deadline=None)
+def test_sentence_dict_round_trip(seed, which):
+    lang = lang_mixed2() if which == "mixed" else lang_dom3()
+    s = random_sentence(random.Random(seed), lang, max_vars=6, max_atoms=5)
+    doc = json.loads(json.dumps(sentence_to_dict(s)))
+    assert sentence_from_dict(doc, lang) == s
+    assert parse_sentence(serialize_sentence(s), lang) == s

@@ -387,6 +387,154 @@ def test_pi2_on_pi2_input(xor0_lang, xor0_witness):
     assert pi2_truth(reduce_to_pi2(unsat, 2, witness=xor0_witness)) is False
 
 
+# pi2_truth decides each component shape once per call
+
+
+LE3 = Relation("LE", 2, frozenset((a, b) for a in range(3) for b in range(3) if a <= b))
+
+
+def _pi2_prefix(existentials, universals=("z1", "z2")):
+    return [("forall", z) for z in universals] + [("exists", e) for e in existentials]
+
+
+# Each sentence puts a true component before a false near-twin; a shape key
+# that merged the two would answer True from the first one.
+NEAR_TWINS = {
+    "universal names": (
+        lang_mixed2,
+        _pi2_prefix(["e", "f"]),
+        [("NOT", "z1", "f"), ("NOT", "z1", "f"), ("NOT", "z1", "e"), ("NOT", "z2", "e")],
+    ),
+    "existential order": (
+        lang_dom3,
+        _pi2_prefix(["a", "b", "c", "d", "e", "f"], ["z"]),
+        [("CYC", "z", "a", "b"), ("CYC", "a", "b", "c"), ("CYC", "z", "d", "e"), ("CYC", "e", "d", "f")],
+    ),
+    "repeated existential": (
+        lang_dom3,
+        _pi2_prefix(["a", "b", "c"], []),
+        [("LT", "a", "b"), ("LT", "c", "c")],
+    ),
+    "relation": (
+        lambda: ConstraintLanguage.of(3, LT3, LE3),
+        _pi2_prefix(["a", "b"], ["z"]),
+        [("LE", "z", "a"), ("LT", "z", "b")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_TWINS))
+def test_pi2_truth_keeps_near_twin_components_apart(case):
+    make_lang, prefix, atoms = NEAR_TWINS[case]
+    s = sent(make_lang(), prefix, [Atom(a[0], a[1:]) for a in atoms])
+    assert oracle_qcsp(s).truth is False
+    assert pi2_truth(s) is False
+    # each component alone holds or fails as its twin's key would not say
+    first, second = s.matrix[: len(atoms) // 2], s.matrix[len(atoms) // 2 :]
+    assert pi2_truth(sent(s.language, prefix, first)) is True
+    assert pi2_truth(sent(s.language, prefix, second)) is False
+
+
+def _counting_compiles(monkeypatch):
+    built = []
+
+    class Counting(solvers._CompiledCsp):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+    monkeypatch.setattr(solvers, "_CompiledCsp", Counting)
+    return built
+
+
+def test_pi2_truth_compiles_each_shape_once(mixed_lang, monkeypatch):
+    # shape A three times, shape B (A's atoms in the other order) twice, and
+    # one component each on z1 alone and on z2 alone: four shapes, seven
+    # components, with the copies' atoms interleaved in the matrix
+    parts = [[Atom("NOT", ("z1", f"a{i}")), Atom("XOR0", (f"a{i}", "z2", f"b{i}"))] for i in range(3)]
+    parts += [[Atom("XOR0", (f"c{i}", "z2", f"d{i}")), Atom("NOT", ("z1", f"c{i}"))] for i in range(2)]
+    parts += [[Atom("NOT", ("z1", "p"))], [Atom("NOT", ("z2", "q"))]]
+    matrix = [part[k] for k in range(2) for part in parts if k < len(part)]
+    existentials = sorted({v for atom in matrix for v in atom.args} - {"z1", "z2"})
+    s = sent(mixed_lang, _pi2_prefix(existentials), matrix)
+    checks = []
+    real_check = Budgets.check
+
+    def counting_check(self, what, required, limit):
+        checks.append(what)
+        real_check(self, what, required, limit)
+
+    monkeypatch.setattr(Budgets, "check", counting_check)
+    built = _counting_compiles(monkeypatch)
+    assert pi2_truth(s) is True
+    assert len(built) == 4
+    assert checks.count("component assignments") == len(parts)
+    monkeypatch.undo()
+    assert oracle_qcsp(s).truth is True
+
+
+def test_pi2_truth_stops_at_a_failing_repeated_shape(mixed_lang, monkeypatch):
+    # five copies of a false component: one compile, and the answer is False
+    matrix = [Atom("NOT", (f"e{i}", f"e{i}")) for i in range(5)]
+    s = sent(mixed_lang, _pi2_prefix([f"e{i}" for i in range(5)], []), matrix)
+    built = _counting_compiles(monkeypatch)
+    assert pi2_truth(s) is False
+    assert len(built) == 1
+
+
+def test_pi2_truth_budget_on_repeated_shapes(mixed_lang):
+    # every component touches both universals: 2**2 assignments each
+    matrix = [Atom("XOR0", ("z1", "z2", f"e{i}")) for i in range(4)]
+    s = sent(mixed_lang, _pi2_prefix([f"e{i}" for i in range(4)]), matrix)
+    assert pi2_truth(s, Budgets(max_game_tree=4)) is True
+    with pytest.raises(BudgetError) as err:
+        pi2_truth(s, Budgets(max_game_tree=3))
+    assert err.value.what == "component assignments"
+    assert err.value.required == 4
+
+
+@st.composite
+def pi2_with_repeated_components(draw):
+    """Pi2 sentences made of a few component templates, each copied with
+    fresh existentials, the copies' atoms optionally interleaved."""
+    lang = draw(st.sampled_from([lang_dom3(), lang_mixed2()]))
+    universals = [f"z{i}" for i in range(draw(st.integers(0, 2)))]
+    room = 6 if lang.domain.size == 3 else 9  # existentials, so the oracle stays quick
+    rels = sorted(lang.relations)
+    parts, used = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        slots = draw(st.integers(1, 2))
+        template = []
+        for _ in range(draw(st.integers(1, 3))):
+            rel = draw(st.sampled_from(rels))
+            arity = lang.relations[rel].arity
+            args = [draw(st.sampled_from(universals + list(range(slots)))) for _ in range(arity)]
+            template.append((rel, args))
+        for _ in range(draw(st.integers(1, 3))):
+            if used + slots > room:
+                break
+            names = [f"e{used + j}" for j in range(slots)]
+            used += slots
+            parts.append(
+                [
+                    Atom(rel, tuple(names[a] if isinstance(a, int) else a for a in args))
+                    for rel, args in template
+                ]
+            )
+    if draw(st.booleans()):
+        matrix = [a for part in parts for a in part]
+    else:
+        matrix = [part[k] for k in range(3) for part in parts if k < len(part)]
+    prefix = [("forall", z) for z in universals] + [("exists", f"e{j}") for j in range(used)]
+    return sent(lang, prefix, matrix)
+
+
+@given(pi2_with_repeated_components())
+@settings(max_examples=200, deadline=None)
+def test_pi2_truth_with_repeated_components_matches_oracle(s):
+    assert pi2_truth(s) == oracle_qcsp(s).truth
+
+
 # ---------------------------------------------------------------------------
 # classification
 
