@@ -334,7 +334,16 @@ def switchability_witness(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> SwitchabilityWitness:
     """Check whether tuples with at most ``r`` switches generate A^n for n up to
-    ``max_power`` under the polymorphisms of arity up to ``max_arity``."""
+    ``max_power`` under the polymorphisms of arity up to ``max_arity``.
+
+    Raises ``ValueError`` when ``max_power < 2``, which checks no power and
+    so would witness every language, or when ``max_arity < 1``, which
+    searches no operation.
+    """
+    if max_power < 2:
+        raise ValueError(f"witness power bound must be >= 2, got {max_power}")
+    if max_arity < 1:
+        raise ValueError(f"witness arity bound must be >= 1, got {max_arity}")
     size = lang.domain.size
     for m in range(1, max_arity + 1):
         budgets.check(

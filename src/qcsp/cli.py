@@ -427,6 +427,8 @@ def _run_classify(config: RunConfig) -> int:
 def _run_verify(config: RunConfig) -> int:
     if len(config.methods) < 2:
         raise QcspError("verify needs at least two --methods")
+    if len(set(config.methods)) != len(config.methods):
+        raise QcspError(f"verify needs distinct --methods, got {','.join(config.methods)}")
     for method in config.methods:
         if method not in SOLVE_METHODS:
             raise QcspError(f"unknown method {method!r}")

@@ -17,6 +17,13 @@ The pipeline pieces here rewrite prefixes while preserving truth value:
 * relational powers and the lexicographic column constraints translate
   between quantified sentences and CSPs over a power domain.
 
+The three copy-making transforms (:func:`eliminate_universals`,
+:func:`move_universals_left`, :func:`reduce_universal_count`) first drop every
+prefix variable that occurs in no atom: domains are nonempty, so Qx phi is phi
+when x is not in phi.  A vacuous universal is never expanded and a vacuous
+existential never copied, so their output is smaller than the input's prefix
+suggests; their budget checks still count the input as given.
+
 Every transform returns freshly named variables marked with "$" so the output
 never collides with user input, and every output is checked well-formed.
 """
@@ -189,15 +196,29 @@ def omega(alt: AlternatingSentence, indices: tuple[int, ...]) -> QuantifiedSente
 
 
 # ---------------------------------------------------------------------------
+# vacuous quantifiers
+
+
+def _occurring_prefix(s: QuantifiedSentence) -> list[tuple[str, str]]:
+    """The prefix without the variables that occur in no atom (see the
+    module docstring for why dropping them keeps the truth value)."""
+    occurring = s.matrix_variables()
+    return [(q, v) for q, v in s.prefix if v in occurring]
+
+
+# ---------------------------------------------------------------------------
 # universal elimination (to a CSP with constants)
 
 
 def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) -> CspInstance:
     """Expand every universal into one constant-tagged copy per domain element.
 
+    Prefix variables that occur in no atom are dropped first, so only
+    occurring universals are expanded and only occurring existentials copied.
     The innermost universal is expanded first; each expansion renames the
     variable and the existential tail with a $c copy suffix and adds a
     const_a(x$c) atom.  The result is a CSP over the language with constants.
+    The budgets are checked against the input's full universal count.
     """
     size = s.language.domain.size
     n_univ = s.universal_count()
@@ -209,7 +230,7 @@ def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
     )
     budgets.check_bytes("universal elimination", (len(s.matrix) + 1) * size**n_univ)
 
-    prefix = list(s.prefix)
+    prefix = _occurring_prefix(s)
     matrix = list(s.matrix)
     while True:
         pos = next((i for i in range(len(prefix) - 1, -1, -1) if prefix[i][0] == FORALL), None)
@@ -249,9 +270,12 @@ def move_universals_left(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
     renamed per copy; universal quantifiers there are shared between copies
     (conjunction distributes over a shared universal), which keeps the
     rewrite terminating.  The universal count compounds per nesting level.
+    Prefix variables that occur in no atom are dropped before the first
+    hoist, so none of them is copied; each hoist checks the budgets against
+    what it builds.
     """
     size = s.language.domain.size
-    prefix = list(s.prefix)
+    prefix = _occurring_prefix(s)
     matrix = list(s.matrix)
     while True:
         boundary = None
@@ -316,24 +340,36 @@ def move_universals_left(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
 
 def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) -> QuantifiedSentence:
     """Conjoin one renamed copy per map from the k universals to |A| shared
-    universals, leaving a forall*exists* sentence with at most |A| universals."""
+    universals, leaving a forall*exists* sentence with at most |A| universals.
+
+    Prefix variables that occur in no atom are dropped first, so k counts
+    only occurring universals and only occurring existentials are copied; with
+    none of the universals occurring, the input comes back without its
+    vacuous variables.  The budgets are checked against the input as given.
+    """
     if not s.is_pi2():
         raise ValueError("input must be in forall*exists* form")
     size = s.language.domain.size
-    uvars = s.universals()
-    evars = s.existentials()
+    n_univ = s.universal_count()
+    if n_univ:
+        copies = size**n_univ
+        budgets.check("universal-count reduction copies", copies, budgets.max_matrix_copies)
+        budgets.check(
+            "universal-count reduction atoms", copies * max(1, len(s.matrix)), budgets.max_matrix_atoms
+        )
+        budgets.check(
+            "universal-count reduction prefix",
+            size + copies * len(s.existentials()),
+            budgets.max_prefix_vars,
+        )
+        budgets.check_bytes("universal-count reduction", copies * max(1, len(s.matrix)))
+
+    kept = _occurring_prefix(s)
+    uvars = [v for q, v in kept if q == FORALL]
+    evars = [v for q, v in kept if q == EXISTS]
     k = len(uvars)
     if k == 0:
-        return s
-    copies = size**k
-    budgets.check("universal-count reduction copies", copies, budgets.max_matrix_copies)
-    budgets.check(
-        "universal-count reduction atoms", copies * max(1, len(s.matrix)), budgets.max_matrix_atoms
-    )
-    budgets.check(
-        "universal-count reduction prefix", size + copies * len(evars), budgets.max_prefix_vars
-    )
-    budgets.check_bytes("universal-count reduction", copies * max(1, len(s.matrix)))
+        return QuantifiedSentence(tuple(kept), s.matrix, s.language)
 
     zs = [f"z$u{i}" for i in range(1, size + 1)]
     prefix: list[tuple[str, str]] = [(FORALL, z) for z in zs]

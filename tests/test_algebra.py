@@ -202,6 +202,17 @@ def test_witness_inconclusive_on_budget_exhaustion(xor0_lang):
     assert len(w.powers) < 3
 
 
+@pytest.mark.parametrize(
+    "bounds", [{"max_power": 1}, {"max_power": 0}, {"max_power": -1}, {"max_arity": 0}]
+)
+def test_witness_rejects_vacuous_bounds(bounds):
+    # max_power 1 checks no power at all and used to answer "witnessed" for
+    # NOT, whose sentence exists y forall x NOT(x, y) the bundle then got wrong
+    lang = ConstraintLanguage.of(2, Relation("NOT", 2, frozenset({(0, 1), (1, 0)})))
+    with pytest.raises(ValueError, match="bound must be >= "):
+        switchability_witness(lang, 0, **bounds)
+
+
 def test_witness_json_shape(xor0_lang):
     w = switchability_witness(xor0_lang, 1, max_arity=2, max_power=3)
     data = w.to_json()

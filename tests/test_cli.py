@@ -319,6 +319,37 @@ def test_witness_gate_through_cli(tmp_path, capsys):
     assert data["agreement"] is False
 
 
+@pytest.mark.parametrize("max_power", ["1", "0", "-3"])
+def test_vacuous_witness_power_exit_two(tmp_path, capsys, max_power):
+    lang = tmp_path / "not.txt"
+    lang.write_text("domain 2\nrelation NOT 2\n0 1\n1 0\nend\n")
+    sent = tmp_path / "s.txt"
+    sent.write_text("exists y\nforall x\nconstraint NOT x y\n")
+    for method in ("pgp-csp", "pi2", "power-csp"):
+        code = run_cli(["solve", "--language", lang, "--sentence", sent,
+                        "--method", method, "--r", "0", "--max-power", max_power])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "witness power bound must be >= 2" in captured.err
+        assert captured.out == ""
+    code = run_cli(["witness", "--language", lang, "--r", "0", "--max-power", max_power])
+    assert code == 2
+    code = run_cli(["witness", "--language", lang, "--r", "0", "--max-arity", "0"])
+    assert code == 2
+    assert "witness arity bound must be >= 1" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_repeated_method(files, capsys):
+    lang, true_s, _ = files
+    for methods in ("oracle,oracle", "oracle,pi2,oracle"):
+        code = run_cli(["verify", "--language", lang, "--sentence", true_s,
+                        "--methods", methods, "--r", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "distinct --methods" in captured.err
+        assert captured.out == ""
+
+
 def test_oracle_trivial_sentence(tmp_path, capsys):
     lang = tmp_path / "lang.txt"
     lang.write_text(LANG_DOC)

@@ -312,3 +312,40 @@ def test_sentence_dict_round_trip(seed, which):
     doc = json.loads(json.dumps(sentence_to_dict(s)))
     assert sentence_from_dict(doc, lang) == s
     assert parse_sentence(serialize_sentence(s), lang) == s
+
+
+_TEXT_TOKENS = st.sampled_from(
+    [
+        "domain", "relation", "end", "forall", "exists", "constraint", "NOT", "XOR0",
+        "x", "y", "x$1", "()", "0", "1", "2", "-1", "+1", "\u0663", "1_0", "1e3", "0x1",
+        "99999999999999999999", "#", " ", "\t", "\n", "\r\n", "\x0b", "\x1c", "\u2028", "\u00a0",
+    ]
+)
+_TEXT_LINES = st.lists(
+    st.lists(_TEXT_TOKENS | st.text(max_size=3), max_size=5).map(" ".join), max_size=12
+).map("\n".join)
+_TEXT_SOUP = (
+    st.tuples(st.sampled_from(["", "domain 2\n", "forall x\nexists y\n"]), _TEXT_LINES).map("".join)
+    | st.text()
+)
+
+
+@given(_TEXT_SOUP)
+@settings(max_examples=300, deadline=None)
+def test_parse_language_raises_only_parse_error(text):
+    try:
+        lang = parse_language(text)
+    except ParseError:
+        return
+    assert parse_language(serialize_language(lang)) == lang
+
+
+@given(_TEXT_SOUP, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_parse_sentence_raises_only_parse_error(text, allow_reserved):
+    lang = lang_mixed2()
+    try:
+        s = parse_sentence(text, lang, allow_reserved=allow_reserved)
+    except ParseError:
+        return
+    assert parse_sentence(serialize_sentence(s), lang, allow_reserved=allow_reserved) == s

@@ -1,0 +1,62 @@
+"""Smoke tests of the experiment scripts the README advertises.
+
+Each script runs in a fresh interpreter with ``src`` on ``PYTHONPATH``, with a
+small ``--count`` where it takes one, and must exit 0 and print its summary
+line.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, args, summary",
+    [
+        ("affine_demo.py", [], r"^oracle=False bundle=False \(\d+ instances\), agreement=True$"),
+        (
+            "bundle_agreement_sweep.py",
+            ["--count", "15"],
+            r"^15/15 agree \(100\.0%\), \d+ true, \d+ CSP instances solved, [\d.]+s$",
+        ),
+        (
+            "power_roundtrip_sweep.py",
+            ["--count", "15"],
+            r"^15/15 round trips exact \(\d+ column-conflict draws\), [\d.]+s$",
+        ),
+    ],
+)
+def test_script_exits_zero_with_summary(name, args, summary):
+    done = run_script(name, *args)
+    assert done.returncode == 0, done.stderr
+    assert re.search(summary, done.stdout, re.MULTILINE), done.stdout
+
+
+def test_affine_demo_json():
+    done = run_script("affine_demo.py", "--json")
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["sentence"]["agreement"] is True
+    assert out["witness"]["verdict"] == "witnessed"
+    assert out["classification"]["verdict"] == "P"

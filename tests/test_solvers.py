@@ -605,3 +605,19 @@ def test_classify_seven_ary_boolean_relation_is_tractable():
     eq7 = Relation("EQ7", 7, frozenset({(0,) * 7, (1,) * 7}))
     report = classify(ConstraintLanguage.of(2, eq7), 2, wnu_arity=3)
     assert report.verdict == "P"
+
+
+def test_bundle_copies_only_the_occurring_universal(dom3_lang):
+    # one occurring universal in front of six existentials: normalization puts
+    # a dummy universal between every two of them and omega folds the dummies
+    # into the shared z$j, but elimination copies the matrix only for g
+    prefix = [("forall", "g")] + [("exists", v) for v in "abcdef"]
+    matrix = [Atom("CYC", ("g", "a", "b")), Atom("LT", ("c", "d"))]
+    s = QuantifiedSentence(tuple(prefix), tuple(matrix), dom3_lang)
+    witness = switchability_witness(dom3_lang, 2, max_arity=2)
+    bundle = reduce_pgp_to_csp(s, 2, witness=witness)
+    assert len(bundle.members) == 1 + 7 + 21
+    for member in bundle.members:
+        copies = [a for a in member.instance.atoms if a.relation in dom3_lang.relations]
+        assert len(copies) <= 3 * len(matrix), member.indices
+    assert bundle.combined is oracle_qcsp(s).truth is True

@@ -565,3 +565,119 @@ def test_transform_outputs_only_add_reserved_names(mixed_lang):
                 assert v in user_vars or "$" in v
         for v in inst.variables:
             assert v in user_vars or "$" in v
+
+
+# ---------------------------------------------------------------------------
+# vacuous quantifiers: the copy-making transforms drop prefix variables that
+# occur in no atom
+
+
+def strip(s):
+    """The sentence without the prefix variables that occur in no atom."""
+    occurring = {v for atom in s.matrix for v in atom.args}
+    prefix = tuple((q, v) for q, v in s.prefix if v in occurring)
+    return QuantifiedSentence(prefix, s.matrix, s.language)
+
+
+def padded_sentences(rnd, lang, count):
+    """Random sentences, their alternation normal forms and up to three of
+    their collapses with at most two kept universals; normalization and
+    omega pad the prefix with variables that occur in no atom."""
+    for _ in range(count):
+        s = random_sentence(rnd, lang, max_vars=4, max_atoms=2)
+        alt = normalize_alternating(s)
+        yield s
+        yield alt.sentence
+        sets = [c for k in range(min(2, alt.n) + 1) for c in combinations(range(1, alt.n + 1), k)]
+        for indices in rnd.sample(sets, min(3, len(sets))):
+            yield omega(alt, indices)
+
+
+def padded_pi2(rnd, lang, count):
+    """Forall*exists* sentences with vacuous padding in both blocks, and the
+    collapses of random sentences that fold every universal into z$0."""
+    for _ in range(count):
+        s = random_pi2(rnd, lang, max_univ=3, max_exist=3)
+        us = s.universals() + [f"pu{i}" for i in range(rnd.randint(0, 2))]
+        es = s.existentials() + [f"pe{i}" for i in range(rnd.randint(0, 2))]
+        rnd.shuffle(us)
+        rnd.shuffle(es)
+        yield sent(lang, [("forall", u) for u in us] + [("exists", e) for e in es], s.matrix)
+        yield omega(normalize_alternating(random_sentence(rnd, lang, max_vars=4)), ())
+
+
+@pytest.mark.parametrize("which", ["mixed", "dom3"])
+def test_eliminate_and_move_left_ignore_vacuous_variables(which, mixed_lang, dom3_lang):
+    lang = mixed_lang if which == "mixed" else dom3_lang
+    rnd = random.Random(71)
+    vacuous = 0
+    for s in padded_sentences(rnd, lang, 150):
+        vacuous += strip(s) != s
+        t = oracle_qcsp(s).truth
+        inst = eliminate_universals(s)
+        assert inst == eliminate_universals(strip(s)), s
+        assert solve_csp(inst).truth == t, s
+        out = move_universals_left(s)
+        assert out == move_universals_left(strip(s)), s
+        assert pi2_truth(out) == t, s
+    assert vacuous > 400
+
+
+@pytest.mark.parametrize("which", ["mixed", "dom3"])
+def test_reduce_count_ignores_vacuous_variables(which, mixed_lang, dom3_lang):
+    lang = mixed_lang if which == "mixed" else dom3_lang
+    rnd = random.Random(73)
+    vacuous = 0
+    for s in padded_pi2(rnd, lang, 150):
+        vacuous += strip(s) != s
+        out = reduce_universal_count(s)
+        assert out == reduce_universal_count(strip(s)), s
+        assert out.universal_count() <= lang.domain.size
+        assert pi2_truth(out) == oracle_qcsp(s).truth, s
+    assert vacuous > 150
+
+
+def test_eliminate_expands_only_occurring_universals(mixed_lang):
+    s = sent(
+        mixed_lang,
+        [("forall", "p"), ("forall", "x"), ("exists", "q"), ("exists", "y"), ("forall", "r")],
+        [Atom("NOT", ("x", "y"))],
+    )
+    inst = eliminate_universals(s)
+    assert inst.variables == ("x$1", "x$2", "y$1", "y$2")
+    assert inst.atoms == (
+        Atom("NOT", ("x$1", "y$1")),
+        Atom("NOT", ("x$2", "y$2")),
+        Atom("const_0", ("x$1",)),
+        Atom("const_1", ("x$2",)),
+    )
+
+
+def test_move_left_drops_vacuous_universals(mixed_lang):
+    s = sent(
+        mixed_lang,
+        [("exists", "y"), ("forall", "p"), ("exists", "q"), ("forall", "r")],
+        [Atom("NOT", ("y", "y"))],
+    )
+    out = move_universals_left(s)
+    assert out.prefix == (("exists", "y"),)
+    assert out.matrix == s.matrix
+
+
+def test_reduce_count_with_only_vacuous_universals(mixed_lang):
+    s = sent(
+        mixed_lang,
+        [("forall", "a"), ("forall", "b"), ("forall", "c"), ("exists", "y"), ("exists", "w")],
+        [Atom("NOT", ("y", "y"))],
+    )
+    out = reduce_universal_count(s)
+    assert out.prefix == (("exists", "y"),)
+    assert out.matrix == s.matrix
+    assert pi2_truth(out) is oracle_qcsp(s).truth is False
+
+
+def test_reduce_count_budget_counts_vacuous_universals(mixed_lang):
+    prefix = [("forall", f"x{i}") for i in range(13)] + [("exists", "y")]
+    s = sent(mixed_lang, prefix, [Atom("NOT", ("y", "y"))])
+    with pytest.raises(BudgetError):
+        reduce_universal_count(s)
