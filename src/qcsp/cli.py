@@ -124,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="tractability classification over the power language")
     common(p, sentence=False)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--max-arity", type=int, default=3)
+    p.add_argument(
+        "--max-arity", type=int, default=3, help="largest weak near-unanimity arity searched (>= 2)"
+    )
     p.add_argument("--override-witness", action="store_true")
 
     p = sub.add_parser("verify", help="cross-check two solve methods on one input")

@@ -38,7 +38,6 @@ from .transforms import (
     AlternatingSentence,
     CanonicalFalse,
     CspInstance,
-    build_power_language,
     eliminate_universals,
     move_universals_left,
     normalize_alternating,
@@ -595,31 +594,29 @@ def classify(
     r: int,
     wnu_arity: int = 3,
     override: bool = False,
-    witness: SwitchabilityWitness | None = None,
-    max_witness_arity: int = 3,
-    max_witness_power: int = 4,
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> ClassificationReport:
     """Classify the quantified problem over the power language with columns.
 
     Searches weak near-unanimity operations over the base domain (complete for
-    every table up to ``wnu_arity``), lifts any hit digitwise to the power
-    domain, and verifies it there directly.  The negative answer is always
-    bounded by the searched arities.
+    every table up to ``wnu_arity``, which must be at least 2) and verifies a
+    hit on the base language.  The reported operation is the hit lifted
+    digitwise to the power domain: each digit of an image is the base
+    operation applied to base rows, so an idempotent polymorphism lifts to one
+    of every powered relation and column singleton.  The negative answer is
+    always bounded by the searched arities.
     """
+    if wnu_arity < 2:
+        raise ValueError(f"weak near-unanimity search arity must be >= 2, got {wnu_arity}")
     size = lang.domain.size
     budgets.check("power domain", size ** (size**size), budgets.max_power_domain)
-    if witness is None:
-        witness = switchability_witness(
-            lang, r, max_arity=max_witness_arity, max_power=max_witness_power, budgets=budgets
-        )
+    witness = switchability_witness(lang, r, budgets=budgets)
     if witness.verdict != WITNESSED and not override:
         return ClassificationReport(
             NOT_APPLICABLE,
             f"switchability check returned {witness.verdict!r}; classification needs a witness",
         )
 
-    plang = build_power_language(lang, budgets)
     arities = tuple(range(2, wnu_arity + 1))
     searched = sum(size ** (size**m) for m in arities)
     base = None
@@ -635,17 +632,16 @@ def classify(
             searched_arities=arities,
             searched_tables=searched,
         )
-    lifted = lift_operation(base, plang.power, budgets)
-    if not is_wnu(lifted):
-        raise QcspError("digitwise lift lost the near-unanimity identities")
-    for rel in plang.sorted_relations():
-        if not preserves(lifted, rel, budgets):
-            raise QcspError(f"digitwise lift does not preserve {rel.name}")
+    if not is_wnu(base):
+        raise QcspError("weak near-unanimity search returned an operation without the identities")
+    for rel in lang.sorted_relations():
+        if not preserves(base, rel, budgets):
+            raise QcspError(f"weak near-unanimity operation does not preserve {rel.name}")
     return ClassificationReport(
         P_TIME,
-        f"witnessed by a verified arity-{base.arity} weak near-unanimity operation "
-        "on the power domain",
-        wnu=lifted,
+        f"witnessed by an arity-{base.arity} weak near-unanimity operation, "
+        "verified on the base language, lifted digitwise to the power domain",
+        wnu=lift_operation(base, size**size, budgets),
         base_wnu=base,
         searched_arities=arities,
         searched_tables=searched,

@@ -23,13 +23,15 @@ NOT = Relation("NOT", 2, frozenset({(0, 1), (1, 0)}))
 ONE_IN_THREE = Relation("ONE_IN_THREE", 3, frozenset({(0, 0, 1), (0, 1, 0), (1, 0, 0)}))
 LT3 = Relation("LT", 2, frozenset({(0, 1), (0, 2), (1, 2)}))
 CYCLE3 = Relation("CYC", 3, frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)}))
-# (x or y) and (not z or not w): 9 rows, a ternary WNU (majority), and a
-# power-domain preservation check far beyond the default cell budget
+# (x or y) and (not z or not w): 9 rows, whose first WNU is majority; its
+# powered relation has 9^4 rows, too many to check a ternary operation on
 ORNAND = Relation(
     "ORNAND",
     4,
     frozenset(t for t in product((0, 1), repeat=4) if (t[0] or t[1]) and not (t[2] and t[3])),
 )
+# x xor y xor z xor w = 0: 8 rows, whose first WNU is minority
+XOR4 = Relation("XOR4", 4, frozenset(t for t in product((0, 1), repeat=4) if sum(t) % 2 == 0))
 
 
 def lang_xor0() -> ConstraintLanguage:

@@ -273,6 +273,41 @@ def test_lift_operation_digitwise():
     assert is_wnu(lifted)
 
 
+def digitwise_entries(size, m, k):
+    """For each argument tuple of an arity-m operation on k-digit codes, in
+    lexicographic order, the rank in A^m of each digit column of the
+    arguments, most significant digit first."""
+    codes = list(product(range(size), repeat=k))  # code c -> its digits
+    return [
+        [sum(a[j] * size ** (m - 1 - i) for i, a in enumerate(args)) for j in range(k)]
+        for args in product(codes, repeat=m)
+    ]
+
+
+def test_lift_operation_matches_digitwise_application():
+    # every Boolean table of arity 1-3 at k = 1..4, seeded 3-element ones at k = 1, 2
+    rnd = random.Random(11)
+    dom3 = DomainSpec(3)
+    cases = [
+        (m, k, [OperationTable(m, DOM2, t) for t in product((0, 1), repeat=2**m)])
+        for m in (1, 2, 3)
+        for k in (1, 2, 3, 4)
+    ] + [
+        (m, k, [OperationTable(m, dom3, tuple(rnd.randrange(3) for _ in range(3**m)))])
+        for m in (1, 2, 3)
+        for k in (1, 2)
+    ]
+    for m, k, tables in cases:
+        size = tables[0].domain.size
+        entries = digitwise_entries(size, m, k)
+        for f in tables:
+            lifted = lift_operation(f, k)
+            assert lifted.arity == m and lifted.domain.size == size**k
+            assert lifted.table == tuple(
+                sum(f.table[e] * size ** (k - 1 - j) for j, e in enumerate(row)) for row in entries
+            )
+
+
 # ---------------------------------------------------------------------------
 # differential checks against the brute-force references
 

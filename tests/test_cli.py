@@ -175,9 +175,20 @@ def test_classify_exit_codes(tmp_path, capsys):
     assert "verdict: P\n" in capsys.readouterr().out
     hard = tmp_path / "ornand.txt"
     hard.write_text(serialize_language(ConstraintLanguage.of(2, ORNAND)))
-    assert run_cli(["classify", "--language", hard, "--r", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "preservation check cells: requires 1129718145924" in err
+    assert run_cli(["classify", "--language", hard, "--r", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert "verdict: P\n" in out
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("arity", ["1", "0", "-3"])
+def test_classify_rejects_max_arity_below_two(tmp_path, capsys, arity):
+    lang = tmp_path / "affine.txt"
+    lang.write_text("domain 2\nrelation XOR0 3\n0 0 0\n0 1 1\n1 0 1\n1 1 0\nend\n")
+    assert run_cli(["classify", "--language", lang, "--r", "2", "--max-arity", arity]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: weak near-unanimity search arity must be >= 2" in err
     assert "Traceback" not in err
 
 

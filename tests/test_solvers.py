@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from qcsp import (
     Relation,
     SwitchabilityWitness,
     WitnessRequiredError,
+    build_power_language,
     classify,
     is_wnu,
     oracle_qcsp,
@@ -33,8 +35,10 @@ from helpers import (
     LT3,
     NOT,
     ORNAND,
+    XOR4,
     lang_dom3,
     lang_mixed2,
+    preserves_bruteforce,
     random_pi2,
     random_sentence,
     reversed_relations,
@@ -585,19 +589,28 @@ def test_classify_json_keys(xor0_lang):
 def test_classify_rejects_a_lift_that_breaks_preservation(xor0_lang, monkeypatch):
     # majority is a weak near-unanimity operation but does not preserve XOR0
     majority = table_from_function(xor0_lang.domain, 3, lambda a, b, c: int(a + b + c >= 2))
-    monkeypatch.setattr(
-        solvers, "lift_operation", lambda f, k, budgets: lift_operation(majority, k, budgets)
-    )
-    with pytest.raises(QcspError, match="does not preserve"):
+    monkeypatch.setattr(solvers, "find_wnu", lambda lang, m, budgets: majority)
+    with pytest.raises(QcspError, match="does not preserve XOR0"):
         classify(xor0_lang, 2)
 
 
 def test_classify_four_ary_preservation_budget():
-    lang = ConstraintLanguage.of(2, ORNAND)
-    with pytest.raises(BudgetError) as err:
-        classify(lang, 2)
-    assert err.value.what == "preservation check cells"
-    assert err.value.required == 1129718145924 == (9**4) ** 3 * 4
+    # the powered relations have 9^4 and 8^4 rows, beyond the preservation
+    # cell budget for a ternary operation; the base language certifies both
+    majority = (0, 0, 0, 1, 0, 1, 1, 1)
+    minority = (0, 1, 1, 0, 1, 0, 0, 1)
+    for rel, table in [(ORNAND, majority), (XOR4, minority)]:
+        report = classify(ConstraintLanguage.of(2, rel), 2)
+        assert report.verdict == "P"
+        assert report.base_wnu.arity == 3 and report.base_wnu.table == table
+        assert preserves_bruteforce(report.base_wnu, rel)
+        assert report.wnu == lift_operation(report.base_wnu, 4)
+
+
+@pytest.mark.parametrize("arity", [1, 0, -3])
+def test_classify_rejects_a_wnu_arity_below_two(xor0_lang, arity):
+    with pytest.raises(ValueError, match="arity must be >= 2"):
+        classify(xor0_lang, 2, wnu_arity=arity)
 
 
 def test_classify_seven_ary_boolean_relation_is_tractable():
@@ -605,6 +618,34 @@ def test_classify_seven_ary_boolean_relation_is_tractable():
     eq7 = Relation("EQ7", 7, frozenset({(0,) * 7, (1,) * 7}))
     report = classify(ConstraintLanguage.of(2, eq7), 2, wnu_arity=3)
     assert report.verdict == "P"
+
+
+# Schaefer's idempotent operations: AND, OR, majority and minority
+SCHAEFER_OPS = [
+    (2, min),
+    (2, max),
+    (3, lambda a, b, c: int(a + b + c >= 2)),
+    (3, lambda a, b, c: a ^ b ^ c),
+]
+
+
+def test_classify_ternary_boolean_slice_matches_schaefer():
+    # P exactly on the relations closed under a Schaefer operation.  On the
+    # small ones the reported lift also passes the direct check against every
+    # relation of the power language, a check classify does not make.
+    rows = list(product((0, 1), repeat=3))
+    for mask in range(1, 2 ** len(rows)):
+        rel = Relation("R", 3, frozenset(t for i, t in enumerate(rows) if mask >> i & 1))
+        lang = ConstraintLanguage.of(2, rel)
+        schaefer = any(
+            preserves_bruteforce(table_from_function(lang.domain, m, fn), rel)
+            for m, fn in SCHAEFER_OPS
+        )
+        report = classify(lang, 2)
+        assert report.verdict == ("P" if schaefer else "not-applicable"), sorted(rel.tuples)
+        if schaefer and len(rel) <= 3:
+            plang = build_power_language(lang)
+            assert all(preserves(report.wnu, p) for p in plang.relations.values())
 
 
 def test_bundle_copies_only_the_occurring_universal(dom3_lang):
