@@ -68,22 +68,24 @@ def projection_table(dom: DomainSpec, arity: int, position: int) -> OperationTab
 
 def lift_operation(f: OperationTable, k: int, budgets: Budgets = DEFAULT_BUDGETS) -> OperationTable:
     """Apply ``f`` digitwise to k-digit encodings, giving an operation on A^k."""
+    if k < 1:
+        raise ValueError("power must be >= 1")
     size = f.domain.size
     power_size = size**k
     budgets.check("power domain for lifted operation", power_size, budgets.max_power_domain)
     budgets.check("lifted operation table", power_size**f.arity, budgets.max_op_tables)
-    digits = np.array(list(product(range(size), repeat=k)), dtype=np.intp)  # row c: digits of c
-    table = np.asarray(f.table).reshape((size,) * f.arity)
-    args = np.indices((power_size,) * f.arity).reshape(f.arity, -1)
-    codes = table[tuple(digits[a] for a in args)] @ size ** np.arange(k - 1, -1, -1)
+    pows = size ** np.arange(k - 1, -1, -1)
+    digits = np.arange(power_size)[:, None] // pows % size  # row c: digits of c
+    table = np.asarray(f.table)
+    codes = np.concatenate([table[block] @ pows for block in _entry_blocks([digits] * f.arity, size)])
     return OperationTable(f.arity, DomainSpec(power_size), tuple(codes.tolist()))
 
 
 # ---------------------------------------------------------------------------
 # preservation
 
-# cells of one block of argument combinations; bounds the arrays built at once
-_BLOCK_CELLS = 1 << 18
+# cells of one block of argument combinations; the sieve takes ~13 bytes a cell
+_BLOCK_CELLS = 1 << 16
 
 
 def _entry_blocks(args: Sequence[np.ndarray], size: int, copies: int = 1) -> Iterator[np.ndarray]:
@@ -166,24 +168,31 @@ def _members(index: tuple, cols: np.ndarray, size: int) -> np.ndarray:
     return state >= 0
 
 
-def preserves(f: OperationTable, rel: Relation, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
-    """True iff applying ``f`` coordinatewise to any tuples of ``rel`` stays in ``rel``.
+def _preserving(cand: np.ndarray, rel: Relation, m: int, size: int, budgets: Budgets) -> np.ndarray:
+    """The columns of ``cand`` (one arity-m table per column, entry e in row
+    e) under which every m-combination of rows of ``rel`` stays in ``rel``:
+    each block of combinations is looked up in ``_row_index`` for all columns
+    at once, so memory is bounded by the block and the index, not |rel|^m."""
+    if not rel.tuples or rel.arity == 0 or not cand.shape[1]:
+        return cand
+    rows, index = _row_index(rel, m, size, budgets)
+    for block in _entry_blocks([rows] * m, size, cand.shape[1]):
+        images = cand[block.T].reshape(rel.arity, -1)  # (entry column, combination, table)
+        keep = _members(index, images, size).reshape(len(block), -1).all(axis=0)
+        if not keep.all():
+            cand = cand[:, keep]
+            if not cand.shape[1]:
+                break
+    return cand
 
-    Looks the images of the m-combinations of rows up in ``_row_index``, one
-    block at a time, so memory is bounded by the block and the index, not by
-    |rel|^m.
-    """
+
+def preserves(f: OperationTable, rel: Relation, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
+    """True iff applying ``f`` coordinatewise to any tuples of ``rel`` stays in ``rel``."""
     for v in {v for t in rel.tuples for v in t}:
         if not (0 <= v < f.domain.size):
             raise ValueError(f"relation {rel.name} has element {v} outside the operation domain")
-    if not rel.tuples or rel.arity == 0:
-        return True
-    rows, index = _row_index(rel, f.arity, f.domain.size, budgets)
-    table = np.asarray(f.table, dtype=np.int64)
-    return all(
-        _members(index, table[block].T, f.domain.size).all()
-        for block in _entry_blocks([rows] * f.arity, f.domain.size)
-    )
+    table = np.asarray(f.table)[:, None]
+    return _preserving(table, rel, f.arity, f.domain.size, budgets).shape[1] == 1
 
 
 def _sieve(
@@ -193,8 +202,6 @@ def _sieve(
 
     Candidate k sets entry e (in lexicographic argument order) to ``fixed[e]``,
     or else to digit ``slot_of[e]`` of k in base |A|, most significant first.
-    Each m-combination of relation rows names the entries its image reads,
-    and one array step drops every candidate whose image leaves the relation.
     ``what`` names the budget check of the candidates against ``max_op_tables``.
     """
     size = lang.domain.size
@@ -204,15 +211,8 @@ def _sieve(
     cand = np.empty((size**m, len(k)), dtype=np.min_scalar_type(size - 1))
     for e in range(size**m):
         cand[e] = fixed[e] if e in fixed else k // size ** (n_slots - 1 - slot_of[e]) % size
-    for rel in (r for r in lang.sorted_relations() if r.tuples and r.arity):
-        if not cand.shape[1]:
-            break
-        rows, index = _row_index(rel, m, size, budgets)
-        for block in _entry_blocks([rows] * m, size):
-            for entries in dict.fromkeys(map(tuple, block.tolist())):
-                keep = _members(index, cand[list(entries)], size)
-                if not keep.all():
-                    cand = cand[:, keep]
+    for rel in lang.sorted_relations():
+        cand = _preserving(cand, rel, m, size, budgets)
     return [OperationTable(m, lang.domain, tuple(t)) for t in cand.T.tolist()]
 
 

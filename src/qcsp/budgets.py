@@ -31,7 +31,7 @@ class Budgets:
     max_power_tuples: int = 65536      # |R|**k for power relations
     max_game_tree: int = 1 << 22       # |A|**(prefix length) for the oracle
     max_preserve_cells: int = 1 << 27  # array cells in a preservation check
-    max_bytes: int = 1 << 28           # cap on any single materialized object
+    max_bytes: int = 1 << 28           # 64 B per atom of a transformed matrix
 
     @classmethod
     def from_env(cls, **overrides) -> "Budgets":

@@ -215,16 +215,21 @@ def _instance_size(inst: CspInstance) -> dict:
 # subcommand drivers
 
 
-def _load_input(config: RunConfig, allow_reserved: bool = True):
+def _load_instance(path: Path, lang) -> CspInstance:
+    """An all-existential sentence file as a CSP; names may use the reserved marker."""
+    sent = load_sentence(path, lang, allow_reserved=True)
+    if any(q == FORALL for q, _ in sent.prefix):
+        raise QcspError("instance file must quantify every variable with exists")
+    return CspInstance(lang, tuple(v for _, v in sent.prefix), sent.matrix)
+
+
+def _load_input(config: RunConfig):
     lang = load_language(config.language)
     if config.instance is not None:
-        sent = load_sentence(config.instance, lang, allow_reserved=True)
-        if any(q == FORALL for q, _ in sent.prefix):
-            raise QcspError("instance file must quantify every variable with exists")
-        return lang, CspInstance(lang, tuple(v for _, v in sent.prefix), sent.matrix)
+        return lang, _load_instance(config.instance, lang)
     if config.sentence is None:
         raise QcspError("missing --sentence or --instance")
-    return lang, load_sentence(config.sentence, lang, allow_reserved=allow_reserved)
+    return lang, load_sentence(config.sentence, lang)
 
 
 def _compute_witness(lang, config: RunConfig):
@@ -333,11 +338,7 @@ def _run_transform(config: RunConfig) -> int:
     if name == "from-power-csp":
         if config.instance is None:
             raise QcspError("from-power-csp needs --instance")
-        plang = build_power_language(lang, budgets)
-        sent = load_sentence(config.instance, plang, allow_reserved=True)
-        if any(q == FORALL for q, _ in sent.prefix):
-            raise QcspError("instance file must quantify every variable with exists")
-        inst = CspInstance(plang, tuple(v for _, v in sent.prefix), sent.matrix)
+        inst = _load_instance(config.instance, build_power_language(lang, budgets))
         record("from-power-csp", _instance_size(inst), {})
         print(_render_transform(power_csp_to_qcsp(inst), config, trace))
         return 0

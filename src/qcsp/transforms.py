@@ -32,6 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
+from .algebra import _entry_blocks
 from .budgets import DEFAULT_BUDGETS, Budgets
 from .errors import QcspError
 from .model import (
@@ -459,7 +462,8 @@ def power_relation(rel: Relation, k: int, dom: DomainSpec, budgets: Budgets = DE
     """The relation over A^k holding iff every digit slice lies in ``rel``.
 
     Power-domain elements are the lexicographic ranks of k-tuples over A, so
-    membership is pure arithmetic on encodings.  |result| = |rel|**k.
+    the rows are the entry ranks of the k-combinations of rows of ``rel``.
+    |result| = |rel|**k.
     """
     if k < 1:
         raise ValueError("power must be >= 1")
@@ -467,16 +471,11 @@ def power_relation(rel: Relation, k: int, dom: DomainSpec, budgets: Budgets = DE
     budgets.check("power domain", size**k, budgets.max_power_domain)
     if rel.tuples:
         budgets.check("power relation tuples", len(rel.tuples) ** k, budgets.max_power_tuples)
-    rows = rel.sorted_tuples()
-    out = set()
-    for choice in product(rows, repeat=k):
-        out.add(
-            tuple(
-                encode_tuple(tuple(choice[i][j] for i in range(k)), size)
-                for j in range(rel.arity)
-            )
-        )
-    return Relation(rel.name, rel.arity, frozenset(out))
+    if not rel.tuples or rel.arity == 0:  # then R^k is R
+        return rel
+    rows = np.array(rel.sorted_tuples(), dtype=np.intp)
+    out = np.concatenate(list(_entry_blocks([rows] * k, size)))
+    return Relation(rel.name, rel.arity, frozenset(map(tuple, out.tolist())))
 
 
 @dataclass(frozen=True)

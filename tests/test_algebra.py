@@ -284,7 +284,10 @@ def digitwise_entries(size, m, k):
     ]
 
 
-def test_lift_operation_matches_digitwise_application():
+# 5-cell blocks hold one argument tuple each, so they take 12 tables per case
+@pytest.mark.parametrize("block_cells, sample", [(5, 12), (algebra._BLOCK_CELLS, 256)])
+def test_lift_operation_matches_digitwise_application(block_cells, sample, monkeypatch):
+    monkeypatch.setattr(algebra, "_BLOCK_CELLS", block_cells)
     # every Boolean table of arity 1-3 at k = 1..4, seeded 3-element ones at k = 1, 2
     rnd = random.Random(11)
     dom3 = DomainSpec(3)
@@ -300,12 +303,18 @@ def test_lift_operation_matches_digitwise_application():
     for m, k, tables in cases:
         size = tables[0].domain.size
         entries = digitwise_entries(size, m, k)
-        for f in tables:
+        for f in rnd.sample(tables, min(sample, len(tables))):
             lifted = lift_operation(f, k)
             assert lifted.arity == m and lifted.domain.size == size**k
             assert lifted.table == tuple(
                 sum(f.table[e] * size ** (k - 1 - j) for j, e in enumerate(row)) for row in entries
             )
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_lift_operation_rejects_power_below_one(k):
+    with pytest.raises(ValueError, match="power must be >= 1"):
+        lift_operation(MINORITY, k)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +335,7 @@ def random_language(rnd, size, max_arity):
     return ConstraintLanguage.of(size, *rels)
 
 
-@pytest.mark.parametrize("block_cells", [5, algebra._BLOCK_CELLS])
+@pytest.mark.parametrize("block_cells", [5, algebra._BLOCK_CELLS, 1 << 18])
 @pytest.mark.parametrize(
     "size, arities, count", [(2, (1, 2, 3), 12), (3, (1, 2), 3)]
 )
@@ -349,7 +358,7 @@ def test_find_wnu_none_matches_bruteforce(one_in_three_lang):
     assert find_wnu(one_in_three_lang, 3) is None
 
 
-@pytest.mark.parametrize("block_cells", [3, 64, algebra._BLOCK_CELLS])
+@pytest.mark.parametrize("block_cells", [3, 64, algebra._BLOCK_CELLS, 1 << 18])
 def test_closure_matches_naive_fixpoint(block_cells, monkeypatch):
     monkeypatch.setattr(algebra, "_BLOCK_CELLS", block_cells)
     rnd = random.Random(17)
@@ -380,7 +389,7 @@ def test_closure_full_at_seeds_and_mid_pass():
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("block_cells", [5, 1000, algebra._BLOCK_CELLS])
+@pytest.mark.parametrize("block_cells", [5, 1000, algebra._BLOCK_CELLS, 1 << 18])
 def test_preserves_chunked_matches_bruteforce(m, block_cells, monkeypatch):
     monkeypatch.setattr(algebra, "_BLOCK_CELLS", block_cells)
     rnd = random.Random(m)

@@ -234,6 +234,21 @@ def test_negative_switch_bound_exit_two(tmp_path, capsys):
         assert "switch bound must be >= 0" in capsys.readouterr().err
 
 
+def test_sentence_rejects_reserved_names_instance_accepts_them(tmp_path, capsys):
+    lang = tmp_path / "lang.txt"
+    lang.write_text(LANG_DOC)
+    sent = tmp_path / "s.txt"
+    sent.write_text("forall x\nexists y$d1\nconstraint NOT x y$d1\n")
+    for method in ("oracle", "pgp-csp", "pi2", "power-csp"):
+        code = run_cli(["solve", "--language", lang, "--sentence", sent,
+                        "--method", method, "--r", "2", "--override-witness"])
+        assert code == 2
+        assert "variable 'y$d1' uses the reserved '$' marker" in capsys.readouterr().err
+    inst = tmp_path / "i.txt"
+    inst.write_text("exists x\nexists y$d1\nconstraint NOT x y$d1\n")
+    assert run_cli(["solve", "--language", lang, "--instance", inst]) == 0
+
+
 def test_transform_eliminate_round_trips(files, capsys):
     lang, true_s, _ = files
     code = run_cli(["transform", "--language", lang, "--sentence", true_s,

@@ -27,6 +27,7 @@ from qcsp import (
     validate_sentence,
     zeta,
 )
+from qcsp import algebra
 from qcsp.model import decode_rank, encode_tuple
 from qcsp.solvers import pi2_truth, truth_of
 from helpers import (
@@ -421,16 +422,25 @@ def test_power_relation_empty():
     assert power_relation(empty, 3, DomainSpec(2)).tuples == frozenset()
 
 
-def test_power_relation_slice_law():
+@pytest.mark.parametrize("block_cells", [5, algebra._BLOCK_CELLS])
+@pytest.mark.parametrize(
+    "size, base",
+    [
+        (2, Relation("R", 2, frozenset({(0, 1), (1, 1), (1, 0)}))),
+        (3, Relation("T", 2, frozenset({(0, 1), (1, 2), (2, 2), (2, 0)}))),
+        (2, Relation("TOP", 0, frozenset({()}))),
+        (2, Relation("BOT", 0, frozenset())),
+    ],
+)
+def test_power_relation_slice_law(size, base, block_cells, monkeypatch):
     # membership in the power equals the conjunction of digit-slice memberships
-    base = Relation("R", 2, frozenset({(0, 1), (1, 1), (1, 0)}))
+    monkeypatch.setattr(algebra, "_BLOCK_CELLS", block_cells)
     for k in (1, 2, 3, 4):
-        p = power_relation(base, k, DomainSpec(2))
-        for pair in product(range(2**k), repeat=2):
-            da = decode_rank(pair[0], 2, k)
-            db = decode_rank(pair[1], 2, k)
-            slices_ok = all((da[i], db[i]) in base.tuples for i in range(k))
-            assert (pair in p.tuples) == slices_ok
+        p = power_relation(base, k, DomainSpec(size))
+        for t in product(range(size**k), repeat=base.arity):
+            digits = [decode_rank(v, size, k) for v in t]
+            slices_ok = all(tuple(d[i] for d in digits) in base.tuples for i in range(k))
+            assert (t in p.tuples) == slices_ok
 
 
 def test_power_relation_budget():
