@@ -52,7 +52,8 @@ def main() -> int:
     out["sentence"] = {
         "oracle": oracle.truth,
         "bundle": bundle.combined,
-        "instances": len(bundle.members),
+        "instances": len(bundle.index_sets),
+        "instances_solved": len(bundle.members),
         "agreement": oracle.truth == bundle.combined,
     }
 
@@ -74,7 +75,8 @@ def main() -> int:
         print(f"witness at bound 2: {out['witness']['verdict']} over powers "
               f"{[p['n'] for p in out['witness']['powers']]}")
         print(f"oracle={out['sentence']['oracle']} bundle={out['sentence']['bundle']} "
-              f"({out['sentence']['instances']} instances), agreement={out['sentence']['agreement']}")
+              f"({out['sentence']['instances_solved']} of {out['sentence']['instances']} instances solved), "
+              f"agreement={out['sentence']['agreement']}")
         print(f"two-level form: {out['two_level']['universals']} universals, truth {out['two_level']['truth']}")
         print(f"power instance over {out['power_instance']['domain']} elements: "
               f"satisfiable={out['power_instance']['satisfiable']}")

@@ -53,12 +53,14 @@ def main() -> int:
     start = time.time()
     agree = 0
     true_count = 0
+    solved = 0
     instances = 0
     for i in range(args.count):
         s = random_sentence(rnd, lang, args.max_vars, args.max_atoms)
         truth = oracle_qcsp(s).truth
         bundle = reduce_pgp_to_csp(s, args.r, witness=witness)
-        instances += len(bundle.members)
+        solved += len(bundle.members)
+        instances += len(bundle.index_sets)
         true_count += truth
         if truth == bundle.combined:
             agree += 1
@@ -69,7 +71,7 @@ def main() -> int:
     elapsed = time.time() - start
     print(
         f"{agree}/{args.count} agree ({100.0 * agree / args.count:.1f}%), "
-        f"{true_count} true, {instances} CSP instances solved, {elapsed:.1f}s"
+        f"{true_count} true, {solved} of {instances} CSP instances solved, {elapsed:.1f}s"
     )
     return 0 if agree == args.count else 1
 

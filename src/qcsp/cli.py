@@ -267,8 +267,9 @@ def _solve_with_method(
         bundle = reduce_pgp_to_csp(
             target, config.r, witness=witness, override=config.override_witness, budgets=budgets
         )
+        counts = {"instances": len(bundle.index_sets), "solved": len(bundle.members)}
         trace.append({"step": len(trace) + 1, "rule": "pgp-csp-bundle",
-                      "before": _sentence_size(target), "after": {"instances": len(bundle.members)}})
+                      "before": _sentence_size(target), "after": counts})
         return bundle.combined, bundle.to_json()
     if method == "pi2":
         pi2 = reduce_to_pi2(

@@ -38,6 +38,7 @@ from .transforms import (
     AlternatingSentence,
     CanonicalFalse,
     CspInstance,
+    check_elimination_budget,
     eliminate_universals,
     move_universals_left,
     normalize_alternating,
@@ -454,11 +455,8 @@ def _check_witness_gate(
     )
 
 
-def _index_sets(n: int, r: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for k in range(0, min(r, n) + 1):
-        out.extend(combinations(range(1, n + 1), k))
-    return out
+def _index_sets(n: int, r: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(idx for k in range(min(r, n) + 1) for idx in combinations(range(1, n + 1), k))
 
 
 @dataclass(frozen=True)
@@ -471,17 +469,32 @@ class BundleMember:
 
 @dataclass(frozen=True)
 class ReductionBundle:
-    """One CSP instance per collapse pattern; true iff all are satisfiable."""
+    """One CSP instance per collapse pattern; true iff all are satisfiable.
+
+    ``index_sets`` lists every pattern.  The members are solved in that order
+    and the bundle stops at the first unsatisfiable one, so ``members`` is the
+    solved prefix: all of the patterns when the sentence is true, and up to
+    its first false member otherwise.
+    """
 
     source: QuantifiedSentence
     r: int
+    index_sets: tuple[tuple[int, ...], ...]
     members: tuple[BundleMember, ...]
     combined: bool
     conditional: bool
 
     def __post_init__(self):
-        if self.combined != all(m.verdict.truth for m in self.members):
-            raise ValueError("combined verdict must be the conjunction of member verdicts")
+        solved = tuple(m.indices for m in self.members)
+        if solved != self.index_sets[: len(solved)]:
+            raise ValueError("bundle members must be a prefix of the index sets, in order")
+        if not all(m.verdict.truth for m in self.members[:-1]):
+            raise ValueError("bundle members after an unsatisfiable one must not be solved")
+        complete = len(solved) == len(self.index_sets)
+        if not complete and (not self.members or self.members[-1].verdict.truth):
+            raise ValueError("bundle may only stop at an unsatisfiable member")
+        if self.combined != (complete and all(m.verdict.truth for m in self.members)):
+            raise ValueError("combined verdict must be the conjunction over every pattern")
 
     def to_json(self) -> dict:
         return {
@@ -489,6 +502,7 @@ class ReductionBundle:
             "combined": self.combined,
             "conditional": self.conditional,
             "instances_solved": len(self.members),
+            "instances_skipped": len(self.index_sets) - len(self.members),
             "members": [
                 {
                     "indices": list(m.indices),
@@ -508,19 +522,28 @@ def reduce_pgp_to_csp(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> ReductionBundle:
     """Solve the sentence as a conjunction of plain CSP instances, one per
-    collapse pattern with at most r kept universals (2k+1 universals each)."""
+    collapse pattern with at most r kept universals (2k+1 universals each).
+
+    Patterns are built and solved one at a time in index-set order, and the
+    first unsatisfiable one decides the verdict; later ones are never built.
+    The elimination budgets of every pattern size are checked first, smallest
+    first, so a budget error is raised exactly as if every pattern were built
+    in order, whatever the verdict of an earlier pattern.
+    """
     conditional = _check_witness_gate(witness, r, override)
     alt = normalize_alternating(s)
     sets = _index_sets(alt.n, r)
-    sentences = [omega(alt, idx) for idx in sets]
-    instances = [eliminate_universals(w, budgets) for w in sentences]
-    verdicts = [solve_csp(inst, budgets) for inst in instances]
-    members = tuple(
-        BundleMember(idx, w, inst, v)
-        for idx, w, inst, v in zip(sets, sentences, instances, verdicts)
-    )
-    combined = all(v.truth for v in verdicts)
-    return ReductionBundle(s, r, members, combined, conditional)
+    for k in range(min(r, alt.n) + 1):
+        check_elimination_budget(s.language.domain.size, 2 * k + 1, len(s.matrix), budgets)
+    members: list[BundleMember] = []
+    for idx in sets:
+        w = omega(alt, idx)
+        inst = eliminate_universals(w, budgets)
+        verdict = solve_csp(inst, budgets)
+        members.append(BundleMember(idx, w, inst, verdict))
+        if not verdict.truth:
+            break
+    return ReductionBundle(s, r, sets, tuple(members), members[-1].verdict.truth, conditional)
 
 
 def reduce_to_pi2(

@@ -213,6 +213,17 @@ def _occurring_prefix(s: QuantifiedSentence) -> list[tuple[str, str]]:
 # universal elimination (to a CSP with constants)
 
 
+def check_elimination_budget(
+    size: int, n_univ: int, n_atoms: int, budgets: Budgets = DEFAULT_BUDGETS
+) -> None:
+    """Raise BudgetError when eliminating ``n_univ`` universals from a matrix
+    of ``n_atoms`` atoms over a domain of ``size`` elements exceeds a budget."""
+    copies = size**n_univ
+    budgets.check("universal elimination copies", copies, budgets.max_matrix_copies)
+    budgets.check("universal elimination atoms", (n_atoms + 1) * copies, budgets.max_matrix_atoms)
+    budgets.check_bytes("universal elimination", (n_atoms + 1) * copies)
+
+
 def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) -> CspInstance:
     """Expand every universal into one constant-tagged copy per domain element.
 
@@ -224,14 +235,7 @@ def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
     The budgets are checked against the input's full universal count.
     """
     size = s.language.domain.size
-    n_univ = s.universal_count()
-    budgets.check("universal elimination copies", size**n_univ, budgets.max_matrix_copies)
-    budgets.check(
-        "universal elimination atoms",
-        (len(s.matrix) + 1) * size**n_univ,
-        budgets.max_matrix_atoms,
-    )
-    budgets.check_bytes("universal elimination", (len(s.matrix) + 1) * size**n_univ)
+    check_elimination_budget(size, s.universal_count(), len(s.matrix), budgets)
 
     prefix = _occurring_prefix(s)
     matrix = list(s.matrix)

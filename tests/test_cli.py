@@ -76,6 +76,21 @@ def test_solve_pgp_csp(files, capsys):
     assert data["conditional"] is False
 
 
+def test_solve_pgp_csp_trace_counts_solved_patterns(files, tmp_path, capsys):
+    # four collapse patterns; the second keeps x and is already false
+    lang, _, _ = files
+    s = tmp_path / "s.txt"
+    s.write_text("exists y\nforall x\nexists w\nforall v\nconstraint NOT x y\n")
+    code = run_cli(["solve", "--language", lang, "--sentence", s,
+                    "--method", "pgp-csp", "--r", "2", "--format", "json", "--trace"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert (data["instances_solved"], data["instances_skipped"]) == (2, 2)
+    [step] = data["trace"]
+    assert step["rule"] == "pgp-csp-bundle"
+    assert step["after"] == {"instances": 4, "solved": 2}
+
+
 def test_solve_pi2_and_power(files, capsys):
     lang, true_s, false_s = files
     assert run_cli(["solve", "--language", lang, "--sentence", true_s,

@@ -34,11 +34,11 @@ def run_script(name, *args):
 @pytest.mark.parametrize(
     "name, args, summary",
     [
-        ("affine_demo.py", [], r"^oracle=False bundle=False \(\d+ instances\), agreement=True$"),
+        ("affine_demo.py", [], r"^oracle=False bundle=False \(\d+ of \d+ instances solved\), agreement=True$"),
         (
             "bundle_agreement_sweep.py",
             ["--count", "15"],
-            r"^15/15 agree \(100\.0%\), \d+ true, \d+ CSP instances solved, [\d.]+s$",
+            r"^15/15 agree \(100\.0%\), \d+ true, \d+ of \d+ CSP instances solved, [\d.]+s$",
         ),
         (
             "power_roundtrip_sweep.py",

@@ -14,6 +14,7 @@ from qcsp import (
     ConstraintLanguage,
     CspInstance,
     QuantifiedSentence,
+    ReductionBundle,
     Relation,
     SwitchabilityWitness,
     WitnessRequiredError,
@@ -29,7 +30,8 @@ from qcsp import (
 )
 from qcsp import solvers
 from qcsp.algebra import lift_operation, table_from_function
-from qcsp.solvers import pi2_truth
+from qcsp.solvers import BundleMember, pi2_truth
+from qcsp.transforms import eliminate_universals, normalize_alternating, omega
 from helpers import (
     CYCLE3,
     LT3,
@@ -38,6 +40,7 @@ from helpers import (
     XOR4,
     lang_dom3,
     lang_mixed2,
+    lang_xor0,
     preserves_bruteforce,
     random_pi2,
     random_sentence,
@@ -247,24 +250,44 @@ def test_oracle_self_consistency(mixed_lang):
 
 @pytest.fixture(scope="module")
 def xor0_witness():
-    from helpers import lang_xor0
-
     return switchability_witness(lang_xor0(), 2, max_arity=3, max_power=4)
 
 
+def _eager_members(s, r):
+    """Every collapse pattern built and solved, none skipped."""
+    alt = normalize_alternating(s)
+    out = []
+    for idx in solvers._index_sets(alt.n, r):
+        w = omega(alt, idx)
+        inst = eliminate_universals(w)
+        out.append(BundleMember(idx, w, inst, solve_csp(inst)))
+    return out
+
+
+def _eager_verdicts(s, r):
+    return [m.verdict.truth for m in _eager_members(s, r)]
+
+
 def test_bundle_member_count(xor0_lang, xor0_witness):
-    s = sent(
-        xor0_lang,
-        [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2"),
-         ("exists", "y3"), ("forall", "x3")],
-        [Atom("XOR0", ("y1", "x1", "x3"))],
-    )
+    prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2"),
+              ("exists", "y3"), ("forall", "x3")]
+    patterns = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+    s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "x3"))])
     bundle = reduce_pgp_to_csp(s, 2, witness=xor0_witness)
-    assert len(bundle.members) == 1 + 3 + 3
-    assert [m.indices for m in bundle.members] == [
-        (), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3),
-    ]
-    assert bundle.combined == all(m.verdict.truth for m in bundle.members)
+    assert list(bundle.index_sets) == patterns
+    # the solved members are the prefix that ends at the first false pattern
+    eager = _eager_verdicts(s, 2)
+    first_false = eager.index(False)
+    assert first_false == 1
+    assert [m.indices for m in bundle.members] == patterns[: first_false + 1]
+    assert [m.verdict.truth for m in bundle.members] == eager[: first_false + 1]
+    assert bundle.combined is False is oracle_qcsp(s).truth
+    # a true sentence over the same prefix solves every pattern
+    t = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "y2"))])
+    full = reduce_pgp_to_csp(t, 2, witness=xor0_witness)
+    assert list(full.index_sets) == patterns
+    assert [m.indices for m in full.members] == patterns
+    assert full.combined is True is oracle_qcsp(t).truth
 
 
 def test_bundle_r0_single_member(xor0_lang, xor0_witness):
@@ -332,8 +355,88 @@ def test_bundle_deterministic_under_input_order(mixed_lang):
 def test_bundle_json_lists_members(xor0_lang, xor0_witness):
     s = sent(xor0_lang, [("forall", "x"), ("exists", "y")], [Atom("XOR0", ("x", "x", "y"))])
     data = reduce_pgp_to_csp(s, 2, witness=xor0_witness).to_json()
-    assert {"r", "combined", "conditional", "members", "instances_solved"} <= set(data)
+    assert {"r", "combined", "conditional", "members", "instances_solved", "instances_skipped"} <= set(data)
     assert all({"indices", "satisfiable", "nodes"} <= set(m) for m in data["members"])
+    # a false sentence lists only the solved prefix and counts the rest
+    prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2")]
+    s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "x2"))])
+    data = reduce_pgp_to_csp(s, 2, witness=xor0_witness).to_json()
+    assert data["combined"] is False
+    assert data["instances_solved"] == len(data["members"]) == 2
+    assert data["instances_skipped"] == 4 - 2
+    assert [m["satisfiable"] for m in data["members"]] == [True, False]
+
+
+@pytest.mark.parametrize("make_lang, seed", [(lang_xor0, 67), (lang_mixed2, 71)])
+def test_lazy_bundle_matches_eager_bundle(make_lang, seed):
+    lang = make_lang()
+    witness = switchability_witness(lang, 2, max_arity=3, max_power=4)
+    flipped = reversed_relations(lang)
+    flipped_witness = SwitchabilityWitness(
+        witness.r, witness.operations[::-1], witness.powers, witness.verdict
+    )
+    rnd = random.Random(seed)
+    falses = skipped = 0
+    for _ in range(60):
+        s = random_sentence(rnd, lang, max_vars=6, max_atoms=3)
+        bundle = reduce_pgp_to_csp(s, 2, witness=witness)
+        eager = _eager_verdicts(s, 2)
+        assert bundle.combined == all(eager) == oracle_qcsp(s).truth, (s.prefix, s.matrix)
+        solved = len(eager) if all(eager) else eager.index(False) + 1
+        assert [m.verdict.truth for m in bundle.members] == eager[:solved]
+        assert len(bundle.index_sets) == len(eager)
+        t = QuantifiedSentence(s.prefix, s.matrix, flipped)
+        again = reduce_pgp_to_csp(t, 2, witness=flipped_witness)
+        assert json.dumps(bundle.to_json()) == json.dumps(again.to_json())
+        falses += not bundle.combined
+        skipped += len(eager) - solved
+    assert falses and skipped  # the seed exercises stopping early
+
+
+def test_bundle_budget_error_precedes_first_false_member(xor0_lang, xor0_witness, monkeypatch):
+    # pattern () is already false, and pattern (1,) needs 2^3 copies: the
+    # budget error of the first oversized pattern is raised, as when every
+    # pattern was built in order, and nothing is solved before it
+    prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2"),
+              ("exists", "y3"), ("forall", "x3")]
+    matrix = [Atom("XOR0", ("x1", "y1", "y1")), Atom("XOR0", ("y2", "x2", "y3"))]
+    s = sent(xor0_lang, prefix, matrix)
+    assert _eager_verdicts(s, 2)[0] is False
+    calls = []
+    real_solve = solvers.solve_csp
+    monkeypatch.setattr(solvers, "solve_csp", lambda *a: calls.append(a) or real_solve(*a))
+    for budgets, message in [
+        (Budgets(max_matrix_copies=4), "universal elimination copies: requires 8, budget allows 4"),
+        (Budgets(max_matrix_copies=16), "universal elimination copies: requires 32, budget allows 16"),
+        (Budgets(max_matrix_atoms=20), "universal elimination atoms: requires 24, budget allows 20"),
+    ]:
+        with pytest.raises(BudgetError) as err:
+            reduce_pgp_to_csp(s, 2, witness=xor0_witness, budgets=budgets)
+        assert str(err.value) == message
+    assert calls == []
+    bundle = reduce_pgp_to_csp(s, 2, witness=xor0_witness)
+    assert [m.indices for m in bundle.members] == [()]
+    assert len(calls) == 1
+
+
+def test_bundle_invariants_are_checked(xor0_lang, xor0_witness):
+    prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2")]
+    false_s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "x2"))])
+    true_s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "y2"))])
+    eager = _eager_members(false_s, 2)
+    assert [m.verdict.truth for m in eager[:2]] == [True, False]
+    full = reduce_pgp_to_csp(true_s, 2, witness=xor0_witness)
+    for members, combined in [
+        ((eager[1], eager[0]), False),  # not in index-set order
+        (tuple(eager[:3]), False),  # solved on past a false member
+        (full.members[:2], False),  # stopped at a true member
+        ((), False),  # stopped before any member
+        (full.members, False),  # combined disagrees with a full true bundle
+        (tuple(eager[:2]), True),  # combined disagrees with a false member
+    ]:
+        with pytest.raises(ValueError):
+            ReductionBundle(true_s, 2, full.index_sets, members, combined, False)
+    assert ReductionBundle(false_s, 2, full.index_sets, tuple(eager[:2]), False, False).members
 
 
 # ---------------------------------------------------------------------------
