@@ -124,6 +124,21 @@ class ConstraintLanguage:
         return [self.relations[n] for n in sorted(self.relations)]
 
 
+def cached_on(obj, key: str, build):
+    """``obj.__dict__[key]``, set to ``build()`` on the first call.
+
+    A memo kept in the instance ``__dict__``, as ``cached_property`` keeps
+    :attr:`Relation.supports`: it lives as long as the object and takes no
+    part in equality.  It suits frozen dataclasses with unhashable fields (a
+    language holds a dict), which no cache can take as a key.  A ``build``
+    that raises stores nothing.
+    """
+    memo = obj.__dict__
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def const_name(value: int) -> str:
     return f"const_{value}"
 
@@ -133,17 +148,24 @@ def gamma_star(lang: ConstraintLanguage) -> ConstraintLanguage:
 
     Adds const_a = {(a,)} for every domain element a.  An existing relation
     under a constant name is tolerated only if it is already that singleton.
+    Built once per language object and kept on it, so later calls return the
+    same object; a language that fails the name check keeps nothing and
+    raises on every call.
     """
-    rels = dict(lang.relations)
-    for a in lang.domain.elements:
-        name = const_name(a)
-        singleton = Relation(name, 1, frozenset({(a,)}))
-        if name in rels:
-            if rels[name] != singleton:
-                raise ValueError(f"relation name {name} already taken by a non-constant relation")
-        else:
-            rels[name] = singleton
-    return ConstraintLanguage(lang.domain, rels)
+
+    def build() -> ConstraintLanguage:
+        rels = dict(lang.relations)
+        for a in lang.domain.elements:
+            name = const_name(a)
+            singleton = Relation(name, 1, frozenset({(a,)}))
+            if name in rels:
+                if rels[name] != singleton:
+                    raise ValueError(f"relation name {name} already taken by a non-constant relation")
+            else:
+                rels[name] = singleton
+        return ConstraintLanguage(lang.domain, rels)
+
+    return cached_on(lang, "gamma_star", build)
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,7 @@ from .model import (
     DomainSpec,
     QuantifiedSentence,
     Relation,
+    cached_on,
     check_wellformed,
     const_name,
     encode_tuple,
@@ -492,20 +493,33 @@ class PowerLanguage(ConstraintLanguage):
 
 def build_power_language(base: ConstraintLanguage, budgets: Budgets = DEFAULT_BUDGETS) -> PowerLanguage:
     """The language over A^(|A|**|A|): every base relation powered, plus one
-    unary singleton per lexicographic column of width |A|."""
+    unary singleton per lexicographic column of width |A|.
+
+    Built once per language object and kept on it, so later calls return the
+    same object, powered relations and their support tables included.  Every
+    call first runs the checks of a build, in the same order: the power
+    domain, the name and power size of each relation, the column length.  A
+    call with tighter budgets raises what a first call would, and a build
+    that fails is not kept.
+    """
     size = base.domain.size
     k = size**size
     budgets.check("power domain", size**k, budgets.max_power_domain)
-    pdom = DomainSpec(size**k)
-    rels: dict[str, Relation] = {}
     for rel in base.sorted_relations():
         if rel.name.startswith(GAMMA_PREFIX):
             raise ValueError(f"base relation name {rel.name!r} collides with column constraints")
-        rels[rel.name] = power_relation(rel, k, base.domain, budgets)
-    for col in gamma_columns(size, base.domain, budgets):
-        name = f"{GAMMA_PREFIX}{col.index}"
-        rels[name] = Relation(name, 1, frozenset({(encode_tuple(col.column, size),)}))
-    return PowerLanguage(pdom, rels, base, k)
+        if rel.tuples:
+            budgets.check("power relation tuples", len(rel.tuples) ** k, budgets.max_power_tuples)
+    budgets.check("lexicographic column length", size**size, budgets.max_power_domain)
+
+    def build() -> PowerLanguage:
+        rels = {rel.name: power_relation(rel, k, base.domain, budgets) for rel in base.sorted_relations()}
+        for col in gamma_columns(size, base.domain, budgets):
+            name = f"{GAMMA_PREFIX}{col.index}"
+            rels[name] = Relation(name, 1, frozenset({(encode_tuple(col.column, size),)}))
+        return PowerLanguage(DomainSpec(size**k), rels, base, k)
+
+    return cached_on(base, "power_language", build)
 
 
 def qcsp_to_power_csp(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) -> CspInstance:

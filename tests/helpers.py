@@ -46,6 +46,18 @@ def lang_dom3() -> ConstraintLanguage:
     return ConstraintLanguage.of(3, LT3, CYCLE3)
 
 
+def random_language(rnd: random.Random, size, arities, max_tuples, max_relations=2) -> ConstraintLanguage:
+    """One to max_relations relations R0, R1, ..., each of an arity drawn from
+    arities and holding 1 to max_tuples distinct tuples."""
+    rels = []
+    for i in range(rnd.randint(1, max_relations)):
+        arity = rnd.choice(arities)
+        rows = list(product(range(size), repeat=arity))
+        picked = rnd.sample(rows, rnd.randint(1, min(len(rows), max_tuples)))
+        rels.append(Relation(f"R{i}", arity, frozenset(picked)))
+    return ConstraintLanguage.of(size, *rels)
+
+
 def random_matrix(rnd: random.Random, lang, names, max_atoms):
     rels = sorted(lang.relations)
     atoms = []

@@ -10,6 +10,7 @@ from qcsp import (
     DomainSpec,
     QuantifiedSentence,
     Relation,
+    eliminate_universals,
     enumerate_switch_bounded,
     gamma_star,
     switch_bounded_count,
@@ -17,6 +18,7 @@ from qcsp import (
     validate_sentence,
 )
 
+from helpers import NOT, XOR0
 
 
 def test_switch_count_worked_example():
@@ -103,6 +105,46 @@ def test_gamma_star_rejects_conflicting_name():
     bad = ConstraintLanguage.of(2, Relation("const_0", 1, frozenset({(1,)})))
     with pytest.raises(ValueError):
         gamma_star(bad)
+
+
+NON_CONSTANTS = [
+    Relation("const_0", 1, frozenset({(1,)})),
+    Relation("const_0", 1, frozenset({(0,), (1,)})),
+    Relation("const_0", 2, frozenset({(0, 0)})),
+    Relation("const_1", 1, frozenset()),
+]
+STAR_BASES = {
+    "xor0": (XOR0,),
+    "xor0-not": (XOR0, NOT),
+    "empty-nullary": (XOR0, Relation("EMPTY", 2, frozenset()), Relation("TOP", 0, frozenset({()}))),
+    "with-const_1": (Relation("const_1", 1, frozenset({(1,)})), NOT),
+}
+
+
+@pytest.mark.parametrize("rels", STAR_BASES.values(), ids=STAR_BASES)
+def test_gamma_star_is_built_once_per_language(rels):
+    lang = ConstraintLanguage.of(2, *rels)
+    star = gamma_star(lang)
+    assert gamma_star(lang) is star
+    cold = gamma_star(ConstraintLanguage(lang.domain, dict(lang.relations)))
+    assert cold is not star and cold == star
+    assert list(cold.relations) == list(star.relations)
+    assert all(cold.relations[n].supports == r.supports for n, r in star.relations.items())
+    # every instance the elimination builds over the language shares it
+    for prefix in ((("forall", "x"),), (("exists", "x"), ("forall", "y"))):
+        matrix = (Atom("NOT", ("x", "x")),) if "NOT" in lang.relations else ()
+        s = QuantifiedSentence(prefix, matrix, lang)
+        assert eliminate_universals(s).language is star
+
+
+@pytest.mark.parametrize("rel", NON_CONSTANTS, ids=["other-value", "two-values", "binary", "empty"])
+def test_gamma_star_name_check_runs_on_every_call(rel):
+    lang = ConstraintLanguage.of(2, XOR0, rel)
+    message = f"relation name {rel.name} already taken by a non-constant relation"
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            gamma_star(lang)
+        assert str(err.value) == message
 
 
 def test_validate_clean_sentence(xor0_lang):

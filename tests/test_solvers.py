@@ -23,6 +23,7 @@ from qcsp import (
     is_wnu,
     oracle_qcsp,
     preserves,
+    qcsp_to_power_csp,
     reduce_pgp_to_csp,
     reduce_to_pi2,
     solve_csp,
@@ -42,6 +43,7 @@ from helpers import (
     lang_mixed2,
     lang_xor0,
     preserves_bruteforce,
+    random_language,
     random_pi2,
     random_sentence,
     reversed_relations,
@@ -471,6 +473,50 @@ def test_pi2_truth_matches_oracle_dom3():
         assert pi2_truth(s) == truth
         truths.add(truth)
     assert truths == {True, False}
+
+
+def _method_verdicts(s, r, witness, power: bool) -> dict:
+    pi2 = reduce_to_pi2(s, r, witness=witness)
+    verdicts = {
+        "oracle": oracle_qcsp(s).truth,
+        "pgp-csp": reduce_pgp_to_csp(s, r, witness=witness).combined,
+        "pi2": pi2_truth(pi2),
+    }
+    if power:
+        verdicts["power-csp"] = solve_csp(qcsp_to_power_csp(pi2)).truth
+    return verdicts
+
+
+@pytest.mark.parametrize(
+    "size, r, arities, max_tuples, max_arity, seed",
+    [
+        (2, 1, (1, 2, 3), 6, 3, 101),
+        (2, 2, (2, 3), 6, 3, 102),
+        (3, 1, (1, 2), 6, 2, 103),
+        (3, 1, (2, 3), 8, 2, 104),
+    ],
+    ids=["bool-r1", "bool-r2", "dom3-arity12", "dom3-arity23"],
+)
+def test_methods_agree_on_random_witnessed_languages(size, r, arities, max_tuples, max_arity, seed):
+    # six sentences per language object, so its power language and its
+    # language with constants are built once and reused; power-csp runs on
+    # Boolean languages only, as 3 elements need a 3^27-element power domain
+    rnd = random.Random(seed)
+    witnessed, truths = 0, []
+    for _ in range(30):
+        lang = random_language(rnd, size, arities, max_tuples)
+        witness = switchability_witness(lang, r, max_arity=max_arity, max_power=4)
+        if witness.verdict != "witnessed":
+            continue
+        for _ in range(6):
+            s = random_sentence(rnd, lang, max_vars=6 - size, max_atoms=3)
+            verdicts = _method_verdicts(s, r, witness, power=size == 2)
+            assert len(set(verdicts.values())) == 1, (lang, s.prefix, s.matrix, verdicts)
+            truths.append(verdicts["oracle"])
+        witnessed += 1
+        if witnessed == 6:
+            break
+    assert witnessed == 6 and set(truths) == {True, False}
 
 
 def test_reductions_reject_negative_switch_bound(mixed_lang):

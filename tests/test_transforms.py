@@ -8,6 +8,7 @@ from qcsp import (
     BudgetError,
     Budgets,
     CANONICAL_FALSE,
+    ConstraintLanguage,
     CspInstance,
     DomainSpec,
     QuantifiedSentence,
@@ -501,6 +502,77 @@ def test_power_csp_dom3_budget(dom3_lang):
     with pytest.raises(BudgetError) as err:
         qcsp_to_power_csp(s)
     assert err.value.required == 3**27
+
+
+# the power language is built once per language object; the checks run per call
+
+EMPTY2 = Relation("EMPTY", 2, frozenset())
+TOP0 = Relation("TOP", 0, frozenset({()}))
+POWER_BASES = {"xor0": (XOR0,), "xor0-not": (XOR0, NOT), "empty-nullary": (XOR0, EMPTY2, TOP0)}
+
+
+def _raised(call) -> tuple[type, str]:
+    with pytest.raises((BudgetError, ValueError)) as err:
+        call()
+    return type(err.value), str(err.value)
+
+
+def _unbuilt(lang):
+    """An equal language object that has built nothing yet."""
+    return ConstraintLanguage(lang.domain, dict(lang.relations))
+
+
+@pytest.mark.parametrize("rels", POWER_BASES.values(), ids=POWER_BASES)
+def test_power_language_is_built_once_per_language(rels):
+    lang = ConstraintLanguage.of(2, *rels)
+    warm = build_power_language(lang)
+    assert build_power_language(lang) is warm
+    assert build_power_language(lang, Budgets(max_power_tuples=256)) is warm
+    cold = build_power_language(_unbuilt(lang))
+    assert cold is not warm and cold == warm
+    assert list(cold.relations) == list(warm.relations)
+    assert all(cold.relations[n].supports == r.supports for n, r in warm.relations.items())
+    # every sentence over the language gets the same power language
+    for prefix in ([("forall", "x"), ("exists", "y")], [("exists", "y")]):
+        assert qcsp_to_power_csp(sent(lang, prefix, [])).language is warm
+
+
+@pytest.mark.parametrize(
+    "rels, budgets",
+    [
+        ((XOR0, NOT), Budgets(max_power_tuples=255)),
+        ((XOR0, EMPTY2, TOP0), Budgets(max_power_tuples=255)),
+        ((XOR0,), Budgets(max_power_domain=15)),
+        ((NOT,), Budgets(max_power_domain=15)),
+    ],
+)
+def test_power_language_checks_budgets_on_every_call(rels, budgets):
+    lang = ConstraintLanguage.of(2, *rels)
+    s = sent(lang, [("forall", "x"), ("exists", "y")], [])
+    cold = _raised(lambda: build_power_language(_unbuilt(lang), budgets))
+    assert cold[0] is BudgetError
+    warm = build_power_language(lang)
+    assert _raised(lambda: build_power_language(lang, budgets)) == cold
+    assert _raised(lambda: qcsp_to_power_csp(s, budgets)) == cold
+    assert build_power_language(lang) is warm
+    # a build that fails keeps nothing; the next call builds afresh
+    failed = _unbuilt(lang)
+    assert _raised(lambda: build_power_language(failed, budgets)) == cold
+    assert build_power_language(failed) == warm
+
+
+def test_power_language_name_check_runs_on_every_call():
+    gamma1 = Relation("gamma$1", 1, frozenset({(0,)}))
+    lang = ConstraintLanguage.of(2, XOR0, gamma1)
+    clash = (ValueError, "base relation name 'gamma$1' collides with column constraints")
+    assert _raised(lambda: build_power_language(lang)) == clash
+    assert _raised(lambda: build_power_language(lang)) == clash
+    # relations are checked in name order, so XOR0's power size comes first
+    tight = Budgets(max_power_tuples=255)
+    assert _raised(lambda: build_power_language(lang, tight)) == (
+        BudgetError, str(BudgetError("power relation tuples", 256, 255))
+    )
+    assert _raised(lambda: build_power_language(lang)) == clash
 
 
 def test_power_round_trip_recovers_sentence(xor0_lang):
