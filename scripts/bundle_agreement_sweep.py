@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Randomized agreement experiment: exact oracle vs the collapse bundle.
+"""Randomized agreement experiment: exact oracle vs the collapse bundle and
+the reduction to two quantifier levels.
 
-Draws random quantified sentences over the affine language, solves each both
-ways, and reports the agreement rate with timing.  Exits nonzero on any
+Draws random quantified sentences over the affine language, decides each with
+the oracle, the collapse bundle and ``pi2_truth`` of ``reduce_to_pi2``, and
+reports the rate at which all three agree, with timing.  Exits nonzero on any
 disagreement.
 """
 
@@ -16,7 +18,9 @@ from qcsp import (
     QuantifiedSentence,
     Relation,
     oracle_qcsp,
+    pi2_truth,
     reduce_pgp_to_csp,
+    reduce_to_pi2,
     switchability_witness,
 )
 
@@ -59,13 +63,14 @@ def main() -> int:
         s = random_sentence(rnd, lang, args.max_vars, args.max_atoms)
         truth = oracle_qcsp(s).truth
         bundle = reduce_pgp_to_csp(s, args.r, witness=witness)
+        pi2 = pi2_truth(reduce_to_pi2(s, args.r, witness=witness))
         solved += len(bundle.members)
         instances += len(bundle.index_sets)
         true_count += truth
-        if truth == bundle.combined:
+        if truth == bundle.combined == pi2:
             agree += 1
         else:
-            print(f"DISAGREEMENT at sentence {i}: oracle={truth} bundle={bundle.combined}")
+            print(f"DISAGREEMENT at sentence {i}: oracle={truth} bundle={bundle.combined} pi2={pi2}")
             print("  prefix:", s.prefix)
             print("  matrix:", s.matrix)
     elapsed = time.time() - start

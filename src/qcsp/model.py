@@ -256,7 +256,17 @@ class ValidationReport:
 
 
 def validate_sentence(sentence: QuantifiedSentence) -> ValidationReport:
-    """Check all sentence invariants; violations become report entries."""
+    """Check all sentence invariants; violations become report entries.
+
+    The report is kept on the sentence object (see :func:`cached_on`), so a
+    sentence that a transform's postcondition checked is not walked again by
+    the next stage's entry check; an invalid sentence keeps its failing
+    report and fails every check.
+    """
+    return cached_on(sentence, "validation_report", lambda: _validation_report(sentence))
+
+
+def _validation_report(sentence: QuantifiedSentence) -> ValidationReport:
     issues: list[ValidationIssue] = []
     seen: set[str] = set()
     for q, v in sentence.prefix:

@@ -524,6 +524,11 @@ def reduce_pgp_to_csp(
     """Solve the sentence as a conjunction of plain CSP instances, one per
     collapse pattern with at most r kept universals (2k+1 universals each).
 
+    Every pattern is kept, though the maximal ones alone decide the verdict
+    (see :func:`reduce_to_pi2`): the bundle reports one instance per pattern,
+    and the small patterns are the cheapest to eliminate and solve, so they
+    refute a false sentence before a large one is built.
+
     Patterns are built and solved one at a time in index-set order, and the
     first unsatisfiable one decides the verdict; later ones are never built.
     The elimination budgets of every pattern size are checked first, smallest
@@ -555,13 +560,26 @@ def reduce_to_pi2(
 ) -> QuantifiedSentence:
     """Equivalent forall*exists* sentence with at most |A| universals.
 
-    Builds the collapse bundle, hoists each member's universals left, conjoins
-    the members on a shared universal ladder with member-disjoint existentials,
-    and shrinks the universal count.
+    Collapses the sentence at every pattern of exactly min(r, n) kept
+    universals, hoists each member's universals left, conjoins the members on
+    a shared universal ladder with member-disjoint existentials, and shrinks
+    the universal count.
+
+    The smaller patterns that :func:`reduce_pgp_to_csp` also solves are left
+    out because each is implied by a maximal one: for J a subset of I,
+    ``omega(alt, I)`` entails ``omega(alt, J)``.  Dropping one kept position t
+    from I moves the universal x_t to the front (exists y forall x phi entails
+    forall x exists y phi) and identifies it with the collapsed universals of
+    the segments on either side of t (forall a forall b phi entails
+    forall a phi[b:=a]); both steps weaken the sentence.  So the conjunction
+    is the same over the maximal patterns as over all of them, witness or not.
+    When r >= n the only pattern keeps every universal, and its vacuous
+    collapsed universals are dropped by :func:`move_universals_left`.
     """
     _check_witness_gate(witness, r, override)
     alt = normalize_alternating(s)
-    members = [move_universals_left(omega(alt, idx), budgets) for idx in _index_sets(alt.n, r)]
+    maximal = combinations(range(1, alt.n + 1), min(r, alt.n))
+    members = [move_universals_left(omega(alt, idx), budgets) for idx in maximal]
 
     shared_count = max(m.universal_count() for m in members)
     shared = [f"z$s{i}" for i in range(1, shared_count + 1)]

@@ -17,6 +17,7 @@ from qcsp import (
     switch_count,
     validate_sentence,
 )
+from qcsp.model import check_wellformed
 
 from helpers import NOT, XOR0
 
@@ -176,6 +177,22 @@ def test_validate_reports_unknown_and_unquantified(xor0_lang):
     s = QuantifiedSentence((), (Atom("NOPE", ("z",)),), xor0_lang)
     kinds = {i.kind for i in validate_sentence(s)}
     assert kinds == {"unknown-relation", "unquantified-variable"}
+
+
+def test_validation_report_is_kept_on_the_sentence(xor0_lang):
+    # a later stage's entry check reuses the report of an earlier postcondition
+    s = QuantifiedSentence((("forall", "x"), ("exists", "y")), (Atom("XOR0", ("x", "x", "y")),), xor0_lang)
+    report = validate_sentence(s)
+    assert report.ok and validate_sentence(s) is report
+    check_wellformed(s)
+    # an invalid sentence keeps its failing report and fails every check
+    bad = QuantifiedSentence((("exists", "x"),), (Atom("XOR0", ("x", "y")),), xor0_lang)
+    first = validate_sentence(bad)
+    assert validate_sentence(bad) is first
+    assert [i.kind for i in first] == ["arity-mismatch", "unquantified-variable"]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="malformed sentence: atom 0: XOR0 expects 3 arguments"):
+            check_wellformed(bad)
 
 
 @given(st.sets(st.tuples(*[st.integers(0, 3)] * 3), max_size=20))

@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +43,7 @@ from helpers import (
     lang_mixed2,
     lang_xor0,
     preserves_bruteforce,
+    random_alternating,
     random_language,
     random_pi2,
     random_sentence,
@@ -538,6 +539,61 @@ def test_pi2_on_pi2_input(xor0_lang, xor0_witness):
     unsat = sent(xor0_lang, [("forall", "x"), ("exists", "y")], [Atom("XOR0", ("x", "y", "y"))])
     assert oracle_qcsp(unsat).truth is False
     assert pi2_truth(reduce_to_pi2(unsat, 2, witness=xor0_witness)) is False
+
+
+def test_collapse_keeping_more_universals_implies_one_keeping_fewer():
+    # the lemma behind conjoining only the maximal patterns: for J a subset
+    # of I, omega(alt, I) entails omega(alt, J)
+    rnd = random.Random(5)
+    implied = one_way = 0
+    for lang, depths, count in [(lang_mixed2(), (1, 2, 3, 4), 200), (lang_dom3(), (1, 2, 3), 120)]:
+        for _ in range(count):
+            alt = normalize_alternating(random_alternating(rnd, lang, rnd.choice(depths), max_atoms=3))
+            truth = {idx: oracle_qcsp(omega(alt, idx)).truth for idx in solvers._index_sets(alt.n, 3)}
+            for big, big_truth in truth.items():
+                for k in range(len(big)):
+                    for small in combinations(big, k):
+                        if big_truth:
+                            implied += 1
+                            assert truth[small], (alt.sentence, big, small)
+                        elif truth[small]:
+                            one_way += 1
+    assert implied > 1000 and one_way > 100
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_pi2_reduction_is_the_conjunction_over_every_pattern(r):
+    # with override and no witness the reduction promises no more than the
+    # conjunction over every collapse pattern of at most r kept universals
+    rnd = random.Random(7 + r)
+    truths, shallow = set(), 0
+    for _ in range(60):
+        size = rnd.choice((2, 3))
+        lang = random_language(rnd, size, (1, 2, 3) if size == 2 else (1, 2), 6)
+        s = random_sentence(rnd, lang, max_vars=7 - size, max_atoms=2)
+        alt = normalize_alternating(s)
+        want = all(oracle_qcsp(omega(alt, idx)).truth for idx in solvers._index_sets(alt.n, r))
+        assert pi2_truth(reduce_to_pi2(s, r, override=True)) == want, (lang, s.prefix, s.matrix)
+        truths.add(want)
+        shallow += alt.n < r
+    assert truths == {True, False}
+    assert shallow > 0 or r < 2
+
+
+def test_pi2_reduction_collapses_at_the_maximal_patterns_only(xor0_lang, xor0_witness, monkeypatch):
+    prefix = [(q, f"{v}{i}") for i in range(1, 4) for q, v in (("exists", "y"), ("forall", "x"))]
+    s = sent(xor0_lang, prefix, [Atom("XOR0", ("x1", "y2", "x3")), Atom("XOR0", ("y1", "x2", "y3"))])
+    collapsed = []
+
+    def counting_omega(alt, indices):
+        collapsed.append(tuple(indices))
+        return omega(alt, indices)
+
+    monkeypatch.setattr(solvers, "omega", counting_omega)
+    out = reduce_to_pi2(s, 2, witness=xor0_witness)
+    assert collapsed == [(1, 2), (1, 3), (2, 3)]
+    monkeypatch.undo()
+    assert pi2_truth(out) == oracle_qcsp(s).truth
 
 
 # pi2_truth decides each component shape once per call
