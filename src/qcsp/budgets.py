@@ -44,8 +44,22 @@ class Budgets:
         if required > limit:
             raise BudgetError(what, required, limit)
 
-    def check_bytes(self, what: str, objects: int) -> None:
-        self.check(what + " (bytes)", objects * _ATOM_BYTES, self.max_bytes)
+    def check_expansion(
+        self, what: str, atoms: int, copies: int | None = None, prefix: int | None = None
+    ) -> None:
+        """Check a matrix expansion, in this order: its ``copies`` of the
+        matrix and its ``atoms``, its ``prefix`` variables, and the atoms'
+        bytes; ``copies`` and ``prefix`` are skipped when None.  A failure is
+        named ``"<what> copies"``, ``"<what> atoms"``, ``"<what> prefix"`` or
+        ``"<what> (bytes)"``."""
+        if copies is not None and copies > self.max_matrix_copies:
+            raise BudgetError(f"{what} copies", copies, self.max_matrix_copies)
+        if atoms > self.max_matrix_atoms:
+            raise BudgetError(f"{what} atoms", atoms, self.max_matrix_atoms)
+        if prefix is not None and prefix > self.max_prefix_vars:
+            raise BudgetError(f"{what} prefix", prefix, self.max_prefix_vars)
+        if atoms * _ATOM_BYTES > self.max_bytes:
+            raise BudgetError(f"{what} (bytes)", atoms * _ATOM_BYTES, self.max_bytes)
 
 
 DEFAULT_BUDGETS = Budgets()

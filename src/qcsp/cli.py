@@ -2,7 +2,7 @@
 
 Subcommands: ``solve`` (oracle or one of the reduction pipelines),
 ``transform`` (a single named transform), ``witness``, ``classify``, and
-``verify`` (cross-check two solve methods on one input).
+``verify`` (cross-check solve methods on one sentence).
 
 Exit codes: 0 = computed truth true or informational run, 1 = computed truth
 false (or verify disagreement), 2 = any error.
@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .algebra import switchability_witness
@@ -66,110 +65,60 @@ TRANSFORMS = (
 )
 
 
-@dataclass
-class RunConfig:
-    command: str
-    language: Path | None = None
-    sentence: Path | None = None
-    instance: Path | None = None
-    method: str = "oracle"
-    methods: tuple[str, ...] = ()
-    transform: str | None = None
-    indices: tuple[int, ...] = ()
-    k: int = 1
-    relation: str | None = None
-    r: int = 0
-    max_arity: int = 3
-    max_power: int = 4
-    budgets: Budgets = field(default_factory=Budgets.from_env)
-    output_format: str = "text"
-    trace: bool = False
-    override_witness: bool = False
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcsp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, sentence: bool = True) -> None:
+    def command(name: str, run, summary: str, sentence: bool = True, trace: bool = False,
+                closure: bool = True) -> argparse.ArgumentParser:
+        """A subcommand with the flags every driver reads, plus ``--trace``
+        and ``--budget-closure`` only where its driver reads them."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--language", required=True, type=Path)
         if sentence:
             p.add_argument("--sentence", type=Path)
             p.add_argument("--instance", type=Path)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--trace", action="store_true")
-        p.add_argument("--budget-closure", type=int, default=None)
+        if trace:
+            p.add_argument("--trace", action="store_true")
+        if closure:
+            p.add_argument("--budget-closure", type=int, default=None)
+        return p
 
-    p = sub.add_parser("solve", help="evaluate a sentence or instance")
-    common(p)
+    p = command("solve", _run_solve, "evaluate a sentence or instance", trace=True)
     p.add_argument("--method", choices=SOLVE_METHODS, default="oracle")
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--max-arity", type=int, default=3)
     p.add_argument("--max-power", type=int, default=4)
     p.add_argument("--override-witness", action="store_true")
 
-    p = sub.add_parser("transform", help="apply one named transform")
-    common(p)
+    p = command("transform", _run_transform, "apply one named transform", trace=True, closure=False)
     p.add_argument("--transform", choices=TRANSFORMS, required=True)
     p.add_argument("--indices", default="", help="comma-separated positions for omega")
     p.add_argument("--k", type=int, default=1, help="width/power parameter")
     p.add_argument("--relation", help="relation name for power-relation")
 
-    p = sub.add_parser("witness", help="bounded switchability check")
-    common(p, sentence=False)
+    p = command("witness", _run_witness, "bounded switchability check", sentence=False)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--max-arity", type=int, default=3)
     p.add_argument("--max-power", type=int, default=4)
 
-    p = sub.add_parser("classify", help="tractability classification over the power language")
-    common(p, sentence=False)
+    p = command("classify", _run_classify, "tractability classification over the power language",
+                sentence=False)
     p.add_argument("--r", type=int, required=True)
     p.add_argument(
         "--max-arity", type=int, default=3, help="largest weak near-unanimity arity searched (>= 2)"
     )
     p.add_argument("--override-witness", action="store_true")
 
-    p = sub.add_parser("verify", help="cross-check two solve methods on one input")
-    common(p)
-    p.add_argument("--methods", required=True, help="comma-separated pair of methods")
+    p = command("verify", _run_verify, "cross-check solve methods on one sentence")
+    p.add_argument("--methods", required=True, help="two or more comma-separated methods")
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--max-arity", type=int, default=3)
     p.add_argument("--max-power", type=int, default=4)
     p.add_argument("--override-witness", action="store_true")
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    budgets = Budgets.from_env()
-    closure = getattr(args, "budget_closure", None)
-    if closure is not None:
-        if closure <= 0:
-            raise QcspError("--budget-closure must be positive")
-        budgets = Budgets.from_env(max_closure_points=closure)
-    indices: tuple[int, ...] = ()
-    raw = getattr(args, "indices", "")
-    if raw:
-        indices = tuple(int(tok) for tok in raw.split(","))
-    methods = tuple(getattr(args, "methods", "").split(",")) if getattr(args, "methods", "") else ()
-    return RunConfig(
-        command=args.command,
-        language=args.language,
-        sentence=getattr(args, "sentence", None),
-        instance=getattr(args, "instance", None),
-        method=getattr(args, "method", "oracle"),
-        methods=methods,
-        transform=getattr(args, "transform", None),
-        indices=indices,
-        k=getattr(args, "k", 1),
-        relation=getattr(args, "relation", None),
-        r=getattr(args, "r", 0),
-        max_arity=getattr(args, "max_arity", 3),
-        max_power=getattr(args, "max_power", 4),
-        budgets=budgets,
-        output_format=args.format,
-        trace=args.trace,
-        override_witness=getattr(args, "override_witness", False),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -223,113 +172,106 @@ def _load_instance(path: Path, lang) -> CspInstance:
     return CspInstance(lang, tuple(v for _, v in sent.prefix), sent.matrix)
 
 
-def _load_input(config: RunConfig):
-    lang = load_language(config.language)
-    if config.instance is not None:
-        return lang, _load_instance(config.instance, lang)
-    if config.sentence is None:
+def _load_input(args: argparse.Namespace):
+    lang = load_language(args.language)
+    if args.instance is not None:
+        return lang, _load_instance(args.instance, lang)
+    if args.sentence is None:
         raise QcspError("missing --sentence or --instance")
-    return lang, load_sentence(config.sentence, lang)
+    return lang, load_sentence(args.sentence, lang)
 
 
-def _compute_witness(lang, config: RunConfig):
+def _compute_witness(lang, args: argparse.Namespace, budgets: Budgets):
     return switchability_witness(
-        lang,
-        config.r,
-        max_arity=config.max_arity,
-        max_power=config.max_power,
-        budgets=config.budgets,
+        lang, args.r, max_arity=args.max_arity, max_power=args.max_power, budgets=budgets
     )
 
 
-def _reduction_witness(lang, target, methods, config: RunConfig):
+def _reduction_witness(lang, methods, args: argparse.Namespace, budgets: Budgets):
     """The switchability witness shared by every reduction method in
     ``methods``, or None when none of them runs a reduction or the override
     is set."""
-    if config.override_witness or isinstance(target, CspInstance):
+    if args.override_witness or all(method == "oracle" for method in methods):
         return None
-    if all(method == "oracle" for method in methods):
-        return None
-    return _compute_witness(lang, config)
+    return _compute_witness(lang, args, budgets)
 
 
 def _solve_with_method(
-    target, method: str, witness, config: RunConfig, trace: list
+    target: QuantifiedSentence, method: str, witness, args: argparse.Namespace, budgets: Budgets,
+    trace: list,
 ) -> tuple[bool, dict]:
-    budgets = config.budgets
-    if isinstance(target, CspInstance):
-        verdict = solve_csp(target, budgets)
-        return verdict.truth, verdict.to_json()
     if method == "oracle":
         verdict = oracle_qcsp(target, budgets)
         return verdict.truth, verdict.to_json()
     if method == "pgp-csp":
         bundle = reduce_pgp_to_csp(
-            target, config.r, witness=witness, override=config.override_witness, budgets=budgets
+            target, args.r, witness=witness, override=args.override_witness, budgets=budgets
         )
         counts = {"instances": len(bundle.index_sets), "solved": len(bundle.members)}
         trace.append({"step": len(trace) + 1, "rule": "pgp-csp-bundle",
                       "before": _sentence_size(target), "after": counts})
         return bundle.combined, bundle.to_json()
+    pi2 = reduce_to_pi2(
+        target, args.r, witness=witness, override=args.override_witness, budgets=budgets
+    )
     if method == "pi2":
-        pi2 = reduce_to_pi2(
-            target, config.r, witness=witness, override=config.override_witness, budgets=budgets
-        )
         trace.append({"step": len(trace) + 1, "rule": "pi2",
                       "before": _sentence_size(target), "after": _sentence_size(pi2)})
         truth = pi2_truth(pi2, budgets)
         return truth, {"truth": truth, "method": "pi2", "pi2_size": _sentence_size(pi2)}
-    if method == "power-csp":
-        pi2 = reduce_to_pi2(
-            target, config.r, witness=witness, override=config.override_witness, budgets=budgets
-        )
-        inst = qcsp_to_power_csp(pi2, budgets)
-        trace.append({"step": len(trace) + 1, "rule": "power-csp",
-                      "before": _sentence_size(pi2), "after": _instance_size(inst)})
-        verdict = solve_csp(inst, budgets)
-        return verdict.truth, {"truth": verdict.truth, "method": "power-csp",
-                               "instance_size": _instance_size(inst)}
-    raise QcspError(f"unknown method {method!r}")
+    # power-csp
+    inst = qcsp_to_power_csp(pi2, budgets)
+    trace.append({"step": len(trace) + 1, "rule": "power-csp",
+                  "before": _sentence_size(pi2), "after": _instance_size(inst)})
+    verdict = solve_csp(inst, budgets)
+    return verdict.truth, {"truth": verdict.truth, "method": "power-csp",
+                           "instance_size": _instance_size(inst)}
 
 
-def _run_solve(config: RunConfig) -> int:
-    lang, target = _load_input(config)
+def _run_solve(args: argparse.Namespace, budgets: Budgets) -> int:
+    if args.instance is not None and args.method != "oracle":
+        raise QcspError(f"--method {args.method} needs --sentence: an --instance is solved as a CSP")
+    lang, target = _load_input(args)
     trace: list = []
-    witness = _reduction_witness(lang, target, [config.method], config)
-    truth, report = _solve_with_method(target, config.method, witness, config, trace)
-    if config.trace:
+    if isinstance(target, CspInstance):
+        verdict = solve_csp(target, budgets)
+        truth, report = verdict.truth, verdict.to_json()
+    else:
+        witness = _reduction_witness(lang, [args.method], args, budgets)
+        truth, report = _solve_with_method(target, args.method, witness, args, budgets, trace)
+    if args.trace:
         report = {**report, "trace": trace}
-    print(emit_report(report, config.output_format))
+    print(emit_report(report, args.format))
     return 0 if truth else 1
 
 
-def _run_transform(config: RunConfig) -> int:
-    lang = load_language(config.language)
-    budgets = config.budgets
+def _run_transform(args: argparse.Namespace, budgets: Budgets) -> int:
+    indices = tuple(int(tok) for tok in args.indices.split(",")) if args.indices else ()
+    lang = load_language(args.language)
     trace: list = []
-    name = config.transform
+    name = args.transform
 
     def record(rule: str, before: dict, after: dict) -> None:
         trace.append({"step": len(trace) + 1, "rule": rule, "before": before, "after": after})
 
     if name == "gamma-columns":
-        cols = gamma_columns(config.k, lang.domain, budgets)
+        cols = gamma_columns(args.k, lang.domain, budgets)
         payload = {"columns": [{"index": c.index, "column": list(c.column)} for c in cols]}
-        print(emit_report(payload, config.output_format))
+        print(emit_report(payload, args.format))
         return 0
     if name == "power-relation":
-        if not config.relation:
+        if not args.relation:
             raise QcspError("power-relation needs --relation")
-        rel = lang.relations.get(config.relation)
+        rel = lang.relations.get(args.relation)
         if rel is None:
-            raise QcspError(f"unknown relation {config.relation!r}")
-        powered = power_relation(rel, config.k, lang.domain, budgets)
+            raise QcspError(f"unknown relation {args.relation!r}")
+        powered = power_relation(rel, args.k, lang.domain, budgets)
         doc = [f"relation {powered.name} {powered.arity}"]
         doc += [" ".join(map(str, t)) for t in powered.sorted_tuples()]
         doc.append("end")
-        if config.output_format == "json":
+        if args.format == "json":
             payload = {"relation": powered.name, "arity": powered.arity,
-                       "domain": lang.domain.size**config.k,
+                       "domain": lang.domain.size**args.k,
                        "rows": [list(t) for t in powered.sorted_tuples()]}
             print(emit_report(payload, "json"))
         else:
@@ -337,14 +279,14 @@ def _run_transform(config: RunConfig) -> int:
         return 0
 
     if name == "from-power-csp":
-        if config.instance is None:
+        if args.instance is None:
             raise QcspError("from-power-csp needs --instance")
-        inst = _load_instance(config.instance, build_power_language(lang, budgets))
+        inst = _load_instance(args.instance, build_power_language(lang, budgets))
         record("from-power-csp", _instance_size(inst), {})
-        print(_render_transform(power_csp_to_qcsp(inst), config, trace))
+        print(_render_transform(power_csp_to_qcsp(inst), args, trace))
         return 0
 
-    _, target = _load_input(config)
+    _, target = _load_input(args)
 
     if isinstance(target, CspInstance):
         raise QcspError(f"transform {name!r} needs --sentence")
@@ -355,7 +297,7 @@ def _run_transform(config: RunConfig) -> int:
     elif name == "omega":
         alt = normalize_alternating(target)
         record("normalize", _sentence_size(target), _sentence_size(alt.sentence))
-        result = omega(alt, config.indices)
+        result = omega(alt, indices)
         record("omega", _sentence_size(alt.sentence), _sentence_size(result))
     elif name == "eliminate-universals":
         result = eliminate_universals(target, budgets)
@@ -371,21 +313,19 @@ def _run_transform(config: RunConfig) -> int:
         record("normalize", _sentence_size(target), _sentence_size(alt.sentence))
         result = zeta(alt, budgets)
         record("zeta", _sentence_size(alt.sentence), _sentence_size(result))
-    elif name == "to-power-csp":
+    else:  # to-power-csp
         result = qcsp_to_power_csp(target, budgets)
         record("to-power-csp", _sentence_size(target), _instance_size(result))
-    else:
-        raise QcspError(f"unknown transform {name!r}")
 
-    print(_render_transform(result, config, trace))
+    print(_render_transform(result, args, trace))
     return 0
 
 
-def _render_transform(result, config: RunConfig, trace: list) -> str:
+def _render_transform(result, args: argparse.Namespace, trace: list) -> str:
     if isinstance(result, CanonicalFalse):
-        if config.output_format == "json":
+        if args.format == "json":
             payload = result.to_json()
-            if config.trace:
+            if args.trace:
                 payload["trace"] = trace
             return emit_report(payload, "json")
         return "canonical-false"
@@ -395,77 +335,66 @@ def _render_transform(result, config: RunConfig, trace: list) -> str:
     else:
         sentence = result
         derived = None
-    if config.output_format == "json":
+    if args.format == "json":
         payload: dict = {"sentence": sentence_to_dict(sentence)}
         if derived is not None:
             payload["language"] = language_to_dict(derived)
-        if config.trace:
+        if args.trace:
             payload["trace"] = trace
         return emit_report(payload, "json")
     text = serialize_sentence(sentence).rstrip("\n")
-    if config.trace:
+    if args.trace:
         text += "\n# trace: " + json.dumps(trace, sort_keys=True)
     return text
 
 
-def _run_witness(config: RunConfig) -> int:
-    lang = load_language(config.language)
-    witness = _compute_witness(lang, config)
-    print(emit_report(witness.to_json(), config.output_format))
+def _run_witness(args: argparse.Namespace, budgets: Budgets) -> int:
+    lang = load_language(args.language)
+    witness = _compute_witness(lang, args, budgets)
+    print(emit_report(witness.to_json(), args.format))
     return 0
 
 
-def _run_classify(config: RunConfig) -> int:
-    lang = load_language(config.language)
+def _run_classify(args: argparse.Namespace, budgets: Budgets) -> int:
+    lang = load_language(args.language)
     report = classify(
-        lang,
-        config.r,
-        wnu_arity=config.max_arity,
-        override=config.override_witness,
-        budgets=config.budgets,
+        lang, args.r, wnu_arity=args.max_arity, override=args.override_witness, budgets=budgets
     )
-    print(emit_report(report.to_json(), config.output_format))
+    print(emit_report(report.to_json(), args.format))
     return 0
 
 
-def _run_verify(config: RunConfig) -> int:
-    if len(config.methods) < 2:
+def _run_verify(args: argparse.Namespace, budgets: Budgets) -> int:
+    methods = args.methods.split(",")
+    if len(methods) < 2:
         raise QcspError("verify needs at least two --methods")
-    if len(set(config.methods)) != len(config.methods):
-        raise QcspError(f"verify needs distinct --methods, got {','.join(config.methods)}")
-    for method in config.methods:
+    if len(set(methods)) != len(methods):
+        raise QcspError(f"verify needs distinct --methods, got {args.methods}")
+    for method in methods:
         if method not in SOLVE_METHODS:
             raise QcspError(f"unknown method {method!r}")
-    lang, target = _load_input(config)
-    witness = _reduction_witness(lang, target, config.methods, config)
+    if args.instance is not None:
+        raise QcspError("verify needs --sentence: an --instance has only one solver")
+    lang, target = _load_input(args)
+    witness = _reduction_witness(lang, methods, args, budgets)
     results = {}
-    for method in config.methods:
-        truth, _ = _solve_with_method(target, method, witness, config, [])
-        results[method] = truth
+    for method in methods:
+        results[method], _ = _solve_with_method(target, method, witness, args, budgets, [])
     agreement = len(set(results.values())) == 1
-    print(emit_report({"methods": results, "agreement": agreement}, config.output_format))
+    print(emit_report({"methods": results, "agreement": agreement}, args.format))
     return 0 if agreement else 1
 
 
-def run(config: RunConfig) -> int:
-    if config.command == "solve":
-        return _run_solve(config)
-    if config.command == "transform":
-        return _run_transform(config)
-    if config.command == "witness":
-        return _run_witness(config)
-    if config.command == "classify":
-        return _run_classify(config)
-    if config.command == "verify":
-        return _run_verify(config)
-    raise QcspError(f"unknown command {config.command!r}")
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return run(config_from_args(args))
+        budgets = Budgets.from_env()
+        closure = getattr(args, "budget_closure", None)  # transform builds no closure
+        if closure is not None:
+            if closure <= 0:
+                raise QcspError("--budget-closure must be positive")
+            budgets = Budgets.from_env(max_closure_points=closure)
+        return args.run(args, budgets)
     except (QcspError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

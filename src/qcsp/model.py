@@ -117,9 +117,6 @@ class ConstraintLanguage:
     def of(cls, domain_size: int, *relations: Relation) -> "ConstraintLanguage":
         return cls(DomainSpec(domain_size), {r.name: r for r in relations})
 
-    def relation(self, name: str) -> Relation:
-        return self.relations[name]
-
     def sorted_relations(self) -> list[Relation]:
         return [self.relations[n] for n in sorted(self.relations)]
 

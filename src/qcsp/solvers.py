@@ -32,7 +32,6 @@ from .model import (
     ConstraintLanguage,
     QuantifiedSentence,
     check_wellformed,
-    validate_sentence,
 )
 from .transforms import (
     AlternatingSentence,
@@ -80,9 +79,7 @@ def oracle_qcsp(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS
     either quantifier, so the recursion branches only on occurring variables;
     the verdict is exact and the budget is counted over those levels.
     """
-    report = validate_sentence(sentence)
-    if not report.ok:
-        raise ValueError(f"invalid sentence: {report.issues[0].message}")
+    check_wellformed(sentence)
     size = sentence.language.domain.size
     occurring = sentence.matrix_variables()
     levels = [(q, v) for q, v in sentence.prefix if v in occurring]
@@ -369,9 +366,7 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
     """
     if not sentence.is_pi2():
         raise ValueError("input must be in forall*exists* form")
-    report = validate_sentence(sentence)
-    if not report.ok:
-        raise ValueError(f"invalid sentence: {report.issues[0].message}")
+    check_wellformed(sentence)
     size = sentence.language.domain.size
     universal_pos = {v: i for i, v in enumerate(sentence.universals())}
 

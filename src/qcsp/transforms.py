@@ -220,9 +220,7 @@ def check_elimination_budget(
     """Raise BudgetError when eliminating ``n_univ`` universals from a matrix
     of ``n_atoms`` atoms over a domain of ``size`` elements exceeds a budget."""
     copies = size**n_univ
-    budgets.check("universal elimination copies", copies, budgets.max_matrix_copies)
-    budgets.check("universal elimination atoms", (n_atoms + 1) * copies, budgets.max_matrix_atoms)
-    budgets.check_bytes("universal elimination", (n_atoms + 1) * copies)
+    budgets.check_expansion("universal elimination", (n_atoms + 1) * copies, copies=copies)
 
 
 def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) -> CspInstance:
@@ -258,11 +256,7 @@ def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
         prefix = new_prefix
         matrix = new_matrix + consts
 
-    glang = gamma_star(s.language)
-    variables = tuple(v for _, v in prefix)
-    if len(set(variables)) != len(variables):
-        raise ValueError("internal renaming collision during universal elimination")
-    return CspInstance(glang, variables, tuple(matrix))
+    return CspInstance(gamma_star(s.language), tuple(v for _, v in prefix), tuple(matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -305,17 +299,11 @@ def move_universals_left(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
         renamed_set = set(renamed)
 
         touched = [a for a in matrix if renamed_set & a.variables()]
-        budgets.check(
-            "universal hoisting atoms",
+        budgets.check_expansion(
+            "universal hoisting",
             len(matrix) + (size - 1) * len(touched),
-            budgets.max_matrix_atoms,
+            prefix=len(prefix) + (size - 1) * (1 + len(tail_exists)),
         )
-        budgets.check(
-            "universal hoisting prefix",
-            len(prefix) + (size - 1) * (1 + len(tail_exists)),
-            budgets.max_prefix_vars,
-        )
-        budgets.check_bytes("universal hoisting", len(matrix) + (size - 1) * len(touched))
 
         maps = [{v: f"{v}${c}" for v in renamed} for c in range(1, size + 1)]
         new_tail: list[tuple[str, str]] = []
@@ -361,16 +349,12 @@ def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUD
     n_univ = s.universal_count()
     if n_univ:
         copies = size**n_univ
-        budgets.check("universal-count reduction copies", copies, budgets.max_matrix_copies)
-        budgets.check(
-            "universal-count reduction atoms", copies * max(1, len(s.matrix)), budgets.max_matrix_atoms
+        budgets.check_expansion(
+            "universal-count reduction",
+            copies * max(1, len(s.matrix)),
+            copies=copies,
+            prefix=size + copies * len(s.existentials()),
         )
-        budgets.check(
-            "universal-count reduction prefix",
-            size + copies * len(s.existentials()),
-            budgets.max_prefix_vars,
-        )
-        budgets.check_bytes("universal-count reduction", copies * max(1, len(s.matrix)))
 
     kept = _occurring_prefix(s)
     uvars = [v for q, v in kept if q == FORALL]
@@ -406,12 +390,11 @@ def zeta(alt: AlternatingSentence, budgets: Budgets = DEFAULT_BUDGETS) -> Quanti
     n = alt.n
     size = alt.sentence.language.domain.size
     copies = size**n
-    budgets.check("full expansion copies", copies, budgets.max_matrix_copies)
-    budgets.check("full expansion atoms", copies * max(1, len(alt.sentence.matrix)), budgets.max_matrix_atoms)
     x_total = sum(size**i for i in range(1, n + 1))
     y_total = sum(size ** (i - 1) for i in range(1, n + 1))
-    budgets.check("full expansion prefix", x_total + y_total, budgets.max_prefix_vars)
-    budgets.check_bytes("full expansion", copies * max(1, len(alt.sentence.matrix)))
+    budgets.check_expansion(
+        "full expansion", copies * max(1, len(alt.sentence.matrix)), copies=copies, prefix=x_total + y_total
+    )
 
     xs = alt.x_vars()
     ys = alt.y_vars()

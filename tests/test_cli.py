@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -421,3 +425,182 @@ def test_env_budget_cap(tmp_path, capsys, monkeypatch):
                     "--transform", "eliminate-universals"])
     assert code == 2
     assert "bytes" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# exact output of paths no other test drives
+
+THREE_ALTERNATIONS = (
+    "forall a\nexists y\nforall b\nexists w\nforall c\nexists z\n"
+    "constraint XOR0 a b y\nconstraint NOT w c\nconstraint NOT y z\n"
+)
+
+
+def test_transform_move_left_exact(files, capsys):
+    lang, _, false_s = files
+    code = run_cli(["transform", "--language", lang, "--sentence", false_s,
+                    "--transform", "move-left"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "forall x$1\nforall x$2\nexists y\nconstraint NOT x$1 y\nconstraint NOT x$2 y\n"
+    )
+
+
+def test_transform_reduce_count_exact(files, capsys):
+    lang, true_s, _ = files
+    code = run_cli(["transform", "--language", lang, "--sentence", true_s,
+                    "--transform", "reduce-count"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "forall z$u1\nforall z$u2\nexists y$1\nexists y$2\n"
+        "constraint NOT z$u1 y$1\nconstraint NOT z$u2 y$2\n"
+    )
+
+
+def test_transform_omega_two_indices_exact(files, tmp_path, capsys):
+    lang, _, _ = files
+    s = tmp_path / "three.txt"
+    s.write_text(THREE_ALTERNATIONS)
+    code = run_cli(["transform", "--language", lang, "--sentence", s,
+                    "--transform", "omega", "--indices", "1,3"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "forall z$0\nforall z$1\nforall z$2\nexists y$d1\nforall a\nexists y\n"
+        "exists w\nforall c\nexists z\n"
+        "constraint XOR0 a z$1 y\nconstraint NOT w c\nconstraint NOT y z\n"
+    )
+
+
+def test_transform_power_relation_exact(files, capsys):
+    lang, _, _ = files
+    args = ["transform", "--language", lang, "--transform", "power-relation",
+            "--relation", "NOT", "--k", "2"]
+    assert run_cli(args) == 0
+    assert capsys.readouterr().out == "relation NOT 2\n0 3\n1 2\n2 1\n3 0\nend\n"
+    assert run_cli([*args, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == {
+        "arity": 2, "domain": 4, "relation": "NOT", "rows": [[0, 3], [1, 2], [2, 1], [3, 0]]
+    }
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "relation, message",
+    [([], "error: power-relation needs --relation\n"),
+     (["--relation", "NOPE"], "error: unknown relation 'NOPE'\n")],
+)
+def test_transform_power_relation_errors(files, capsys, relation, message):
+    lang, _, _ = files
+    code = run_cli(["transform", "--language", lang, "--transform", "power-relation",
+                    "--k", "2", *relation])
+    assert code == 2
+    assert capsys.readouterr() == ("", message)
+
+
+def test_witness_budget_closure(files, capsys):
+    lang, _, _ = files
+    assert run_cli(["witness", "--language", lang, "--r", "2", "--budget-closure", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "r: 2\narities_used:\n  - 1\n  - 2\n  - 3\npowers:\nverdict: inconclusive\n"
+    )
+    assert run_cli(["witness", "--language", lang, "--r", "2", "--budget-closure", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: --budget-closure must be positive\n")
+
+
+def test_budget_closure_is_checked_before_any_file_is_read(tmp_path, capsys):
+    code = run_cli(["solve", "--language", tmp_path / "nope.txt",
+                    "--sentence", tmp_path / "nope.txt", "--budget-closure", "0"])
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: --budget-closure must be positive\n")
+
+
+@pytest.mark.parametrize("which, truth, code", [(1, True, 0), (2, False, 0)])
+def test_verify_all_four_methods_exact(files, capsys, which, truth, code):
+    lang, sentence = files[0], files[which]
+    assert run_cli(["verify", "--language", lang, "--sentence", sentence,
+                    "--methods", "oracle,pgp-csp,pi2,power-csp", "--r", "2"]) == code
+    assert capsys.readouterr().out == (
+        f"methods:\n  oracle: {truth}\n  pgp-csp: {truth}\n  pi2: {truth}\n"
+        f"  power-csp: {truth}\nagreement: True\n"
+    )
+
+
+# ---------------------------------------------------------------------------
+# flag combinations the CLI rejects instead of ignoring
+
+
+def test_verify_rejects_an_instance(files, tmp_path, capsys):
+    # an instance has one solver, so two "methods" would both run it
+    lang, _, _ = files
+    inst = tmp_path / "inst.txt"
+    inst.write_text("exists a\nexists b\nconstraint NOT a b\n")
+    code = run_cli(["verify", "--language", lang, "--instance", inst,
+                    "--methods", "oracle,pi2", "--r", "2"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "error: verify needs --sentence: an --instance has only one solver\n"
+    )
+
+
+@pytest.mark.parametrize("method", ["pgp-csp", "pi2", "power-csp"])
+def test_solve_instance_rejects_a_reduction_method(files, tmp_path, capsys, method):
+    lang, _, _ = files
+    inst = tmp_path / "inst.txt"
+    inst.write_text("exists a\nexists b\nconstraint NOT a b\n")
+    code = run_cli(["solve", "--language", lang, "--instance", inst,
+                    "--method", method, "--r", "2"])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: --method {method} needs --sentence: an --instance is solved as a CSP\n"
+    )
+    # the default method, and oracle named explicitly, still solve it
+    assert run_cli(["solve", "--language", lang, "--instance", inst]) == 0
+    assert run_cli(["solve", "--language", lang, "--instance", inst, "--method", "oracle"]) == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--sentence", "TRUE", "--methods", "oracle,pi2", "--trace"],
+        ["witness", "--r", "2", "--trace"],
+        ["classify", "--r", "2", "--trace"],
+        ["transform", "--sentence", "TRUE", "--transform", "zeta", "--budget-closure", "3"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_two(files, capsys, args):
+    lang, true_s, _ = files
+    args = [true_s if a == "TRUE" else a for a in args]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([args[0], "--language", lang, *args[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the module entry point, in a fresh interpreter
+
+
+def test_module_entry_point_exit_codes(files, tmp_path):
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    lang, true_s, false_s = files
+
+    def run(sentence):
+        return subprocess.run(
+            [sys.executable, "-m", "qcsp.cli", "solve", "--language", str(lang),
+             "--sentence", str(sentence)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    done = run(true_s)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "truth: True" in done.stdout
+    done = run(false_s)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert "truth: False" in done.stdout
+    done = run(tmp_path / "missing.txt")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and "missing.txt" in done.stderr
+    assert "Traceback" not in done.stderr
