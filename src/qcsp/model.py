@@ -175,9 +175,6 @@ class Atom:
     def rename(self, mapping: Mapping[str, str]) -> "Atom":
         return Atom(self.relation, tuple(mapping.get(a, a) for a in self.args))
 
-    def variables(self) -> set[str]:
-        return set(self.args)
-
 
 @dataclass(frozen=True)
 class QuantifiedSentence:

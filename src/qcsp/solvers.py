@@ -145,9 +145,14 @@ def _find(parent, x):
 class _CompiledCsp:
     """A conjunction of atoms compiled once and searched from any start domains.
 
-    Domains are int bitsets over the domain elements.  Each atom keeps its
-    relation's support table (:attr:`Relation.supports`), the mask of all the
-    relation's tuples, its variable indices and the relation's tuple set.
+    Domains are int bitsets over the domain elements.  Identical atoms (same
+    relation, same variables in the same order) are compiled once.  A unary
+    atom is never propagated: it becomes a mask on its variable's start
+    domain, applied once per search, which is its whole arc-consistent
+    effect.  Every other atom keeps its relation's support table
+    (:attr:`Relation.supports`), the mask of all the relation's tuples, its
+    variable indices, and whether its own revision must queue it again: only
+    when a variable repeats in it (see :meth:`solve`).
     """
 
     def __init__(self, language: ConstraintLanguage, variables, atoms) -> None:
@@ -159,17 +164,31 @@ class _CompiledCsp:
         for r, i in enumerate(sorted(range(n), key=self.variables.__getitem__)):
             self.rank[i] = r
         relations = language.relations
-        self.atoms: list[tuple[tuple, int, tuple[int, ...], frozenset]] = []
+        self.masks: list[tuple[int, int]] = []
+        self.atoms: list[tuple[tuple, int, tuple[int, ...], bool]] = []
         self.scopes: list[set[int]] = []
         self.watch: list[list[int]] = [[] for _ in range(n)]
-        for aid, atom in enumerate(atoms):
-            rel = relations[atom.relation]
+        # (relation, variable indices) -> tuples of each distinct atom, unary
+        # ones included, for the final witness check
+        self.checks: dict[tuple[str, tuple[int, ...]], frozenset] = {}
+        for atom in atoms:
             idxs = tuple(map(index.__getitem__, atom.args))
+            key = (atom.relation, idxs)
+            if key in self.checks:
+                continue
+            rel = relations[atom.relation]
+            self.checks[key] = rel.tuples
+            if len(idxs) == 1:
+                mask = 0
+                for bit, _ in rel.supports[0]:
+                    mask |= bit
+                self.masks.append((idxs[0], mask))
+                continue
             scope = set(idxs)
             for i in scope:
-                self.watch[i].append(aid)
+                self.watch[i].append(len(self.atoms))
             self.scopes.append(scope)
-            self.atoms.append((rel.supports, (1 << len(rel.tuples)) - 1, idxs, rel.tuples))
+            self.atoms.append((rel.supports, (1 << len(rel.tuples)) - 1, idxs, len(scope) < len(idxs)))
 
     def components(self, domains: list[int]) -> list[list[int]]:
         """Connected components of the variables with more than one value
@@ -195,12 +214,12 @@ class _CompiledCsp:
     def solve(self, domains: list[int]) -> tuple[bool, int]:
         """Search from ``domains`` (mutated in place); returns (truth, nodes).
 
-        On success every domain is a singleton.  After the initial
-        propagation the constraint graph is split on the variables still
-        carrying more than one value, and each connected component is searched
-        independently, variables in name order and values ascending, which
-        keeps chronological backtracking from thrashing across unrelated
-        blocks.
+        The unary masks narrow the start domains first.  On success every
+        domain is a singleton.  After the initial propagation the constraint
+        graph is split on the variables still carrying more than one value,
+        and each connected component is searched independently, variables in
+        name order and values ascending, which keeps chronological
+        backtracking from thrashing across unrelated blocks.
         """
         atoms = self.atoms
         watch = self.watch
@@ -208,10 +227,20 @@ class _CompiledCsp:
         in_queue = [False] * len(atoms)
         nodes = 0
 
+        for i, mask in self.masks:
+            domains[i] &= mask
+            if not domains[i]:
+                return False, 0
+
         def propagate(seed_atoms) -> bool:
             # FIFO revision to the arc-consistent fixpoint: an atom's valid
             # tuples are those whose every entry is still in its variable's
             # domain; each domain keeps the values some valid tuple supports.
+            # Over distinct variables every valid tuple survives the
+            # narrowing, so one revision is the atom's own fixpoint and it
+            # stays flagged as queued while it runs.  A repeated variable is
+            # narrowed once per position, which can drop a tuple valid at
+            # another position, so such an atom may queue itself again.
             queue = list(seed_atoms)
             for aid in queue:
                 in_queue[aid] = True
@@ -219,8 +248,8 @@ class _CompiledCsp:
             while head < len(queue):
                 aid = queue[head]
                 head += 1
-                in_queue[aid] = False
-                supports, valid, idxs, _ = atoms[aid]
+                supports, valid, idxs, repeats = atoms[aid]
+                in_queue[aid] = not repeats
                 for p, w in enumerate(idxs):
                     dom = domains[w]
                     acc = 0
@@ -249,6 +278,8 @@ class _CompiledCsp:
                             if not in_queue[a2]:
                                 in_queue[a2] = True
                                 queue.append(a2)
+                if not repeats:
+                    in_queue[aid] = False
                 if not valid:
                     for a2 in queue[head:]:
                         in_queue[a2] = False
@@ -308,8 +339,9 @@ class _CompiledCsp:
         for component in self.components(domains):
             if not search(component):
                 return False, nodes
-        for _, _, idxs, tuples in atoms:
-            if tuple(_lowest(domains[i]) for i in idxs) not in tuples:
+        values = [_lowest(d) for d in domains]
+        for (_, idxs), tuples in self.checks.items():
+            if tuple(map(values.__getitem__, idxs)) not in tuples:
                 raise QcspError("CSP search ended on an assignment that violates an atom")
         return True, nodes
 
@@ -317,15 +349,21 @@ class _CompiledCsp:
 def solve_csp(inst: CspInstance, budgets: Budgets = DEFAULT_BUDGETS) -> SolveVerdict:
     """Sound and complete backtracking with generalized arc consistency.
 
-    Domains are int bitsets and the trail stores (variable, old domain).  An
-    atom is revised against its relation's support table: the still-valid
-    tuples are the AND over positions of the OR of the supports of the values
-    left in that position's domain, and each domain keeps the values whose
-    support meets them (compact-table filtering, recomputed per revision).
-    Search is lexicographic in variable name and value inside each connected
-    component of the branching variables (see :meth:`_CompiledCsp.solve`);
-    the witness takes each variable's lowest remaining value, and is checked
-    against every atom before it is returned.
+    Domains are int bitsets and the trail stores (variable, old domain).
+    Identical atoms count once, and unary atoms (the const_a atoms of
+    universal elimination, the column atoms of a power CSP) only mask the
+    start domains.  Any other atom is revised against its relation's support
+    table: the still-valid tuples are the AND over positions of the OR of the
+    supports of the values left in that position's domain, and each domain
+    keeps the values whose support meets them (compact-table filtering,
+    recomputed per revision).  An atom is queued again when a domain in its
+    scope shrinks, but not by its own revision unless a variable repeats in
+    it.  The arc-consistent fixpoint is unique, so none of this changes what
+    the search sees.  Search is lexicographic in variable name and value
+    inside each connected component of the branching variables (see
+    :meth:`_CompiledCsp.solve`); the witness takes each variable's lowest
+    remaining value, and is checked against every atom before it is
+    returned.
     """
     if not inst.atoms:
         return SolveVerdict(True, "csp", {}, {"nodes": 0})

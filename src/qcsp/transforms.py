@@ -5,7 +5,7 @@ The pipeline pieces here rewrite prefixes while preserving truth value:
 * :func:`normalize_alternating` pads a prefix into strict exists/forall
   alternation with unconstrained dummy variables.
 * :func:`omega` collapses runs of universal variables between chosen
-  positions into shared leading universals.
+  positions into shared leading universals z$o0, z$o1, ...
 * :func:`eliminate_universals` expands universals into constant-tagged
   copies, yielding a plain CSP over the language with constants.
 * :func:`move_universals_left` hoists universals over the existential block
@@ -22,7 +22,9 @@ The three copy-making transforms (:func:`eliminate_universals`,
 prefix variable that occurs in no atom: domains are nonempty, so Qx phi is phi
 when x is not in phi.  A vacuous universal is never expanded and a vacuous
 existential never copied, so their output is smaller than the input's prefix
-suggests; their budget checks still count the input as given.
+suggests; their budget checks still count the input as given.  Elimination
+and hoisting copy only the atoms that mention a variable they rename: any
+other atom would come out the same in every copy, so it is kept once.
 
 Every transform returns freshly named variables marked with "$" so the output
 never collides with user input, and every output is checked well-formed.
@@ -169,8 +171,10 @@ def omega(alt: AlternatingSentence, indices: tuple[int, ...]) -> QuantifiedSente
 
     With 1 <= n_1 < ... < n_k <= n, the universal at each chosen position is
     kept; every other universal between two chosen positions is replaced by a
-    shared fresh variable z$j, universally quantified at the front together
-    with z$0..z$k.  The output has exactly 2k+1 universals.
+    shared fresh variable z$oj, universally quantified at the front together
+    with z$o0..z$ok.  The output has exactly 2k+1 universals.  The "o" keeps
+    these names apart from the <name>$<digit> copies that
+    :func:`eliminate_universals` makes of a user variable named z.
     """
     n = alt.n
     indices = tuple(indices)
@@ -187,8 +191,8 @@ def omega(alt: AlternatingSentence, indices: tuple[int, ...]) -> QuantifiedSente
         if i in kept:
             continue
         j = sum(1 for nj in indices if nj < i)
-        rename[xs[i - 1]] = f"z${j}"
-    prefix: list[tuple[str, str]] = [(FORALL, f"z${j}") for j in range(k + 1)]
+        rename[xs[i - 1]] = f"z$o{j}"
+    prefix: list[tuple[str, str]] = [(FORALL, f"z$o{j}") for j in range(k + 1)]
     for q, v in alt.sentence.prefix:
         if q == FORALL and v in rename:
             continue
@@ -211,6 +215,28 @@ def _occurring_prefix(s: QuantifiedSentence) -> list[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
+# copying the atoms a renaming touches
+
+
+def _copy_touched(matrix, renamed, size: int, check=None) -> list[Atom]:
+    """One copy per domain element of each atom that mentions a variable in
+    ``renamed``, the variable v becoming v$c in copy c; every other atom is
+    kept once.  The result lists the whole matrix with the first copy in
+    place, then copies 2..size of the touched atoms.  ``check``, if given,
+    is called with the number of touched atoms before any copy is made.
+    """
+    names = set(renamed)
+    touched = [a for a in matrix if not names.isdisjoint(a.args)]
+    if check is not None:
+        check(len(touched))
+    maps = [{v: f"{v}${c}" for v in renamed} for c in range(1, size + 1)]
+    out = [a.rename(maps[0]) for a in matrix]
+    for cmap in maps[1:]:
+        out.extend(a.rename(cmap) for a in touched)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # universal elimination (to a CSP with constants)
 
 
@@ -230,8 +256,11 @@ def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
     occurring universals are expanded and only occurring existentials copied.
     The innermost universal is expanded first; each expansion renames the
     variable and the existential tail with a $c copy suffix and adds a
-    const_a(x$c) atom.  The result is a CSP over the language with constants.
-    The budgets are checked against the input's full universal count.
+    const_a(x$c) atom.  Only the atoms that mention the variable or its tail
+    are copied (see :func:`_copy_touched`); an atom over earlier variables
+    alone is kept once, since its copies would all be the same atom.  The
+    result is a CSP over the language with constants.  The budgets are
+    checked against the input's full universal count.
     """
     size = s.language.domain.size
     check_elimination_budget(size, s.universal_count(), len(s.matrix), budgets)
@@ -244,17 +273,12 @@ def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
             break
         x = prefix[pos][1]
         tail = [v for _, v in prefix[pos + 1 :]]
-        renamed = [x, *tail]
         new_prefix = prefix[:pos] + [(EXISTS, f"{x}${c}") for c in range(1, size + 1)]
         for c in range(1, size + 1):
             new_prefix.extend((EXISTS, f"{v}${c}") for v in tail)
-        new_matrix: list[Atom] = []
-        for c in range(1, size + 1):
-            cmap = {v: f"{v}${c}" for v in renamed}
-            new_matrix.extend(a.rename(cmap) for a in matrix)
         consts = [Atom(const_name(c - 1), (f"{x}${c}",)) for c in range(1, size + 1)]
         prefix = new_prefix
-        matrix = new_matrix + consts
+        matrix = _copy_touched(matrix, [x, *tail], size) + consts
 
     return CspInstance(gamma_star(s.language), tuple(v for _, v in prefix), tuple(matrix))
 
@@ -295,26 +319,21 @@ def move_universals_left(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
         e_part = prefix[j : boundary + 1]
         tail = prefix[boundary + 2 :]
         tail_exists = [v for q, v in tail if q == EXISTS]
-        renamed = [u, *tail_exists]
-        renamed_set = set(renamed)
 
-        touched = [a for a in matrix if renamed_set & a.variables()]
-        budgets.check_expansion(
-            "universal hoisting",
-            len(matrix) + (size - 1) * len(touched),
-            prefix=len(prefix) + (size - 1) * (1 + len(tail_exists)),
-        )
+        def check(touched: int) -> None:
+            budgets.check_expansion(
+                "universal hoisting",
+                len(matrix) + (size - 1) * touched,
+                prefix=len(prefix) + (size - 1) * (1 + len(tail_exists)),
+            )
 
-        maps = [{v: f"{v}${c}" for v in renamed} for c in range(1, size + 1)]
+        new_matrix = _copy_touched(matrix, [u, *tail_exists], size, check)
         new_tail: list[tuple[str, str]] = []
         for q, v in tail:
             if q == FORALL:
                 new_tail.append((q, v))
             else:
                 new_tail.extend((EXISTS, f"{v}${c}") for c in range(1, size + 1))
-        new_matrix = [a.rename(maps[0]) for a in matrix]
-        for c in range(1, size):
-            new_matrix.extend(a.rename(maps[c]) for a in touched)
         prefix = (
             w_part
             + [(FORALL, f"{u}${c}") for c in range(1, size + 1)]

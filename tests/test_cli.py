@@ -465,9 +465,9 @@ def test_transform_omega_two_indices_exact(files, tmp_path, capsys):
                     "--transform", "omega", "--indices", "1,3"])
     assert code == 0
     assert capsys.readouterr().out == (
-        "forall z$0\nforall z$1\nforall z$2\nexists y$d1\nforall a\nexists y\n"
+        "forall z$o0\nforall z$o1\nforall z$o2\nexists y$d1\nforall a\nexists y\n"
         "exists w\nforall c\nexists z\n"
-        "constraint XOR0 a z$1 y\nconstraint NOT w c\nconstraint NOT y z\n"
+        "constraint XOR0 a z$o1 y\nconstraint NOT w c\nconstraint NOT y z\n"
     )
 
 
@@ -523,6 +523,21 @@ def test_verify_all_four_methods_exact(files, capsys, which, truth, code):
     assert capsys.readouterr().out == (
         f"methods:\n  oracle: {truth}\n  pgp-csp: {truth}\n  pi2: {truth}\n"
         f"  power-csp: {truth}\nagreement: True\n"
+    )
+
+
+def test_verify_a_user_variable_named_z(files, tmp_path, capsys):
+    # omega's collapsed universals must not take the names z$1, z$2, ...
+    # that elimination gives the copies of the user's z
+    lang = files[0]
+    s = tmp_path / "z.txt"
+    s.write_text("forall a\nexists y\nforall b\nexists z\nconstraint XOR0 a b y\nconstraint NOT y z\n")
+    assert run_cli(["verify", "--language", lang, "--sentence", s,
+                    "--methods", "oracle,pgp-csp,pi2,power-csp", "--r", "2"]) == 0
+    assert capsys.readouterr() == (
+        "methods:\n  oracle: False\n  pgp-csp: False\n  pi2: False\n"
+        "  power-csp: False\nagreement: True\n",
+        "",
     )
 
 

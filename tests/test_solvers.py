@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import combinations, product
@@ -31,6 +32,7 @@ from qcsp import (
 )
 from qcsp import solvers
 from qcsp.algebra import lift_operation, table_from_function
+from qcsp.model import const_name, gamma_star
 from qcsp.solvers import BundleMember, pi2_truth
 from qcsp.transforms import eliminate_universals, normalize_alternating, omega
 from helpers import (
@@ -193,6 +195,78 @@ def test_solve_witness_check_is_not_an_assert():
     inst = CspInstance(ConstraintLanguage.of(2, rel), ("x",), (Atom("E", ("x",)),))
     with pytest.raises(QcspError, match="violates an atom"):
         solve_csp(inst)
+
+
+def test_solve_requeues_an_atom_whose_variable_repeats():
+    # one revision of LT(v, v) narrows v at position 0 to {0, 1}, then at
+    # position 1 to {1}, leaving no valid tuple; so does R(v, a, v) with v
+    # left at {1}.  Only a second revision of the same atom sees the wipeout.
+    lt = CspInstance(lang_dom3(), ("v",), (Atom("LT", ("v", "v")),))
+    rel = Relation("R", 3, frozenset({(0, 0, 1), (1, 0, 2)}))
+    r = CspInstance(ConstraintLanguage.of(3, rel), ("a", "v"), (Atom("R", ("v", "a", "v")),))
+    for inst in (lt, r):
+        verdict = solve_csp(inst)
+        assert verdict.truth is sat_by_enumeration(inst) is False
+        assert verdict.stats["nodes"] == 0
+
+
+_COMPILED_EXTRA = (
+    Relation("E", 1, frozenset()),
+    Relation("T", 0, frozenset({()})),
+    Relation("F", 0, frozenset()),
+)
+
+
+def _compiled_cases(seed, count):
+    """Seeded (language with constants, variables, atoms, pins) cases: random
+    relations of arity 1 to 3 plus an empty unary relation and nullary true
+    and false ones, atoms drawn from few names so variables repeat, some atoms
+    repeated, and some variables pinned to one value as pi2_truth pins them."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        size = rnd.choice((2, 3))
+        base = random_language(rnd, size, (1, 2, 3), max_tuples=2 * size + 1, max_relations=3)
+        lang = gamma_star(ConstraintLanguage.of(size, *base.relations.values(), *_COMPILED_EXTRA))
+        rels = sorted(lang.relations)
+        names = [f"v{i}" for i in range(rnd.randint(1, 5))]
+        atoms = []
+        for _ in range(rnd.randint(1, 7)):
+            rel = rnd.choice(rels)
+            if rel in ("E", "F") and rnd.random() < 0.8:
+                rel = "T"
+            atoms.append(Atom(rel, tuple(rnd.choice(names) for _ in range(lang.relations[rel].arity))))
+        atoms += rnd.sample(atoms, rnd.randint(0, min(2, len(atoms))))
+        rnd.shuffle(atoms)
+        pins = {v: rnd.randrange(size) for v in names if rnd.random() < 0.25}
+        yield lang, names, atoms, pins
+
+
+# sha256 of the (truth, nodes, witness) list below, recorded with a solver
+# that propagated every atom, unary and duplicate ones included, and queued
+# each atom again after its own revision.  Start-domain masks, merged
+# duplicates and the self re-queue rule only skip revisions that cannot
+# prune, so the search must stay exactly the same.
+_COMPILED_DIGEST = "8820fb1c560fa8d7002a6636f3b51cbabfa9c53961ab26447e85d83a81909c0c"
+
+
+def test_compiled_csp_differential():
+    results = []
+    for lang, names, atoms, pins in _compiled_cases(2024, 600):
+        model = solvers._CompiledCsp(lang, names, atoms)
+        domains = [1 << pins[v] if v in pins else model.full for v in names]
+        truth, nodes = model.solve(domains)
+        pinned = [Atom(const_name(val), (v,)) for v, val in pins.items()]
+        assert truth == sat_by_enumeration(CspInstance(lang, tuple(names), tuple(atoms + pinned)))
+        witness = None
+        if truth:
+            assert all(d & (d - 1) == 0 for d in domains)
+            witness = tuple(solvers._lowest(d) for d in domains)
+            value = dict(zip(names, witness))
+            for atom in atoms + pinned:
+                assert tuple(map(value.get, atom.args)) in lang.relations[atom.relation].tuples
+        results.append((truth, nodes, witness))
+    assert sum(truth for truth, _, _ in results) == 257
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == _COMPILED_DIGEST
 
 
 @st.composite
@@ -856,7 +930,7 @@ def test_classify_ternary_boolean_slice_matches_schaefer():
 def test_bundle_copies_only_the_occurring_universal(dom3_lang):
     # one occurring universal in front of six existentials: normalization puts
     # a dummy universal between every two of them and omega folds the dummies
-    # into the shared z$j, but elimination copies the matrix only for g
+    # into the shared z$oj, but elimination copies the matrix only for g
     prefix = [("forall", "g")] + [("exists", v) for v in "abcdef"]
     matrix = [Atom("CYC", ("g", "a", "b")), Atom("LT", ("c", "d"))]
     s = QuantifiedSentence(tuple(prefix), tuple(matrix), dom3_lang)
@@ -867,3 +941,16 @@ def test_bundle_copies_only_the_occurring_universal(dom3_lang):
         copies = [a for a in member.instance.atoms if a.relation in dom3_lang.relations]
         assert len(copies) <= 3 * len(matrix), member.indices
     assert bundle.combined is oracle_qcsp(s).truth is True
+
+
+@pytest.mark.parametrize(
+    "matrix, truth",
+    [((("XOR0", "a", "b", "y"), ("NOT", "y", "z")), False), ((("NOT", "a", "y"), ("NOT", "b", "z")), True)],
+)
+def test_bundle_decides_a_user_variable_named_z(mixed_lang, matrix, truth):
+    # elimination copies the user's z to z$1, z$2, ...; omega's collapsed
+    # universals must not be named inside that scheme
+    prefix = [("forall", "a"), ("exists", "y"), ("forall", "b"), ("exists", "z")]
+    s = sent(mixed_lang, prefix, [Atom(rel, args) for rel, *args in matrix])
+    bundle = reduce_pgp_to_csp(s, 2, witness=switchability_witness(mixed_lang, 2))
+    assert bundle.combined is truth is oracle_qcsp(s).truth

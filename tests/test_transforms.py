@@ -105,22 +105,22 @@ def test_omega_three_case_map(mixed_lang):
     )
     out = omega(alt, (2,))
     assert out.prefix == (
-        ("forall", "z$0"),
-        ("forall", "z$1"),
+        ("forall", "z$o0"),
+        ("forall", "z$o1"),
         ("exists", "y1"),
         ("exists", "y2"),
         ("forall", "x2"),
         ("exists", "y3"),
     )
-    assert out.matrix == (Atom("XOR0", ("z$0", "x2", "z$1")), Atom("NOT", ("y1", "y3")))
+    assert out.matrix == (Atom("XOR0", ("z$o0", "x2", "z$o1")), Atom("NOT", ("y1", "y3")))
 
 
 def test_omega_empty_indices_collapses_everything(mixed_lang):
     alt = build_alternating(mixed_lang, 3, [Atom("NOT", ("x1", "x3"))])
     out = omega(alt, ())
-    assert out.prefix[0] == ("forall", "z$0")
+    assert out.prefix[0] == ("forall", "z$o0")
     assert out.universal_count() == 1
-    assert out.matrix == (Atom("NOT", ("z$0", "z$0")),)
+    assert out.matrix == (Atom("NOT", ("z$o0", "z$o0")),)
 
 
 def test_omega_universal_count_is_2k_plus_1(mixed_lang):
@@ -677,7 +677,7 @@ def padded_sentences(rnd, lang, count):
 
 def padded_pi2(rnd, lang, count):
     """Forall*exists* sentences with vacuous padding in both blocks, and the
-    collapses of random sentences that fold every universal into z$0."""
+    collapses of random sentences that fold every universal into z$o0."""
     for _ in range(count):
         s = random_pi2(rnd, lang, max_univ=3, max_exist=3)
         us = s.universals() + [f"pu{i}" for i in range(rnd.randint(0, 2))]
@@ -733,6 +733,26 @@ def test_eliminate_expands_only_occurring_universals(mixed_lang):
         Atom("const_0", ("x$1",)),
         Atom("const_1", ("x$2",)),
     )
+
+
+def test_eliminate_keeps_an_atom_before_the_universal_once(mixed_lang):
+    # NOT(y, w) mentions neither x nor the tail after it: its copies would be
+    # one atom repeated, so it is kept once, under its own names
+    s = sent(
+        mixed_lang,
+        [("exists", "y"), ("exists", "w"), ("forall", "x"), ("exists", "v")],
+        [Atom("NOT", ("y", "w")), Atom("XOR0", ("w", "x", "v"))],
+    )
+    inst = eliminate_universals(s)
+    assert inst.variables == ("y", "w", "x$1", "x$2", "v$1", "v$2")
+    assert inst.atoms == (
+        Atom("NOT", ("y", "w")),
+        Atom("XOR0", ("w", "x$1", "v$1")),
+        Atom("XOR0", ("w", "x$2", "v$2")),
+        Atom("const_0", ("x$1",)),
+        Atom("const_1", ("x$2",)),
+    )
+    assert solve_csp(inst).truth is oracle_qcsp(s).truth is True
 
 
 def test_move_left_drops_vacuous_universals(mixed_lang):
