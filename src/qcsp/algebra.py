@@ -71,9 +71,10 @@ def lift_operation(f: OperationTable, k: int, budgets: Budgets = DEFAULT_BUDGETS
     if k < 1:
         raise ValueError("power must be >= 1")
     size = f.domain.size
-    power_size = size**k
-    budgets.check("power domain for lifted operation", power_size, budgets.max_power_domain)
-    budgets.check("lifted operation table", power_size**f.arity, budgets.max_op_tables)
+    power_size = budgets.check_power(
+        "power domain for lifted operation", budgets.max_power_domain, size, k
+    )
+    budgets.check_power("lifted operation table", budgets.max_op_tables, power_size, f.arity)
     pows = size ** np.arange(k - 1, -1, -1)
     digits = np.arange(power_size)[:, None] // pows % size  # row c: digits of c
     table = np.asarray(f.table)
@@ -134,7 +135,9 @@ def _row_index(rel: Relation, m: int, size: int, budgets: Budgets) -> tuple[np.n
     Tables hold at most ``cap`` entries: O((|rel| * arity + _BLOCK_CELLS) *
     log|A|) in all.
     """
-    budgets.check("preservation check cells", len(rel) ** m * rel.arity, budgets.max_preserve_cells)
+    budgets.check_power(
+        "preservation check cells", budgets.max_preserve_cells, len(rel), m, scale=rel.arity
+    )
     rows = np.array(rel.sorted_tuples(), dtype=np.intp)
     cap = max(2 * len(rel) + 2, _BLOCK_CELLS // rel.arity)
     base = size if (len(rel) + 1) * size <= cap else 1 << (cap // (len(rel) + 1)).bit_length() - 1
@@ -206,8 +209,7 @@ def _sieve(
     """
     size = lang.domain.size
     n_slots = max(slot_of.values()) + 1 if slot_of else 0
-    budgets.check(what, size**n_slots, budgets.max_op_tables)
-    k = np.arange(size**n_slots, dtype=np.intp)
+    k = np.arange(budgets.check_power(what, budgets.max_op_tables, size, n_slots), dtype=np.intp)
     cand = np.empty((size**m, len(k)), dtype=np.min_scalar_type(size - 1))
     for e in range(size**m):
         cand[e] = fixed[e] if e in fixed else k // size ** (n_slots - 1 - slot_of[e]) % size
@@ -257,8 +259,7 @@ def generate_closure(
     for f in ops:
         if f.domain != dom:
             raise ValueError("operations drawn from different domains")
-    total = size**n
-    budgets.check("closure membership index", total, budgets.max_power_rank)
+    total = budgets.check_power("closure membership index", budgets.max_power_rank, size, n)
     for s in members:
         if any(not (0 <= v < size) for v in s):
             raise ValueError(f"seed {s} out of domain range")
@@ -346,10 +347,8 @@ def switchability_witness(
         raise ValueError(f"witness arity bound must be >= 1, got {max_arity}")
     size = lang.domain.size
     for m in range(1, max_arity + 1):
-        budgets.check(
-            f"arity-{m} operation enumeration", size ** (size**m), budgets.max_op_tables
-        )
-    budgets.check("closure membership index", size**max_power, budgets.max_power_rank)
+        budgets.check_power(f"arity-{m} operation enumeration", budgets.max_op_tables, size, (size, m))
+    budgets.check_power("closure membership index", budgets.max_power_rank, size, max_power)
 
     ops = tuple(f for m in range(1, max_arity + 1) for f in polymorphisms(lang, m, budgets))
     powers: list[tuple[int, bool]] = []

@@ -18,6 +18,9 @@ ENV_BUDGET_BYTES = "QCSP_BUDGET_BYTES"
 # rough per-atom object cost used for the byte cap
 _ATOM_BYTES = 64
 
+# a figure of more bits is never built; a failing check reports its power
+_PRINTABLE_BITS = 4096
+
 
 @dataclass(frozen=True)
 class Budgets:
@@ -44,22 +47,46 @@ class Budgets:
         if required > limit:
             raise BudgetError(what, required, limit)
 
-    def check_expansion(
-        self, what: str, atoms: int, copies: int | None = None, prefix: int | None = None
-    ) -> None:
-        """Check a matrix expansion, in this order: its ``copies`` of the
-        matrix and its ``atoms``, its ``prefix`` variables, and the atoms'
-        bytes; ``copies`` and ``prefix`` are skipped when None.  A failure is
-        named ``"<what> copies"``, ``"<what> atoms"``, ``"<what> prefix"`` or
-        ``"<what> (bytes)"``."""
-        if copies is not None and copies > self.max_matrix_copies:
-            raise BudgetError(f"{what} copies", copies, self.max_matrix_copies)
+    def check_power(self, what: str, limit: int, base: int, exp, scale: int = 1) -> int:
+        """Check ``scale * base ** exp`` against ``limit`` and return it.
+
+        ``exp`` is an int or a (base, exp) pair of the same form, so
+        ``check_power(w, limit, a, (a, a))`` checks a ** (a ** a).  A figure
+        of at most _PRINTABLE_BITS bits is built and compared by :meth:`check`.
+        A larger one exceeds 2**2048, above any budget limit, and is never
+        built: the failure's ``required`` is its expression, such as
+        ``"10**10000000000"``.
+        """
+        figure = _power(base, exp)
+        if isinstance(figure, str):
+            raise BudgetError(what, figure if scale == 1 else f"{scale}*{figure}", limit)
+        self.check(what, scale * figure, limit)
+        return scale * figure
+
+    def check_expansion(self, what: str, atoms: int, prefix: int | None = None) -> None:
+        """Check a matrix expansion, in this order: its ``atoms``, its
+        ``prefix`` variables (skipped when None), and the atoms' bytes.  A
+        failure is named ``"<what> atoms"``, ``"<what> prefix"`` or ``"<what>
+        (bytes)"``.  Callers check the expansion's copies of the matrix first,
+        with :meth:`check_power` as ``"<what> copies"``."""
         if atoms > self.max_matrix_atoms:
             raise BudgetError(f"{what} atoms", atoms, self.max_matrix_atoms)
         if prefix is not None and prefix > self.max_prefix_vars:
             raise BudgetError(f"{what} prefix", prefix, self.max_prefix_vars)
         if atoms * _ATOM_BYTES > self.max_bytes:
             raise BudgetError(f"{what} (bytes)", atoms * _ATOM_BYTES, self.max_bytes)
+
+
+def _power(base: int, exp) -> int | str:
+    """``base ** exp`` (``exp`` as in :meth:`Budgets.check_power`), or its
+    expression when it could have more than _PRINTABLE_BITS bits."""
+    if isinstance(exp, tuple):
+        exp = _power(*exp)
+    if base < 2:
+        return base if exp else 1
+    if isinstance(exp, str) or exp * base.bit_length() > _PRINTABLE_BITS:
+        return f"{base}**{exp}"
+    return base**exp
 
 
 DEFAULT_BUDGETS = Budgets()

@@ -223,7 +223,7 @@ def _solve_with_method(
     inst = qcsp_to_power_csp(pi2, budgets)
     trace.append({"step": len(trace) + 1, "rule": "power-csp",
                   "before": _sentence_size(pi2), "after": _instance_size(inst)})
-    verdict = solve_csp(inst, budgets)
+    verdict = solve_csp(inst)
     return verdict.truth, {"truth": verdict.truth, "method": "power-csp",
                            "instance_size": _instance_size(inst)}
 
@@ -234,7 +234,7 @@ def _run_solve(args: argparse.Namespace, budgets: Budgets) -> int:
     lang, target = _load_input(args)
     trace: list = []
     if isinstance(target, CspInstance):
-        verdict = solve_csp(target, budgets)
+        verdict = solve_csp(target)
         truth, report = verdict.truth, verdict.to_json()
     else:
         witness = _reduction_witness(lang, [args.method], args, budgets)

@@ -25,7 +25,7 @@ class ParseError(QcspError):
 class BudgetError(QcspError):
     """An exponential construction would exceed its configured budget."""
 
-    def __init__(self, what: str, required: int, limit: int):
+    def __init__(self, what: str, required: int | str, limit: int):
         self.what = what
         self.required = required
         self.limit = limit

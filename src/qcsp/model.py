@@ -248,6 +248,15 @@ class ValidationReport:
     def __len__(self) -> int:
         return len(self.issues)
 
+    def require(self, what: str) -> None:
+        """Raise ``ValueError("malformed <what>: <every issue>")`` unless ok."""
+        if self.issues:
+            raise ValueError(f"malformed {what}: " + "; ".join(i.message for i in self.issues))
+
+
+_QUANTIFIERS = frozenset((FORALL, EXISTS))
+_NO_ISSUES = ValidationReport(())
+
 
 def validate_sentence(sentence: QuantifiedSentence) -> ValidationReport:
     """Check all sentence invariants; violations become report entries.
@@ -257,21 +266,29 @@ def validate_sentence(sentence: QuantifiedSentence) -> ValidationReport:
     the next stage's entry check; an invalid sentence keeps its failing
     report and fails every check.
     """
-    return cached_on(sentence, "validation_report", lambda: _validation_report(sentence))
+    build = lambda: invariant_report(sentence.prefix, sentence.matrix, sentence.language)
+    return cached_on(sentence, "validation_report", build)
 
 
-def _validation_report(sentence: QuantifiedSentence) -> ValidationReport:
+def invariant_report(prefix, matrix, lang: ConstraintLanguage) -> ValidationReport:
+    """Every broken invariant of a (quantifier, variable) prefix sequence over
+    a matrix in a language.  Sentences are checked through
+    :func:`validate_sentence`, CSP instances with their variables as an
+    all-exists prefix.  The prefix is walked one entry at a time only when
+    it has a repeated variable or an unknown quantifier."""
     issues: list[ValidationIssue] = []
-    seen: set[str] = set()
-    for q, v in sentence.prefix:
-        if q not in (FORALL, EXISTS):
-            issues.append(ValidationIssue("bad-quantifier", f"unknown quantifier {q!r} on {v}"))
-        if v in seen:
-            issues.append(ValidationIssue("duplicate-quantifier", f"variable {v} quantified twice"))
-        seen.add(v)
-    lang = sentence.language
-    for i, atom in enumerate(sentence.matrix):
-        rel = lang.relations.get(atom.relation)
+    seen = {v for _, v in prefix}
+    if len(seen) < len(prefix) or not {q for q, _ in prefix} <= _QUANTIFIERS:
+        seen = set()
+        for q, v in prefix:
+            if q not in _QUANTIFIERS:
+                issues.append(ValidationIssue("bad-quantifier", f"unknown quantifier {q!r} on {v}"))
+            if v in seen:
+                issues.append(ValidationIssue("duplicate-quantifier", f"variable {v} quantified twice"))
+            seen.add(v)
+    relations = lang.relations
+    for i, atom in enumerate(matrix):
+        rel = relations.get(atom.relation)
         if rel is None:
             issues.append(
                 ValidationIssue("unknown-relation", f"atom {i}: relation {atom.relation} not in language")
@@ -283,20 +300,19 @@ def _validation_report(sentence: QuantifiedSentence) -> ValidationReport:
                     f"atom {i}: {atom.relation} expects {rel.arity} arguments, got {len(atom.args)}",
                 )
             )
+        if seen.issuperset(atom.args):
+            continue
         for v in atom.args:
             if v not in seen:
                 issues.append(
                     ValidationIssue("unquantified-variable", f"atom {i}: variable {v} not quantified")
                 )
-    return ValidationReport(tuple(issues))
+    return ValidationReport(tuple(issues)) if issues else _NO_ISSUES
 
 
 def check_wellformed(sentence: QuantifiedSentence) -> None:
     """Raise if a sentence breaks its invariants (used as a transform postcondition)."""
-    report = validate_sentence(sentence)
-    if not report.ok:
-        details = "; ".join(issue.message for issue in report)
-        raise ValueError(f"malformed sentence: {details}")
+    validate_sentence(sentence).require("sentence")
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .model import (
 
 _RELATION_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 _VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 _NULLARY_ROW = "()"
 
@@ -60,10 +61,11 @@ def _column(raw: str, token: str) -> int:
 
 
 def _parse_int(token: str, lineno: int, raw: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {token!r}", lineno, _column(raw, token)) from None
+    """An optional ``-`` then ASCII digits; ``int`` alone would also take
+    ``+9``, ``1_0`` and non-ASCII digits."""
+    if not _INTEGER.fullmatch(token):
+        raise ParseError(f"expected an integer, got {token!r}", lineno, _column(raw, token))
+    return int(token)
 
 
 def parse_language(text: str) -> ConstraintLanguage:

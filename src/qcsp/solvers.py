@@ -84,7 +84,7 @@ def oracle_qcsp(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS
     occurring = sentence.matrix_variables()
     levels = [(q, v) for q, v in sentence.prefix if v in occurring]
     nvars = len(levels)
-    budgets.check("game tree size", size**nvars, budgets.max_game_tree)
+    budgets.check_power("game tree size", budgets.max_game_tree, size, nvars)
 
     position = {v: i for i, (_, v) in enumerate(levels)}
     ready: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in range(nvars)]
@@ -160,9 +160,7 @@ class _CompiledCsp:
         self.full = (1 << language.domain.size) - 1
         n = len(self.variables)
         index = dict(zip(self.variables, range(n)))
-        self.rank = [0] * n
-        for r, i in enumerate(sorted(range(n), key=self.variables.__getitem__)):
-            self.rank[i] = r
+        self.order = sorted(range(n), key=self.variables.__getitem__)  # name order
         relations = language.relations
         self.masks: list[tuple[int, int]] = []
         self.atoms: list[tuple[tuple, int, tuple[int, ...], bool]] = []
@@ -194,7 +192,7 @@ class _CompiledCsp:
         """Connected components of the variables with more than one value
         left, linked through shared atoms; each in name order, and the
         components ordered by their first name."""
-        branching = [i for i, d in enumerate(domains) if d & (d - 1)]
+        branching = [i for i in self.order if domains[i] & (domains[i] - 1)]
         if not branching:
             return []
         parent = list(range(len(domains)))
@@ -205,11 +203,7 @@ class _CompiledCsp:
         groups: dict[int, list[int]] = {}
         for i in branching:
             groups.setdefault(_find(parent, i), []).append(i)
-        rank = self.rank
-        return sorted(
-            (sorted(g, key=rank.__getitem__) for g in groups.values()),
-            key=lambda g: rank[g[0]],
-        )
+        return list(groups.values())
 
     def solve(self, domains: list[int]) -> tuple[bool, int]:
         """Search from ``domains`` (mutated in place); returns (truth, nodes).
@@ -219,7 +213,10 @@ class _CompiledCsp:
         graph is split on the variables still carrying more than one value,
         and each connected component is searched independently, variables in
         name order and values ascending, which keeps chronological
-        backtracking from thrashing across unrelated blocks.
+        backtracking from thrashing across unrelated blocks.  A component is
+        searched with a stack of frames, one per assigned variable: the top
+        frame undoes the trail to its mark before each value it tries, an
+        exhausted frame is popped, and an empty stack means no solution.
         """
         atoms = self.atoms
         watch = self.watch
@@ -296,45 +293,32 @@ class _CompiledCsp:
 
         def search(order: list[int]) -> bool:
             nonlocal nodes
-            # frames: (var, remaining values, trail mark before its assignment, cursor)
-            stack: list[tuple[int, list[int], int, int]] = []
+            # frames: (cursor, variable, untried values, trail mark before its assignment)
+            stack: list[tuple[int, int, list[int], int]] = []
             cursor = 0
-            pending: tuple[int, list[int], int] | None = None
             while True:
-                if pending is None:
-                    v = None
-                    c = cursor
-                    while c < len(order):
-                        d = domains[order[c]]
-                        if d & (d - 1):
-                            v = order[c]
-                            break
-                        c += 1
-                    if v is None:
-                        return True
-                    d = domains[v]
-                    pending = (v, [x for x in range(d.bit_length()) if d >> x & 1], c)
-                v, values, cursor = pending
-                placed = False
-                while values:
-                    value = values.pop(0)
-                    nodes += 1
-                    mark = len(trail)
-                    trail.append((v, domains[v]))
-                    domains[v] = 1 << value
-                    if propagate(watch[v]):
-                        stack.append((v, values, mark, cursor))
-                        placed = True
+                while cursor < len(order):
+                    d = domains[order[cursor]]
+                    if d & (d - 1):
                         break
+                    cursor += 1
+                else:
+                    return True
+                values = [x for x in range(d.bit_length()) if d >> x & 1]
+                stack.append((cursor, order[cursor], values, len(trail)))
+                while stack:
+                    cursor, v, values, mark = stack[-1]
                     undo(mark)
-                if placed:
-                    pending = None
-                    continue
-                if not stack:
+                    if not values:
+                        stack.pop()
+                        continue
+                    nodes += 1
+                    trail.append((v, domains[v]))
+                    domains[v] = 1 << values.pop(0)
+                    if propagate(watch[v]):
+                        break
+                else:
                     return False
-                v, values, mark, cursor = stack.pop()
-                undo(mark)
-                pending = (v, values, cursor)
 
         for component in self.components(domains):
             if not search(component):
@@ -346,7 +330,7 @@ class _CompiledCsp:
         return True, nodes
 
 
-def solve_csp(inst: CspInstance, budgets: Budgets = DEFAULT_BUDGETS) -> SolveVerdict:
+def solve_csp(inst: CspInstance) -> SolveVerdict:
     """Sound and complete backtracking with generalized arc consistency.
 
     Domains are int bitsets and the trail stores (variable, old domain).
@@ -360,10 +344,13 @@ def solve_csp(inst: CspInstance, budgets: Budgets = DEFAULT_BUDGETS) -> SolveVer
     scope shrinks, but not by its own revision unless a variable repeats in
     it.  The arc-consistent fixpoint is unique, so none of this changes what
     the search sees.  Search is lexicographic in variable name and value
-    inside each connected component of the branching variables (see
+    inside each connected component of the branching variables, with its
+    choice points on a stack of frames rather than the call stack, so no
+    recursion limit bounds the number of variables (see
     :meth:`_CompiledCsp.solve`); the witness takes each variable's lowest
     remaining value, and is checked against every atom before it is
-    returned.
+    returned.  It builds nothing larger than the instance and its
+    relations' support tables, so it takes no budgets.
     """
     if not inst.atoms:
         return SolveVerdict(True, "csp", {}, {"nodes": 0})
@@ -381,7 +368,7 @@ def truth_of(obj, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     if isinstance(obj, CanonicalFalse):
         return False
     if isinstance(obj, CspInstance):
-        return solve_csp(obj, budgets).truth
+        return solve_csp(obj).truth
     if isinstance(obj, AlternatingSentence):
         obj = obj.sentence
     return oracle_qcsp(obj, budgets).truth
@@ -445,7 +432,7 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
                 else:
                     args.append(number.setdefault(v, len(number)))
             shape.append((a.relation, tuple(args)))
-        budgets.check("component assignments", size ** len(touched), budgets.max_game_tree)
+        budgets.check_power("component assignments", budgets.max_game_tree, size, len(touched))
         key = tuple(shape)
         if key in holding:
             return True
@@ -577,7 +564,7 @@ def reduce_pgp_to_csp(
     for idx in sets:
         w = omega(alt, idx)
         inst = eliminate_universals(w, budgets)
-        verdict = solve_csp(inst, budgets)
+        verdict = solve_csp(inst)
         members.append(BundleMember(idx, w, inst, verdict))
         if not verdict.truth:
             break
@@ -683,7 +670,7 @@ def classify(
     if wnu_arity < 2:
         raise ValueError(f"weak near-unanimity search arity must be >= 2, got {wnu_arity}")
     size = lang.domain.size
-    budgets.check("power domain", size ** (size**size), budgets.max_power_domain)
+    budgets.check_power("power domain", budgets.max_power_domain, size, (size, size))
     witness = switchability_witness(lang, r, budgets=budgets)
     if witness.verdict != WITNESSED and not override:
         return ClassificationReport(

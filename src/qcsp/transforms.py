@@ -52,6 +52,7 @@ from .model import (
     const_name,
     encode_tuple,
     gamma_star,
+    invariant_report,
 )
 
 GAMMA_PREFIX = "gamma$"
@@ -82,7 +83,8 @@ class AlternatingSentence:
 
 @dataclass(frozen=True)
 class CspInstance:
-    """A conjunction of atoms with every variable existential."""
+    """A conjunction of atoms with every variable existential, checked on
+    construction as the all-exists sentence over its variables."""
 
     language: ConstraintLanguage
     variables: tuple[str, ...]
@@ -91,20 +93,8 @@ class CspInstance:
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        declared = set(self.variables)
-        if len(declared) != len(self.variables):
-            raise ValueError("instance variables must be distinct")
-        for atom in self.atoms:
-            rel = self.language.relations.get(atom.relation)
-            if rel is None:
-                raise ValueError(f"atom over unknown relation {atom.relation!r}")
-            if len(atom.args) != rel.arity:
-                raise ValueError(
-                    f"atom {atom.relation}{atom.args}: arity {rel.arity} expected"
-                )
-            for v in atom.args:
-                if v not in declared:
-                    raise ValueError(f"atom variable {v!r} not declared in the instance")
+        prefix = [(EXISTS, v) for v in self.variables]
+        invariant_report(prefix, self.atoms, self.language).require("instance")
 
     def as_sentence(self) -> QuantifiedSentence:
         return QuantifiedSentence(
@@ -245,8 +235,9 @@ def check_elimination_budget(
 ) -> None:
     """Raise BudgetError when eliminating ``n_univ`` universals from a matrix
     of ``n_atoms`` atoms over a domain of ``size`` elements exceeds a budget."""
-    copies = size**n_univ
-    budgets.check_expansion("universal elimination", (n_atoms + 1) * copies, copies=copies)
+    what = "universal elimination"
+    copies = budgets.check_power(f"{what} copies", budgets.max_matrix_copies, size, n_univ)
+    budgets.check_expansion(what, (n_atoms + 1) * copies)
 
 
 def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) -> CspInstance:
@@ -367,12 +358,10 @@ def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUD
     size = s.language.domain.size
     n_univ = s.universal_count()
     if n_univ:
-        copies = size**n_univ
+        what = "universal-count reduction"
+        copies = budgets.check_power(f"{what} copies", budgets.max_matrix_copies, size, n_univ)
         budgets.check_expansion(
-            "universal-count reduction",
-            copies * max(1, len(s.matrix)),
-            copies=copies,
-            prefix=size + copies * len(s.existentials()),
+            what, copies * max(1, len(s.matrix)), prefix=size + copies * len(s.existentials())
         )
 
     kept = _occurring_prefix(s)
@@ -408,11 +397,11 @@ def zeta(alt: AlternatingSentence, budgets: Budgets = DEFAULT_BUDGETS) -> Quanti
     """
     n = alt.n
     size = alt.sentence.language.domain.size
-    copies = size**n
+    copies = budgets.check_power("full expansion copies", budgets.max_matrix_copies, size, n)
     x_total = sum(size**i for i in range(1, n + 1))
     y_total = sum(size ** (i - 1) for i in range(1, n + 1))
     budgets.check_expansion(
-        "full expansion", copies * max(1, len(alt.sentence.matrix)), copies=copies, prefix=x_total + y_total
+        "full expansion", copies * max(1, len(alt.sentence.matrix)), prefix=x_total + y_total
     )
 
     xs = alt.x_vars()
@@ -456,8 +445,7 @@ def gamma_columns(k: int, dom: DomainSpec, budgets: Budgets = DEFAULT_BUDGETS) -
     if k < 1:
         raise ValueError("column width must be >= 1")
     size = dom.size
-    rows = size**k
-    budgets.check("lexicographic column length", rows, budgets.max_power_domain)
+    rows = budgets.check_power("lexicographic column length", budgets.max_power_domain, size, k)
     cols = []
     for i in range(1, k + 1):
         stride = size ** (k - i)
@@ -475,9 +463,9 @@ def power_relation(rel: Relation, k: int, dom: DomainSpec, budgets: Budgets = DE
     if k < 1:
         raise ValueError("power must be >= 1")
     size = dom.size
-    budgets.check("power domain", size**k, budgets.max_power_domain)
+    budgets.check_power("power domain", budgets.max_power_domain, size, k)
     if rel.tuples:
-        budgets.check("power relation tuples", len(rel.tuples) ** k, budgets.max_power_tuples)
+        budgets.check_power("power relation tuples", budgets.max_power_tuples, len(rel.tuples), k)
     if not rel.tuples or rel.arity == 0:  # then R^k is R
         return rel
     rows = np.array(rel.sorted_tuples(), dtype=np.intp)
@@ -505,14 +493,14 @@ def build_power_language(base: ConstraintLanguage, budgets: Budgets = DEFAULT_BU
     that fails is not kept.
     """
     size = base.domain.size
-    k = size**size
-    budgets.check("power domain", size**k, budgets.max_power_domain)
+    budgets.check_power("power domain", budgets.max_power_domain, size, (size, size))
+    k = size**size  # at most the power domain's bit length
     for rel in base.sorted_relations():
         if rel.name.startswith(GAMMA_PREFIX):
             raise ValueError(f"base relation name {rel.name!r} collides with column constraints")
         if rel.tuples:
-            budgets.check("power relation tuples", len(rel.tuples) ** k, budgets.max_power_tuples)
-    budgets.check("lexicographic column length", size**size, budgets.max_power_domain)
+            budgets.check_power("power relation tuples", budgets.max_power_tuples, len(rel.tuples), k)
+    budgets.check_power("lexicographic column length", budgets.max_power_domain, size, size)
 
     def build() -> PowerLanguage:
         rels = {rel.name: power_relation(rel, k, base.domain, budgets) for rel in base.sorted_relations()}

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -425,6 +426,80 @@ def test_env_budget_cap(tmp_path, capsys, monkeypatch):
                     "--transform", "eliminate-universals"])
     assert code == 2
     assert "bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("domain 1_0\nrelation R 1\n0\nend\n", "error: line 1, col 8: expected an integer, got '1_0'\n"),
+        ("domain 10\nrelation R 1\n+9\nend\n", "error: line 3, col 1: expected an integer, got '+9'\n"),
+        ("domain 2\nrelation R 1\n\u0661\nend\n", "error: line 3, col 1: expected an integer, got '\u0661'\n"),
+    ],
+    ids=["underscore", "plus-sign", "arabic-indic-digit"],
+)
+def test_malformed_integer_token_exit_two(tmp_path, capsys, doc, message):
+    lang = tmp_path / "lang.txt"
+    lang.write_text(doc, encoding="utf-8")
+    assert run_cli(["witness", "--language", lang, "--r", "1"]) == 2
+    assert capsys.readouterr().err == message
+
+
+def _le_language(path, size):
+    rows = "".join(f"{a} {b}\n" for a in range(size) for b in range(a, size))
+    path.write_text(f"domain {size}\nrelation LE 2\n{rows}end\n")
+    return path
+
+
+def _unary_language(path, size):
+    path.write_text(f"domain {size}\nrelation R 1\n0\nend\n")
+    return path
+
+
+LE_SENTENCE = "forall x\nexists y\nconstraint LE y x\n"
+
+
+@pytest.mark.parametrize(
+    "args, make, small, large, message",
+    [
+        (["classify", "--r", "2"], _le_language, 3, 10,
+         "power domain: requires 10**10000000000, budget allows 65536"),
+        (["transform", "--transform", "to-power-csp", "--sentence", "S"], _le_language, 3, 10,
+         "power domain: requires 10**10000000000, budget allows 65536"),
+        (["solve", "--method", "power-csp", "--override-witness", "--sentence", "S"], _le_language, 3, 10,
+         "power domain: requires 10**10000000000, budget allows 65536"),
+        (["witness", "--r", "1"], _unary_language, 8, 10**6,
+         "arity-1 operation enumeration: requires 1000000**1000000, budget allows 1048576"),
+        (["witness", "--r", "1"], _unary_language, 8, 10**7,
+         "arity-1 operation enumeration: requires 10000000**10000000, budget allows 1048576"),
+    ],
+    ids=["classify", "to-power-csp", "solve-power-csp", "witness-1e6", "witness-1e7"],
+)
+def test_huge_budget_figure_fails_fast_as_a_small_one(tmp_path, capsys, args, make, small, large, message):
+    # the figure is decided without building it, and named by its power when
+    # it is too large to print
+    sentence = tmp_path / "s.txt"
+    sentence.write_text(LE_SENTENCE)
+    args = [sentence if a == "S" else a for a in args]
+    errors = []
+    for size in (small, large):
+        language = make(tmp_path / f"lang{size}.txt", size)
+        start = time.perf_counter()
+        assert run_cli([*args, "--language", language]) == 2
+        assert time.perf_counter() - start < 1.0
+        errors.append(capsys.readouterr().err)
+    assert errors[0].split(": requires")[0] == errors[1].split(": requires")[0]
+    assert errors[1] == f"error: {message}\n"
+
+
+def test_huge_column_width_fails_fast_as_a_small_one(files, capsys):
+    lang, _, _ = files
+    for k, required in [("17", "131072"), ("1000000000000", "2**1000000000000")]:
+        start = time.perf_counter()
+        assert run_cli(["transform", "--transform", "gamma-columns", "--k", k, "--language", lang]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: lexicographic column length: requires {required}, budget allows 65536\n"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,21 @@ def test_out_of_range_element_reports_position():
     assert err.value.column == 3
 
 
+@pytest.mark.parametrize(
+    "doc, line, column",
+    [
+        ("domain 1_0\nrelation R 1\n0\nend\n", 1, 8),
+        ("domain 10\nrelation R 1\n+9\nend\n", 3, 1),
+        ("domain 2\nrelation R 1\n\u0661\nend\n", 3, 1),
+    ],
+    ids=["underscore", "plus-sign", "arabic-indic-digit"],
+)
+def test_integer_tokens_are_ascii_digits_only(doc, line, column):
+    with pytest.raises(ParseError, match="expected an integer") as err:
+        parse_language(doc)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
 def test_duplicate_relation_name():
     doc = "domain 2\nrelation R 1\n0\nend\nrelation R 1\n1\nend\n"
     with pytest.raises(ParseError, match="duplicate"):

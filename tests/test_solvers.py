@@ -137,6 +137,16 @@ def test_solve_witness_satisfies_atoms(mixed_lang):
     assert w["a"] != w["b"]
 
 
+def test_solve_a_chain_deeper_than_the_recursion_limit():
+    # one frame per assigned variable: 5,000 nested choices in name order
+    le = Relation("LE", 2, frozenset((a, b) for a in range(3) for b in range(3) if a <= b))
+    names = [f"v{i:04d}" for i in range(5000)]
+    atoms = tuple(Atom("LE", (a, b)) for a, b in zip(names, names[1:]))
+    verdict = solve_csp(CspInstance(ConstraintLanguage.of(3, le), tuple(names), atoms))
+    assert verdict.truth and verdict.stats["nodes"] == 5000
+    assert set(verdict.witness.values()) == {0}
+
+
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_solve_agrees_with_enumeration(data):

@@ -3,6 +3,7 @@ import importlib
 from pathlib import Path
 
 import qcsp
+from qcsp import Budgets
 
 SOURCES = sorted(Path(qcsp.__file__).parent.glob("*.py"))
 
@@ -16,6 +17,27 @@ def test_no_assert_statements_in_the_package():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_budget_checks_are_given_no_power():
+    # a figure is built before the check that would refuse it, so exponential
+    # figures go through Budgets.check_power, which never builds one too large
+    checks = {name for name in dir(Budgets) if name.startswith("check")}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in checks
+        and any(
+            isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow)
+            for arg in [*node.args, *(k.value for k in node.keywords)]
+            for sub in ast.walk(arg)
+        )
+    ]
+    assert checks >= {"check", "check_power", "check_expansion"}
     assert found == []
 
 

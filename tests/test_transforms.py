@@ -783,3 +783,15 @@ def test_reduce_count_budget_counts_vacuous_universals(mixed_lang):
     s = sent(mixed_lang, prefix, [Atom("NOT", ("y", "y"))])
     with pytest.raises(BudgetError):
         reduce_universal_count(s)
+
+
+def test_instance_reports_every_broken_invariant_at_once(mixed_lang):
+    atoms = (Atom("NOPE", ("x",)), Atom("NOT", ("x", "y", "y")), Atom("NOT", ("x", "z")))
+    with pytest.raises(ValueError) as err:
+        CspInstance(mixed_lang, ("x", "y", "x"), atoms)
+    assert str(err.value) == (
+        "malformed instance: variable x quantified twice; "
+        "atom 0: relation NOPE not in language; "
+        "atom 1: NOT expects 2 arguments, got 3; "
+        "atom 2: variable z not quantified"
+    )
