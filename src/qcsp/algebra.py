@@ -21,6 +21,7 @@ from .model import (
     ConstraintLanguage,
     DomainSpec,
     Relation,
+    cached_on,
     decode_rank,
     encode_tuple,
     enumerate_switch_bounded,
@@ -46,7 +47,7 @@ class OperationTable:
         table = tuple(self.table)
         if len(table) != expected:
             raise ValueError(f"table has {len(table)} entries, expected {expected}")
-        if any(not (0 <= v < self.domain.size) for v in table):
+        if table and (min(table) < 0 or max(table) >= self.domain.size):
             raise ValueError("table output out of domain range")
         object.__setattr__(self, "table", table)
 
@@ -128,6 +129,10 @@ def _row_index(rel: Relation, m: int, size: int, budgets: Budgets) -> tuple[np.n
     """Rows of a nonempty relation and an exact membership index over them,
     after the budget check of an arity-m preservation check.
 
+    The check runs on every call; the rows and the index do not depend on m,
+    so they are built once per relation object and domain size and kept on
+    the relation (``cached_on``).
+
     The index reads a tuple's digits (base |A|, or a power of two if |A| is
     too wide for ``cap``) in stages.  A stage over digits ``lo:hi`` maps
     (prefix number, rank of those digits) to the number of the longer prefix
@@ -138,6 +143,10 @@ def _row_index(rel: Relation, m: int, size: int, budgets: Budgets) -> tuple[np.n
     budgets.check_power(
         "preservation check cells", budgets.max_preserve_cells, len(rel), m, scale=rel.arity
     )
+    return cached_on(rel, f"row_index_{size}", lambda: _build_row_index(rel, size))
+
+
+def _build_row_index(rel: Relation, size: int) -> tuple[np.ndarray, tuple]:
     rows = np.array(rel.sorted_tuples(), dtype=np.intp)
     cap = max(2 * len(rel) + 2, _BLOCK_CELLS // rel.arity)
     base = size if (len(rel) + 1) * size <= cap else 1 << (cap // (len(rel) + 1)).bit_length() - 1
@@ -171,16 +180,13 @@ def _members(index: tuple, cols: np.ndarray, size: int) -> np.ndarray:
     return state >= 0
 
 
-def _preserving(cand: np.ndarray, rel: Relation, m: int, size: int, budgets: Budgets) -> np.ndarray:
-    """The columns of ``cand`` (one arity-m table per column, entry e in row
-    e) under which every m-combination of rows of ``rel`` stays in ``rel``:
-    each block of combinations is looked up in ``_row_index`` for all columns
-    at once, so memory is bounded by the block and the index, not |rel|^m."""
-    if not rel.tuples or rel.arity == 0 or not cand.shape[1]:
-        return cand
-    rows, index = _row_index(rel, m, size, budgets)
-    for block in _entry_blocks([rows] * m, size, cand.shape[1]):
-        images = cand[block.T].reshape(rel.arity, -1)  # (entry column, combination, table)
+def _preserving(cand: np.ndarray, blocks: Iterable[np.ndarray], index: tuple, size: int) -> np.ndarray:
+    """The columns of ``cand`` (one table per column, entry e in row e) under
+    which the row combinations of ``blocks`` (entry blocks, as from
+    ``_entry_blocks``) stay in the relation indexed by ``index``: each block is
+    looked up for all columns at once, and failing columns are dropped."""
+    for block in blocks:
+        images = cand[block.T].reshape(block.shape[1], -1)  # (entry column, combination, table)
         keep = _members(index, images, size).reshape(len(block), -1).all(axis=0)
         if not keep.all():
             cand = cand[:, keep]
@@ -194,8 +200,27 @@ def preserves(f: OperationTable, rel: Relation, budgets: Budgets = DEFAULT_BUDGE
     for v in {v for t in rel.tuples for v in t}:
         if not (0 <= v < f.domain.size):
             raise ValueError(f"relation {rel.name} has element {v} outside the operation domain")
-    table = np.asarray(f.table)[:, None]
-    return _preserving(table, rel, f.arity, f.domain.size, budgets).shape[1] == 1
+    if not rel.tuples or rel.arity == 0:
+        return True
+    size = f.domain.size
+    rows, index = _row_index(rel, f.arity, size, budgets)
+    blocks = _entry_blocks([rows] * f.arity, size)
+    return _preserving(np.asarray(f.table)[:, None], blocks, index, size).shape[1] == 1
+
+
+def _stage_blocks(
+    rows: np.ndarray, m: int, size: int, last: np.ndarray, lo: int, hi: int, width: int
+) -> Iterator[np.ndarray]:
+    """Entry blocks of the m-combinations of ``rows`` whose last-set entry
+    (largest ``last`` over the entries they hit) lies in ``lo:hi``, in
+    lexicographic order; a block and its images under ``width`` tables take
+    at most ``_BLOCK_CELLS`` cells (or one combination, if that is more)."""
+    for block in _entry_blocks([rows] * m, size):
+        stage = last[block].max(axis=1)
+        block = block[(stage >= lo) & (stage < hi)]
+        step = max(1, _BLOCK_CELLS // (block.shape[1] * width))
+        for i in range(0, len(block), step):
+            yield block[i : i + step]
 
 
 def _sieve(
@@ -205,16 +230,49 @@ def _sieve(
 
     Candidate k sets entry e (in lexicographic argument order) to ``fixed[e]``,
     or else to digit ``slot_of[e]`` of k in base |A|, most significant first.
-    ``what`` names the budget check of the candidates against ``max_op_tables``.
+    ``what`` names the budget check of the candidates against ``max_op_tables``;
+    it and every relation's preservation check run before any table is built.
+
+    Candidates grow in stages, a few slots at a time: each surviving prefix
+    is extended by every value of the next slots, as many as keep the stage
+    within isqrt(_BLOCK_CELLS) tables (at least one slot), so that a block of
+    ``_BLOCK_CELLS`` cells checks at least isqrt(_BLOCK_CELLS) / arity row
+    combinations on all of them; the candidates stay in ascending k.  A
+    combination of relation rows is checked once, in the stage that sets the
+    last of the entries it hits (one hitting only fixed entries, in the
+    first), so most combinations meet only the prefixes that survived the
+    earlier stages.  When all candidates fit in one stage, this is one pass
+    over every combination, as an unstaged sieve would make.
     """
-    size = lang.domain.size
+    size, entries = lang.domain.size, lang.domain.size**m
     n_slots = max(slot_of.values()) + 1 if slot_of else 0
-    k = np.arange(budgets.check_power(what, budgets.max_op_tables, size, n_slots), dtype=np.intp)
-    cand = np.empty((size**m, len(k)), dtype=np.min_scalar_type(size - 1))
-    for e in range(size**m):
-        cand[e] = fixed[e] if e in fixed else k // size ** (n_slots - 1 - slot_of[e]) % size
-    for rel in lang.sorted_relations():
-        cand = _preserving(cand, rel, m, size, budgets)
+    budgets.check_power(what, budgets.max_op_tables, size, n_slots)
+    checks = [
+        _row_index(rel, m, size, budgets) for rel in lang.sorted_relations() if rel.tuples and rel.arity
+    ]
+    last = np.array([slot_of.get(e, -1) for e in range(entries)], dtype=np.intp)
+    cand = np.array([[fixed.get(e, 0)] for e in range(entries)], dtype=np.min_scalar_type(size - 1))
+    lo, width = 0, math.isqrt(_BLOCK_CELLS)
+    while cand.shape[1]:
+        hi = min(lo + 1, n_slots)
+        while hi < n_slots and cand.shape[1] * size ** (hi + 1 - lo) <= width:
+            hi += 1
+        grow = size ** (hi - lo)
+        cand = np.repeat(cand, grow, axis=1)
+        values = cand.reshape(entries, -1, grow)
+        for e in np.flatnonzero((last >= lo) & (last < hi)):
+            values[e] = np.arange(grow) // size ** (hi - 1 - last[e]) % size
+        for rows, index in checks:
+            if not cand.shape[1]:
+                break
+            if lo == 0 and hi == n_slots:  # the only stage: every combination
+                blocks = _entry_blocks([rows] * m, size, cand.shape[1])
+            else:  # the first stage also takes the combinations of fixed entries (last -1)
+                blocks = _stage_blocks(rows, m, size, last, lo if lo else -1, hi, cand.shape[1])
+            cand = _preserving(cand, blocks, index, size)
+        if hi == n_slots:
+            break
+        lo = hi
     return [OperationTable(m, lang.domain, tuple(t)) for t in cand.T.tolist()]
 
 
@@ -337,6 +395,14 @@ def switchability_witness(
     """Check whether tuples with at most ``r`` switches generate A^n for n up to
     ``max_power`` under the polymorphisms of arity up to ``max_arity``.
 
+    The closure is computed once, at ``max_power`` = N.  Each smaller power n
+    is read from it: projection onto the first n coordinates is a
+    homomorphism of the power algebras, and it maps the <= r-switch N-tuples
+    onto the <= r-switch n-tuples (pad one with its last entry), so
+    Sg(SB_n) is the projection of Sg(SB_N).  If the closure at N exceeds a
+    budget, the powers below N are closed one by one from n = 2 until one
+    fails too, and the verdict is inconclusive unless a closed power fell short.
+
     Raises ``ValueError`` when ``max_power < 2``, which checks no power and
     so would witness every language, or when ``max_arity < 1``, which
     searches no operation.
@@ -351,15 +417,28 @@ def switchability_witness(
     budgets.check_power("closure membership index", budgets.max_power_rank, size, max_power)
 
     ops = tuple(f for m in range(1, max_arity + 1) for f in polymorphisms(lang, m, budgets))
+
+    def closure(n: int) -> frozenset[tuple[int, ...]]:
+        return generate_closure(enumerate_switch_bounded(n, r, lang.domain), ops, n, budgets)
+
     powers: list[tuple[int, bool]] = []
-    verdict = WITNESSED
-    for n in range(2, max_power + 1):
-        try:
-            closed = generate_closure(enumerate_switch_bounded(n, r, lang.domain), ops, n, budgets)
-        except BudgetError:
-            verdict = INCONCLUSIVE
-            break
-        powers.append((n, len(closed) == size**n))
+    try:
+        points = closure(max_power)
+    except BudgetError:
+        # a smaller power's closure is a projection of this one, so it may
+        # still fit: close each from n = 2 until one fails too
+        verdict = INCONCLUSIVE
+        for n in range(2, max_power):
+            try:
+                powers.append((n, len(closure(n)) == size**n))
+            except BudgetError:
+                break
+    else:
+        verdict = WITNESSED
+        for n in range(max_power, 1, -1):
+            powers.append((n, len(points) == size**n))
+            points = {t[:-1] for t in points}
+        powers.reverse()
     if not all(g for _, g in powers):
         verdict = REFUTED_AT_BOUNDS
     return SwitchabilityWitness(r, ops, tuple(powers), verdict)

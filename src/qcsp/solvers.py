@@ -666,6 +666,11 @@ def classify(
     operation applied to base rows, so an idempotent polymorphism lifts to one
     of every powered relation and column singleton.  The negative answer is
     always bounded by the searched arities.
+
+    The search stops at the first arity with a hit, so ``searched_arities``
+    and ``searched_tables`` count only the arities searched: 2 up to the hit
+    for a P verdict, 2 up to ``wnu_arity`` otherwise.  A bound far above the
+    hit costs nothing.
     """
     if wnu_arity < 2:
         raise ValueError(f"weak near-unanimity search arity must be >= 2, got {wnu_arity}")
@@ -678,13 +683,12 @@ def classify(
             f"switchability check returned {witness.verdict!r}; classification needs a witness",
         )
 
-    arities = tuple(range(2, wnu_arity + 1))
-    searched = sum(size ** (size**m) for m in arities)
-    base = None
-    for m in arities:
-        base = find_wnu(lang, m, budgets)
+    for top in range(2, wnu_arity + 1):
+        base = find_wnu(lang, top, budgets)
         if base is not None:
             break
+    arities = tuple(range(2, top + 1))
+    searched = sum(size ** (size**m) for m in arities)
     if base is None:
         return ClassificationReport(
             NP_COMPLETE_BOUNDED,

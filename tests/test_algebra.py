@@ -26,6 +26,7 @@ from qcsp import (
 from qcsp import algebra
 from qcsp.algebra import lift_operation, projection_table
 from qcsp.model import encode_tuple
+import helpers
 from helpers import (
     XOR0,
     ONE_IN_THREE,
@@ -465,3 +466,147 @@ def test_preserves_wide_domain_reads_values_in_digits():
 def test_polymorphisms_rejects_arity_zero(xor0_lang):
     with pytest.raises(ValueError, match="arity must be >= 1"):
         polymorphisms(xor0_lang, 0)
+
+
+# ---------------------------------------------------------------------------
+# staged sieve, kept row index, and witness powers read from one closure
+
+
+@pytest.mark.parametrize("entry", [-1, 2])
+def test_operation_table_rejects_an_entry_outside_the_domain(entry):
+    with pytest.raises(ValueError, match="table output out of domain range"):
+        OperationTable(2, DOM2, (0, 1, entry, 1))
+
+
+def count_staged_checks(monkeypatch) -> list:
+    """Record the (lo, hi) slot range of every stage-filtered relation check."""
+    stages, real = [], algebra._stage_blocks
+    monkeypatch.setattr(algebra, "_stage_blocks", lambda *a: stages.append(a[4:6]) or real(*a))
+    return stages
+
+
+@pytest.mark.parametrize("block_cells", [4, 64, algebra._BLOCK_CELLS])
+def test_staged_sieve_matches_bruteforce_on_boolean_languages(block_cells, monkeypatch):
+    # a stage holds at most isqrt(_BLOCK_CELLS) tables: 2 and 8 split every
+    # Boolean sieve of arity 2 and 3 into stages, 256 none
+    monkeypatch.setattr(algebra, "_BLOCK_CELLS", block_cells)
+    stages = count_staged_checks(monkeypatch)
+    rnd = random.Random(15)
+    for _ in range(10):
+        lang = random_language(rnd, 2, 3)
+        for m in (1, 2, 3):
+            assert list(polymorphisms(lang, m)) == polymorphisms_bruteforce(lang, m)
+            if m >= 2:
+                assert find_wnu(lang, m) == first_wnu_bruteforce(lang, m)
+    assert bool(stages) == (block_cells < 256)
+    if stages:  # some arity-3 sieve got as far as a stage that sets only its last entry
+        assert (7, 8) in stages
+
+
+def test_staged_sieve_matches_per_table_preserves_on_three_elements(monkeypatch):
+    rnd = random.Random(3)
+    for _ in range(2):
+        lang = helpers.random_language(rnd, 3, (2, 3), 6)
+        rels = lang.sorted_relations()
+        want = {}
+        for m in (1, 2):
+            tables = (OperationTable(m, lang.domain, t) for t in product(range(3), repeat=3**m))
+            want[m] = [f for f in tables if all(preserves(f, rel) for rel in rels)]
+        for block_cells in (16, 1000, algebra._BLOCK_CELLS):
+            monkeypatch.setattr(algebra, "_BLOCK_CELLS", block_cells)
+            for m in (1, 2):
+                assert list(polymorphisms(lang, m)) == want[m]
+            assert find_wnu(lang, 2) == next((f for f in want[2] if is_wnu(f)), None)
+
+
+def test_polymorphisms_budget_errors_are_checked_in_sorted_order():
+    # the table count first, then each relation's cells in name order, all
+    # before any table is built: C (5120 cells) is never reached
+    a = Relation("A", 3, XOR0.tuples)
+    b = Relation("B", 4, frozenset(product(range(2), repeat=4)))
+    c = Relation("C", 5, frozenset(product(range(2), repeat=5)))
+    lang = ConstraintLanguage.of(2, c, b, a)
+    cells = "preservation check cells: requires {}, budget allows {}"
+    for budgets, message, required in [
+        (
+            Budgets(max_op_tables=15, max_preserve_cells=1000),
+            "arity-2 operation enumeration: requires 16, budget allows 15",
+            16,
+        ),
+        (Budgets(max_preserve_cells=1000), cells.format(1024, 1000), 1024),
+        (Budgets(max_preserve_cells=2000), cells.format(5120, 2000), 5120),
+    ]:
+        with pytest.raises(BudgetError) as err:
+            polymorphisms(lang, 2, budgets)
+        assert str(err.value) == message
+        assert err.value.required == required
+
+
+def test_find_wnu_checks_a_later_relation_even_when_an_earlier_one_leaves_none():
+    # XOR0 has no binary weak near-unanimity polymorphism, so the sieve would
+    # be empty after A; B's check still runs first, so find_wnu raises
+    # instead of answering None
+    a = Relation("A", 3, XOR0.tuples)
+    b = Relation("B", 4, frozenset(product(range(2), repeat=4)))
+    lang = ConstraintLanguage.of(2, a, b)
+    assert find_wnu(lang, 2) is None
+    with pytest.raises(BudgetError) as err:
+        find_wnu(lang, 2, Budgets(max_preserve_cells=1000))
+    assert str(err.value) == "preservation check cells: requires 1024, budget allows 1000"
+    assert err.value.required == 1024
+
+
+def test_row_index_is_built_once_and_budget_checked_every_call(xor0_lang):
+    rel = xor0_lang.relations["XOR0"]
+    first = algebra._row_index(rel, 2, 2, Budgets())
+    assert algebra._row_index(rel, 3, 2, Budgets()) is first
+    with pytest.raises(BudgetError) as err:
+        algebra._row_index(rel, 3, 2, Budgets(max_preserve_cells=4**3 * 3 - 1))
+    assert err.value.required == 4**3 * 3
+    # another domain size reads values in other digits, so it gets its own index
+    assert algebra._row_index(rel, 2, 3, Budgets()) is not first
+
+
+def witness_per_power(lang, r, max_arity, max_power, budgets):
+    """The witness with every power closed on its own, from n = 2 up."""
+    ops = tuple(f for m in range(1, max_arity + 1) for f in polymorphisms(lang, m))
+    powers, verdict = [], "witnessed"
+    for n in range(2, max_power + 1):
+        try:
+            closed = generate_closure(enumerate_switch_bounded(n, r, lang.domain), ops, n, budgets)
+        except BudgetError:
+            verdict = "inconclusive"
+            break
+        powers.append((n, len(closed) == lang.domain.size**n))
+    if not all(g for _, g in powers):
+        verdict = "refuted-at-bounds"
+    return ops, tuple(powers), verdict
+
+
+@pytest.mark.parametrize("size, max_arity, max_power", [(2, 3, 5), (3, 2, 4)])
+def test_projected_witness_powers_match_per_power_closures(size, max_arity, max_power, monkeypatch):
+    closures = []
+    real = algebra.generate_closure
+    monkeypatch.setattr(algebra, "generate_closure", lambda *a: closures.append(a[2]) or real(*a))
+    rnd = random.Random(size)
+    outcomes = set()
+    for _ in range(8):
+        lang = helpers.random_language(rnd, size, (1, 2, 3), 5)
+        r = rnd.randint(0, 2)
+        ops = tuple(f for m in range(1, max_arity + 1) for f in polymorphisms(lang, m))
+        sizes = {
+            n: len(real(enumerate_switch_bounded(n, r, lang.domain), ops, n))
+            for n in (max_power - 1, max_power)
+        }
+        # the default bound, and one that only the top power's closure can exceed
+        for limit in (Budgets().max_closure_points, sizes[max_power - 1]):
+            budgets = Budgets(max_closure_points=limit)
+            want = witness_per_power(lang, r, max_arity, max_power, budgets)
+            closures.clear()
+            w = switchability_witness(lang, r, max_arity, max_power, budgets)
+            assert (w.operations, w.powers, w.verdict) == want
+            # one closure, at the top power; the powers below it one by one if it fails
+            fallback = list(range(2, max_power)) if sizes[max_power] > limit else []
+            assert closures == [max_power] + fallback
+            outcomes.add(w.verdict)
+    assert outcomes == {"witnessed", "refuted-at-bounds", "inconclusive"}

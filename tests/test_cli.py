@@ -201,6 +201,20 @@ def test_classify_exit_codes(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_classify_max_arity_far_above_the_hit_answers_at_once(tmp_path, capsys):
+    # the table count of an unsearched arity (2**(2**40) at 40) is never built
+    lang = tmp_path / "affine.txt"
+    lang.write_text("domain 2\nrelation XOR0 3\n0 0 0\n0 1 1\n1 0 1\n1 1 0\nend\n")
+    start = time.perf_counter()
+    code = run_cli(["classify", "--language", lang, "--r", "2", "--max-arity", "40", "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "P"
+    assert data["searched_arities"] == [2, 3]
+    assert data["searched_tables"] == 2**4 + 2**8
+
+
 @pytest.mark.parametrize("arity", ["1", "0", "-3"])
 def test_classify_rejects_max_arity_below_two(tmp_path, capsys, arity):
     lang = tmp_path / "affine.txt"

@@ -45,6 +45,12 @@ def run_script(name, *args):
             ["--count", "15"],
             r"^15/15 round trips exact \(\d+ column-conflict draws\), [\d.]+s$",
         ),
+        (
+            "witness_agreement_sweep.py",
+            ["--count", "15"],
+            r"^15/15 agree \(\d+ over three elements; witnesses \d+ witnessed, \d+ refuted, "
+            r"\d+ inconclusive\), [\d.]+s$",
+        ),
     ],
 )
 def test_script_exits_zero_with_summary(name, args, summary):

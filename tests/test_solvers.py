@@ -964,3 +964,16 @@ def test_bundle_decides_a_user_variable_named_z(mixed_lang, matrix, truth):
     s = sent(mixed_lang, prefix, [Atom(rel, args) for rel, *args in matrix])
     bundle = reduce_pgp_to_csp(s, 2, witness=switchability_witness(mixed_lang, 2))
     assert bundle.combined is truth is oracle_qcsp(s).truth
+
+
+def test_classify_counts_only_the_arities_it_searched(xor0_lang):
+    # the search stops at its first hit, and so do the reported figures
+    affine = classify(xor0_lang, 2, wnu_arity=40)
+    assert affine.verdict == "P"
+    assert affine.searched_arities == (2, 3)
+    assert affine.searched_tables == 2**4 + 2**8
+    le = ConstraintLanguage.of(2, Relation("LE", 2, frozenset({(0, 0), (0, 1), (1, 1)})))
+    lattice = classify(le, 2, wnu_arity=3)
+    assert lattice.verdict == "P" and lattice.base_wnu.arity == 2
+    assert lattice.searched_arities == (2,)
+    assert lattice.searched_tables == 2**4
