@@ -13,99 +13,54 @@ Each draw is a random language over two or three elements, checked twice:
   default budgets and at a closure-point budget that only the top power's
   closure can exceed.
 
-Prints each disagreement and a summary line; exits nonzero on any.
+The references are the brute-force ones the tests use, from
+``tests/helpers.py``.  Prints each disagreement and a summary line; exits
+nonzero on any.
 """
 
 import argparse
 import random
+import sys
 import time
 from collections import Counter
-from itertools import product
-
-import numpy as np
+from pathlib import Path
 
 from qcsp import (
-    BudgetError,
     Budgets,
-    ConstraintLanguage,
-    OperationTable,
-    Relation,
     enumerate_switch_bounded,
     find_wnu,
     generate_closure,
-    is_wnu,
     polymorphisms,
     switchability_witness,
 )
 from qcsp import algebra
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import (  # noqa: E402
+    first_wnu_bruteforce,
+    polymorphisms_bruteforce,
+    random_language,
+    witness_per_power,
+)
+
 SMALL_BLOCK_CELLS = 16  # at most four tables in a stage
-
-
-def random_language(rnd, size):
-    rels = []
-    for j in range(rnd.randint(1, 2)):
-        arity = rnd.randint(1, 3)
-        universe = list(product(range(size), repeat=arity))
-        rows = rnd.sample(universe, rnd.randint(1, min(6, len(universe))))
-        rels.append(Relation(f"R{j}", arity, frozenset(rows)))
-    return ConstraintLanguage.of(size, *rels)
-
-
-def rank(values, size):
-    """Position of ``values`` in the lexicographic order of its power of A."""
-    code = 0
-    for v in values:
-        code = code * size + v
-    return code
-
-
-def tables_by_enumeration(lang, m):
-    """Every arity-m table, in lexicographic order, that keeps every
-    combination of m rows of every relation inside it."""
-    size = lang.domain.size
-    tables = np.array(list(product(range(size), repeat=size**m)), dtype=np.intp)
-    keep = np.ones(len(tables), dtype=bool)
-    for rel in lang.relations.values():
-        rows = np.array([rank(t, size) for t in rel.tuples])
-        for combo in product(rel.tuples, repeat=m):
-            entries = [rank([t[j] for t in combo], size) for j in range(rel.arity)]
-            keep &= np.isin(tables[:, entries] @ size ** np.arange(rel.arity - 1, -1, -1), rows)
-    return [tuple(t) for t in tables[keep].tolist()]
 
 
 def sieve_disagreements(lang):
     out = []
     for m in range(1, (3 if lang.domain.size == 2 else 2) + 1):
-        want = tables_by_enumeration(lang, m)
-        wnus = (t for t in want if m >= 2 and is_wnu(OperationTable(m, lang.domain, t)))
-        first_wnu = next(wnus, None)
+        want = polymorphisms_bruteforce(lang, m)
+        first_wnu = first_wnu_bruteforce(lang, m) if m >= 2 else None
         for block_cells in (algebra._BLOCK_CELLS, SMALL_BLOCK_CELLS):
             saved, algebra._BLOCK_CELLS = algebra._BLOCK_CELLS, block_cells
             try:
-                if [f.table for f in polymorphisms(lang, m)] != want:
+                if list(polymorphisms(lang, m)) != want:
                     out.append(f"polymorphisms at arity {m}, {block_cells} block cells")
-                found = find_wnu(lang, m) if m >= 2 else None
-                if (found and found.table) != first_wnu:
+                if (find_wnu(lang, m) if m >= 2 else None) != first_wnu:
                     out.append(f"find_wnu at arity {m}, {block_cells} block cells")
             finally:
                 algebra._BLOCK_CELLS = saved
     return out
-
-
-def witness_per_power(lang, r, max_arity, max_power, budgets):
-    ops = tuple(f for m in range(1, max_arity + 1) for f in polymorphisms(lang, m))
-    powers, verdict = [], "witnessed"
-    for n in range(2, max_power + 1):
-        try:
-            closed = generate_closure(enumerate_switch_bounded(n, r, lang.domain), ops, n, budgets)
-        except BudgetError:
-            verdict = "inconclusive"
-            break
-        powers.append((n, len(closed) == lang.domain.size**n))
-    if not all(g for _, g in powers):
-        verdict = "refuted-at-bounds"
-    return ops, tuple(powers), verdict
 
 
 def witness_disagreements(rnd, lang, verdicts):
@@ -133,7 +88,7 @@ def main() -> int:
     start = time.time()
     agree, three, verdicts = 0, 0, Counter()
     for i in range(args.count):
-        lang = random_language(rnd, rnd.choice((2, 3)))
+        lang = random_language(rnd, rnd.choice((2, 3)), (1, 2, 3), 6)
         three += lang.domain.size == 3
         failures = sieve_disagreements(lang) + witness_disagreements(rnd, lang, verdicts)
         for failure in failures:

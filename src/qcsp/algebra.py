@@ -265,10 +265,8 @@ def _sieve(
         for rows, index in checks:
             if not cand.shape[1]:
                 break
-            if lo == 0 and hi == n_slots:  # the only stage: every combination
-                blocks = _entry_blocks([rows] * m, size, cand.shape[1])
-            else:  # the first stage also takes the combinations of fixed entries (last -1)
-                blocks = _stage_blocks(rows, m, size, last, lo if lo else -1, hi, cand.shape[1])
+            # the first stage also takes the combinations of fixed entries (last -1)
+            blocks = _stage_blocks(rows, m, size, last, lo if lo else -1, hi, cand.shape[1])
             cand = _preserving(cand, blocks, index, size)
         if hi == n_slots:
             break

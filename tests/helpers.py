@@ -10,12 +10,17 @@ from itertools import combinations, product
 
 from qcsp import (
     Atom,
+    BudgetError,
+    Budgets,
     ConstraintLanguage,
     CspInstance,
     OperationTable,
     QuantifiedSentence,
     Relation,
+    enumerate_switch_bounded,
+    generate_closure,
     is_wnu,
+    polymorphisms,
 )
 
 XOR0 = Relation("XOR0", 3, frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}))
@@ -153,6 +158,22 @@ def polymorphisms_bruteforce(lang: ConstraintLanguage, m: int) -> list[Operation
 
 def first_wnu_bruteforce(lang: ConstraintLanguage, m: int) -> OperationTable | None:
     return next((f for f in polymorphisms_bruteforce(lang, m) if is_wnu(f)), None)
+
+
+def witness_per_power(lang: ConstraintLanguage, r: int, max_arity: int, max_power: int, budgets: Budgets):
+    """The witness with every power closed on its own, from n = 2 up."""
+    ops = tuple(f for m in range(1, max_arity + 1) for f in polymorphisms(lang, m))
+    powers, verdict = [], "witnessed"
+    for n in range(2, max_power + 1):
+        try:
+            closed = generate_closure(enumerate_switch_bounded(n, r, lang.domain), ops, n, budgets)
+        except BudgetError:
+            verdict = "inconclusive"
+            break
+        powers.append((n, len(closed) == lang.domain.size**n))
+    if not all(g for _, g in powers):
+        verdict = "refuted-at-bounds"
+    return ops, tuple(powers), verdict
 
 
 def closure_bruteforce(seeds, ops, n: int) -> frozenset:

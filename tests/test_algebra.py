@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from itertools import product
 
@@ -336,7 +337,7 @@ def random_language(rnd, size, max_arity):
     return ConstraintLanguage.of(size, *rels)
 
 
-@pytest.mark.parametrize("block_cells", [5, algebra._BLOCK_CELLS, 1 << 18])
+@pytest.mark.parametrize("block_cells", [4, 5, 16, 64, 1000, algebra._BLOCK_CELLS, 1 << 18])
 @pytest.mark.parametrize(
     "size, arities, count", [(2, (1, 2, 3), 12), (3, (1, 2), 3)]
 )
@@ -344,6 +345,8 @@ def test_polymorphisms_and_find_wnu_match_bruteforce(
     size, arities, count, block_cells, monkeypatch
 ):
     monkeypatch.setattr(algebra, "_BLOCK_CELLS", block_cells)
+    stages, real = [], algebra._stage_blocks
+    monkeypatch.setattr(algebra, "_stage_blocks", lambda *a: stages.append(a[4]) or real(*a))
     rnd = random.Random(size)
     for _ in range(count):
         lang = random_language(rnd, size, 3)
@@ -352,6 +355,10 @@ def test_polymorphisms_and_find_wnu_match_bruteforce(
             assert list(got) == polymorphisms_bruteforce(lang, m)
             if m >= 2:
                 assert find_wnu(lang, m) == first_wnu_bruteforce(lang, m)
+    # a stage holds at most isqrt(_BLOCK_CELLS) tables; the projections
+    # survive every stage, so a sieve too large for one reaches a later stage
+    top = size ** size ** max(arities)
+    assert any(lo >= 0 for lo in stages) == (math.isqrt(block_cells) < top)
 
 
 def test_find_wnu_none_matches_bruteforce(one_in_three_lang):
@@ -478,47 +485,6 @@ def test_operation_table_rejects_an_entry_outside_the_domain(entry):
         OperationTable(2, DOM2, (0, 1, entry, 1))
 
 
-def count_staged_checks(monkeypatch) -> list:
-    """Record the (lo, hi) slot range of every stage-filtered relation check."""
-    stages, real = [], algebra._stage_blocks
-    monkeypatch.setattr(algebra, "_stage_blocks", lambda *a: stages.append(a[4:6]) or real(*a))
-    return stages
-
-
-@pytest.mark.parametrize("block_cells", [4, 64, algebra._BLOCK_CELLS])
-def test_staged_sieve_matches_bruteforce_on_boolean_languages(block_cells, monkeypatch):
-    # a stage holds at most isqrt(_BLOCK_CELLS) tables: 2 and 8 split every
-    # Boolean sieve of arity 2 and 3 into stages, 256 none
-    monkeypatch.setattr(algebra, "_BLOCK_CELLS", block_cells)
-    stages = count_staged_checks(monkeypatch)
-    rnd = random.Random(15)
-    for _ in range(10):
-        lang = random_language(rnd, 2, 3)
-        for m in (1, 2, 3):
-            assert list(polymorphisms(lang, m)) == polymorphisms_bruteforce(lang, m)
-            if m >= 2:
-                assert find_wnu(lang, m) == first_wnu_bruteforce(lang, m)
-    assert bool(stages) == (block_cells < 256)
-    if stages:  # some arity-3 sieve got as far as a stage that sets only its last entry
-        assert (7, 8) in stages
-
-
-def test_staged_sieve_matches_per_table_preserves_on_three_elements(monkeypatch):
-    rnd = random.Random(3)
-    for _ in range(2):
-        lang = helpers.random_language(rnd, 3, (2, 3), 6)
-        rels = lang.sorted_relations()
-        want = {}
-        for m in (1, 2):
-            tables = (OperationTable(m, lang.domain, t) for t in product(range(3), repeat=3**m))
-            want[m] = [f for f in tables if all(preserves(f, rel) for rel in rels)]
-        for block_cells in (16, 1000, algebra._BLOCK_CELLS):
-            monkeypatch.setattr(algebra, "_BLOCK_CELLS", block_cells)
-            for m in (1, 2):
-                assert list(polymorphisms(lang, m)) == want[m]
-            assert find_wnu(lang, 2) == next((f for f in want[2] if is_wnu(f)), None)
-
-
 def test_polymorphisms_budget_errors_are_checked_in_sorted_order():
     # the table count first, then each relation's cells in name order, all
     # before any table is built: C (5120 cells) is never reached
@@ -567,22 +533,6 @@ def test_row_index_is_built_once_and_budget_checked_every_call(xor0_lang):
     assert algebra._row_index(rel, 2, 3, Budgets()) is not first
 
 
-def witness_per_power(lang, r, max_arity, max_power, budgets):
-    """The witness with every power closed on its own, from n = 2 up."""
-    ops = tuple(f for m in range(1, max_arity + 1) for f in polymorphisms(lang, m))
-    powers, verdict = [], "witnessed"
-    for n in range(2, max_power + 1):
-        try:
-            closed = generate_closure(enumerate_switch_bounded(n, r, lang.domain), ops, n, budgets)
-        except BudgetError:
-            verdict = "inconclusive"
-            break
-        powers.append((n, len(closed) == lang.domain.size**n))
-    if not all(g for _, g in powers):
-        verdict = "refuted-at-bounds"
-    return ops, tuple(powers), verdict
-
-
 @pytest.mark.parametrize("size, max_arity, max_power", [(2, 3, 5), (3, 2, 4)])
 def test_projected_witness_powers_match_per_power_closures(size, max_arity, max_power, monkeypatch):
     closures = []
@@ -601,7 +551,7 @@ def test_projected_witness_powers_match_per_power_closures(size, max_arity, max_
         # the default bound, and one that only the top power's closure can exceed
         for limit in (Budgets().max_closure_points, sizes[max_power - 1]):
             budgets = Budgets(max_closure_points=limit)
-            want = witness_per_power(lang, r, max_arity, max_power, budgets)
+            want = helpers.witness_per_power(lang, r, max_arity, max_power, budgets)
             closures.clear()
             w = switchability_witness(lang, r, max_arity, max_power, budgets)
             assert (w.operations, w.powers, w.verdict) == want
