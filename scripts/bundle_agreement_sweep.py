@@ -57,14 +57,14 @@ def main() -> int:
     start = time.time()
     agree = 0
     true_count = 0
-    solved = 0
-    instances = 0
+    solved = reused = instances = 0
     for i in range(args.count):
         s = random_sentence(rnd, lang, args.max_vars, args.max_atoms)
         truth = oracle_qcsp(s).truth
         bundle = reduce_pgp_to_csp(s, args.r, witness=witness)
         pi2 = pi2_truth(reduce_to_pi2(s, args.r, witness=witness))
         solved += len(bundle.members)
+        reused += len(bundle.reused)
         instances += len(bundle.index_sets)
         true_count += truth
         if truth == bundle.combined == pi2:
@@ -76,7 +76,8 @@ def main() -> int:
     elapsed = time.time() - start
     print(
         f"{agree}/{args.count} agree ({100.0 * agree / args.count:.1f}%), "
-        f"{true_count} true, {solved} of {instances} CSP instances solved, {elapsed:.1f}s"
+        f"{true_count} true, {solved} solved, {reused} reused of {instances} CSP instances, "
+        f"{elapsed:.1f}s"
     )
     return 0 if agree == args.count else 1
 

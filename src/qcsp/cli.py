@@ -27,6 +27,7 @@ from .parsing import (
     serialize_sentence,
 )
 from .solvers import (
+    check_witness_gate,
     classify,
     oracle_qcsp,
     pi2_truth,
@@ -207,10 +208,12 @@ def _solve_with_method(
         bundle = reduce_pgp_to_csp(
             target, args.r, witness=witness, override=args.override_witness, budgets=budgets
         )
-        counts = {"instances": len(bundle.index_sets), "solved": len(bundle.members)}
+        counts = {"instances": len(bundle.index_sets), "solved": len(bundle.members),
+                  "reused": len(bundle.reused)}
         trace.append({"step": len(trace) + 1, "rule": "pgp-csp-bundle",
                       "before": _sentence_size(target), "after": counts})
         return bundle.combined, bundle.to_json()
+    conditional = check_witness_gate(witness, args.r, args.override_witness)
     pi2 = reduce_to_pi2(
         target, args.r, witness=witness, override=args.override_witness, budgets=budgets
     )
@@ -218,14 +221,15 @@ def _solve_with_method(
         trace.append({"step": len(trace) + 1, "rule": "pi2",
                       "before": _sentence_size(target), "after": _sentence_size(pi2)})
         truth = pi2_truth(pi2, budgets)
-        return truth, {"truth": truth, "method": "pi2", "pi2_size": _sentence_size(pi2)}
+        return truth, {"truth": truth, "method": "pi2", "conditional": conditional,
+                       "pi2_size": _sentence_size(pi2)}
     # power-csp
     inst = qcsp_to_power_csp(pi2, budgets)
     trace.append({"step": len(trace) + 1, "rule": "power-csp",
                   "before": _sentence_size(pi2), "after": _instance_size(inst)})
     verdict = solve_csp(inst)
     return verdict.truth, {"truth": verdict.truth, "method": "power-csp",
-                           "instance_size": _instance_size(inst)}
+                           "conditional": conditional, "instance_size": _instance_size(inst)}
 
 
 def _run_solve(args: argparse.Namespace, budgets: Budgets) -> int:

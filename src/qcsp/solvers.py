@@ -459,10 +459,12 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
 # witness-gated reductions
 
 
-def _check_witness_gate(
+def check_witness_gate(
     witness: SwitchabilityWitness | None, r: int, override: bool
 ) -> bool:
-    """Returns True when the result must carry the conditional caveat."""
+    """Whether a reduction's result must carry the conditional caveat: False
+    when the witness holds at bound r, True when it does not and ``override``
+    is set; otherwise raises :class:`WitnessRequiredError`."""
     if r < 0:
         raise ValueError(f"switch bound must be >= 0, got {r}")
     valid = witness is not None and witness.verdict == WITNESSED and witness.r <= r
@@ -479,6 +481,38 @@ def _index_sets(n: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(idx for k in range(min(r, n) + 1) for idx in combinations(range(1, n + 1), k))
 
 
+def _collapse_shape(
+    alt: AlternatingSentence, occurring: set[str], indices: tuple[int, ...]
+) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
+    """What of the collapse ``omega(alt, indices)`` survives once its vacuous
+    variables are dropped: the kept universals that occur in the matrix, and
+    per segment between kept positions the occurring universals folded into
+    its z$oj, segments that fold none left out.
+
+    Two patterns of equal shape give collapses that are equal after their
+    vacuous variables are dropped, up to a renaming of the z$oj that keeps
+    their order: both keep every existential and the same occurring
+    universals in place, and both put the same groups, in the same order,
+    under the leading z$oj that :func:`eliminate_universals` keeps.  Their
+    eliminated instances then differ only in the names of the z$oj copies,
+    which their const_a atoms pin to one value each, so no search ever
+    branches on them: the two instances have the same truth, the same search
+    and the same node count.
+    """
+    xs = alt.sentence.prefix[1::2]  # (forall, x_i) at i - 1
+    kept: list[str] = []
+    groups: list[tuple[str, ...]] = []
+    lo = 0
+    for hi in (*indices, alt.n + 1):
+        group = tuple(x for _, x in xs[lo : hi - 1] if x in occurring)
+        if group:
+            groups.append(group)
+        if hi <= alt.n and xs[hi - 1][1] in occurring:
+            kept.append(xs[hi - 1][1])
+        lo = hi
+    return tuple(kept), tuple(groups)
+
+
 @dataclass(frozen=True)
 class BundleMember:
     indices: tuple[int, ...]
@@ -489,40 +523,67 @@ class BundleMember:
 
 @dataclass(frozen=True)
 class ReductionBundle:
-    """One CSP instance per collapse pattern; true iff all are satisfiable.
+    """One decision per collapse pattern; true iff every pattern is satisfiable.
 
-    ``index_sets`` lists every pattern.  The members are solved in that order
-    and the bundle stops at the first unsatisfiable one, so ``members`` is the
-    solved prefix: all of the patterns when the sentence is true, and up to
-    its first false member otherwise.
+    ``index_sets`` lists every pattern.  The patterns are decided in that
+    order, and the bundle stops at the first unsatisfiable one.  The first
+    pattern of each collapse shape (see :func:`_collapse_shape`) is built and
+    solved, and kept in ``members``; a later pattern of the same shape has
+    the same verdict, and is only listed in ``reused``.  Both are in
+    index-set order, and together they are the decided prefix of
+    ``index_sets``: all of it when the sentence is true, and up to its first
+    false member otherwise.
     """
 
     source: QuantifiedSentence
     r: int
     index_sets: tuple[tuple[int, ...], ...]
     members: tuple[BundleMember, ...]
+    reused: tuple[tuple[int, ...], ...]
     combined: bool
     conditional: bool
 
     def __post_init__(self):
-        solved = tuple(m.indices for m in self.members)
-        if solved != self.index_sets[: len(solved)]:
-            raise ValueError("bundle members must be a prefix of the index sets, in order")
-        if not all(m.verdict.truth for m in self.members[:-1]):
-            raise ValueError("bundle members after an unsatisfiable one must not be solved")
-        complete = len(solved) == len(self.index_sets)
-        if not complete and (not self.members or self.members[-1].verdict.truth):
+        alt = normalize_alternating(self.source)
+        occurring = self.source.matrix_variables()
+        members, reused = self.members, self.reused
+        shapes: set[tuple] = set()
+        m = j = 0
+        for idx in self.index_sets:
+            solved = m < len(members) and members[m].indices == idx
+            if not solved and not (j < len(reused) and reused[j] == idx):
+                break
+            if m and not members[m - 1].verdict.truth:
+                raise ValueError("bundle decides no pattern after an unsatisfiable member")
+            shape = _collapse_shape(alt, occurring, idx)
+            if solved:
+                if shape in shapes:
+                    raise ValueError(f"bundle member {idx} repeats the shape of an earlier member")
+                shapes.add(shape)
+                m += 1
+            else:
+                if shape not in shapes:
+                    raise ValueError(f"reused pattern {idx} has no earlier member of its shape")
+                j += 1
+        if (m, j) != (len(members), len(reused)):
+            raise ValueError(
+                "solved and reused patterns must form a prefix of the index sets, in order"
+            )
+        complete = m + j == len(self.index_sets)
+        if not complete and (not members or members[-1].verdict.truth):
             raise ValueError("bundle may only stop at an unsatisfiable member")
-        if self.combined != (complete and all(m.verdict.truth for m in self.members)):
+        if self.combined != (complete and all(x.verdict.truth for x in members)):
             raise ValueError("combined verdict must be the conjunction over every pattern")
 
     def to_json(self) -> dict:
+        decided = len(self.members) + len(self.reused)
         return {
             "r": self.r,
             "combined": self.combined,
             "conditional": self.conditional,
             "instances_solved": len(self.members),
-            "instances_skipped": len(self.index_sets) - len(self.members),
+            "instances_reused": len(self.reused),
+            "instances_skipped": len(self.index_sets) - decided,
             "members": [
                 {
                     "indices": list(m.indices),
@@ -542,33 +603,48 @@ def reduce_pgp_to_csp(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> ReductionBundle:
     """Solve the sentence as a conjunction of plain CSP instances, one per
-    collapse pattern with at most r kept universals (2k+1 universals each).
+    collapse shape of the patterns with at most r kept universals (2k+1
+    universals each).
 
-    Every pattern is kept, though the maximal ones alone decide the verdict
-    (see :func:`reduce_to_pi2`): the bundle reports one instance per pattern,
-    and the small patterns are the cheapest to eliminate and solve, so they
-    refute a false sentence before a large one is built.
+    Every pattern is decided, though the maximal ones alone decide the
+    verdict (see :func:`reduce_to_pi2`): the bundle reports a verdict per
+    pattern, and the small patterns are the cheapest to eliminate and solve,
+    so they refute a false sentence before a large one is built.
 
-    Patterns are built and solved one at a time in index-set order, and the
-    first unsatisfiable one decides the verdict; later ones are never built.
-    The elimination budgets of every pattern size are checked first, smallest
-    first, so a budget error is raised exactly as if every pattern were built
-    in order, whatever the verdict of an earlier pattern.
+    Patterns are decided one at a time in index-set order, and the first
+    unsatisfiable one decides the verdict; later ones are never built.  A
+    pattern is built and solved only when it is the first of its collapse
+    shape, computed from the pattern before any collapse is built (see
+    :func:`_collapse_shape`); a later pattern of that shape has the same
+    verdict, true since the bundle did not stop there, and is recorded as
+    reused.  The elimination budgets of every pattern size are checked first,
+    smallest first, so a budget error is raised exactly as if every pattern
+    were built in order, whatever the verdict of an earlier pattern.
     """
-    conditional = _check_witness_gate(witness, r, override)
+    conditional = check_witness_gate(witness, r, override)
     alt = normalize_alternating(s)
     sets = _index_sets(alt.n, r)
     for k in range(min(r, alt.n) + 1):
         check_elimination_budget(s.language.domain.size, 2 * k + 1, len(s.matrix), budgets)
+    occurring = s.matrix_variables()
+    shapes: set[tuple] = set()
     members: list[BundleMember] = []
+    reused: list[tuple[int, ...]] = []
     for idx in sets:
+        shape = _collapse_shape(alt, occurring, idx)
+        if shape in shapes:
+            reused.append(idx)
+            continue
+        shapes.add(shape)
         w = omega(alt, idx)
         inst = eliminate_universals(w, budgets)
         verdict = solve_csp(inst)
         members.append(BundleMember(idx, w, inst, verdict))
         if not verdict.truth:
             break
-    return ReductionBundle(s, r, sets, tuple(members), members[-1].verdict.truth, conditional)
+    return ReductionBundle(
+        s, r, sets, tuple(members), tuple(reused), members[-1].verdict.truth, conditional
+    )
 
 
 def reduce_to_pi2(
@@ -596,7 +672,7 @@ def reduce_to_pi2(
     When r >= n the only pattern keeps every universal, and its vacuous
     collapsed universals are dropped by :func:`move_universals_left`.
     """
-    _check_witness_gate(witness, r, override)
+    check_witness_gate(witness, r, override)
     alt = normalize_alternating(s)
     maximal = combinations(range(1, alt.n + 1), min(r, alt.n))
     members = [move_universals_left(omega(alt, idx), budgets) for idx in maximal]
@@ -671,17 +747,28 @@ def classify(
     and ``searched_tables`` count only the arities searched: 2 up to the hit
     for a P verdict, 2 up to ``wnu_arity`` otherwise.  A bound far above the
     hit costs nothing.
+
+    The switchability witness is computed only without ``override``, the one
+    case that reads it.  So under the override an over-budget language never
+    raises a check of the witness (``arity-m operation enumeration``,
+    ``closure membership index``).  After ``power domain`` it raises the
+    first failing check of the search (``arity-m symmetric-table
+    enumeration``, ``preservation check cells``) or of the lift (``power
+    domain for lifted operation``, ``lifted operation table``).
     """
     if wnu_arity < 2:
         raise ValueError(f"weak near-unanimity search arity must be >= 2, got {wnu_arity}")
     size = lang.domain.size
     budgets.check_power("power domain", budgets.max_power_domain, size, (size, size))
-    witness = switchability_witness(lang, r, budgets=budgets)
-    if witness.verdict != WITNESSED and not override:
-        return ClassificationReport(
-            NOT_APPLICABLE,
-            f"switchability check returned {witness.verdict!r}; classification needs a witness",
-        )
+    if r < 0:
+        raise ValueError(f"switch bound must be >= 0, got {r}")
+    if not override:
+        witness = switchability_witness(lang, r, budgets=budgets)
+        if witness.verdict != WITNESSED:
+            return ClassificationReport(
+                NOT_APPLICABLE,
+                f"switchability check returned {witness.verdict!r}; classification needs a witness",
+            )
 
     for top in range(2, wnu_arity + 1):
         base = find_wnu(lang, top, budgets)

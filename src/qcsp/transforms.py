@@ -129,27 +129,34 @@ class GammaColumn:
 
 def normalize_alternating(s: QuantifiedSentence) -> AlternatingSentence:
     """Insert unconstrained dummies until the prefix strictly alternates
-    exists/forall, starting with exists and ending with forall."""
-    out: list[tuple[str, str]] = []
-    counter = 1
-    expect = EXISTS
-    for q, v in s.prefix:
-        if q != expect:
-            dummy = f"y$d{counter}" if expect == EXISTS else f"x$d{counter}"
-            counter += 1
-            out.append((expect, dummy))
+    exists/forall, starting with exists and ending with forall.
+
+    The normal form is kept on the sentence (see :func:`cached_on`), so a
+    later call on the same sentence returns the same object."""
+
+    def build() -> AlternatingSentence:
+        out: list[tuple[str, str]] = []
+        counter = 1
+        expect = EXISTS
+        for q, v in s.prefix:
+            if q != expect:
+                dummy = f"y$d{counter}" if expect == EXISTS else f"x$d{counter}"
+                counter += 1
+                out.append((expect, dummy))
+                expect = FORALL if expect == EXISTS else EXISTS
+            out.append((q, v))
             expect = FORALL if expect == EXISTS else EXISTS
-        out.append((q, v))
-        expect = FORALL if expect == EXISTS else EXISTS
-    if expect == EXISTS and not out:
-        out.append((EXISTS, f"y$d{counter}"))
-        counter += 1
-        expect = FORALL
-    if expect == FORALL:
-        out.append((FORALL, f"x$d{counter}"))
-    sentence = QuantifiedSentence(tuple(out), s.matrix, s.language)
-    check_wellformed(sentence)
-    return AlternatingSentence(sentence, len(out) // 2)
+        if expect == EXISTS and not out:
+            out.append((EXISTS, f"y$d{counter}"))
+            counter += 1
+            expect = FORALL
+        if expect == FORALL:
+            out.append((FORALL, f"x$d{counter}"))
+        sentence = QuantifiedSentence(tuple(out), s.matrix, s.language)
+        check_wellformed(sentence)
+        return AlternatingSentence(sentence, len(out) // 2)
+
+    return cached_on(s, "alternating", build)
 
 
 # ---------------------------------------------------------------------------

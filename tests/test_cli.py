@@ -90,10 +90,31 @@ def test_solve_pgp_csp_trace_counts_solved_patterns(files, tmp_path, capsys):
                     "--method", "pgp-csp", "--r", "2", "--format", "json", "--trace"])
     data = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert (data["instances_solved"], data["instances_skipped"]) == (2, 2)
+    assert (data["instances_solved"], data["instances_reused"], data["instances_skipped"]) == (2, 0, 2)
     [step] = data["trace"]
     assert step["rule"] == "pgp-csp-bundle"
-    assert step["after"] == {"instances": 4, "solved": 2}
+    assert step["after"] == {"instances": 4, "solved": 2, "reused": 0}
+
+
+@pytest.mark.parametrize("method", ["pgp-csp", "pi2", "power-csp"])
+def test_every_reduction_method_reports_the_gate_flag(files, tmp_path, capsys, method):
+    # one-in-three has no switchability witness: the override runs the
+    # reduction anyway and marks the result conditional, in JSON and in text
+    lang = tmp_path / "one.txt"
+    lang.write_text("domain 2\nrelation ONE 3\n0 0 1\n0 1 0\n1 0 0\nend\n")
+    sent = tmp_path / "s.txt"
+    sent.write_text("forall x\nexists y\nexists z\nconstraint ONE x y z\n")
+    args = ["solve", "--language", lang, "--sentence", sent, "--method", method, "--r", "2",
+            "--override-witness"]
+    assert run_cli([*args, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["conditional"] is True
+    assert run_cli(args) == 0
+    assert "conditional: True" in capsys.readouterr().out.splitlines()
+    # a language with a witness gives an unconditional result
+    xor_lang, true_s, _ = files
+    assert run_cli(["solve", "--language", xor_lang, "--sentence", true_s, "--method", method,
+                    "--r", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["conditional"] is False
 
 
 def test_solve_pi2_and_power(files, capsys):

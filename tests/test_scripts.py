@@ -38,7 +38,7 @@ def run_script(name, *args):
         (
             "bundle_agreement_sweep.py",
             ["--count", "15"],
-            r"^15/15 agree \(100\.0%\), \d+ true, \d+ of \d+ CSP instances solved, [\d.]+s$",
+            r"^15/15 agree \(100\.0%\), \d+ true, \d+ solved, \d+ reused of \d+ CSP instances, [\d.]+s$",
         ),
         (
             "power_roundtrip_sweep.py",

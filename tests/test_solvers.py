@@ -368,12 +368,16 @@ def test_bundle_member_count(xor0_lang, xor0_witness):
     assert first_false == 1
     assert [m.indices for m in bundle.members] == patterns[: first_false + 1]
     assert [m.verdict.truth for m in bundle.members] == eager[: first_false + 1]
+    assert bundle.reused == ()
     assert bundle.combined is False is oracle_qcsp(s).truth
-    # a true sentence over the same prefix solves every pattern
+    # a true sentence over the same prefix decides every pattern; only x1
+    # occurs, so each pattern either keeps it, as (1,) does, or folds it into
+    # z$o0, as () does, and only those two are solved
     t = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "y2"))])
     full = reduce_pgp_to_csp(t, 2, witness=xor0_witness)
     assert list(full.index_sets) == patterns
-    assert [m.indices for m in full.members] == patterns
+    assert [m.indices for m in full.members] == [(), (1,)]
+    assert list(full.reused) == [(2,), (3,), (1, 2), (1, 3), (2, 3)]
     assert full.combined is True is oracle_qcsp(t).truth
 
 
@@ -442,14 +446,20 @@ def test_bundle_deterministic_under_input_order(mixed_lang):
 def test_bundle_json_lists_members(xor0_lang, xor0_witness):
     s = sent(xor0_lang, [("forall", "x"), ("exists", "y")], [Atom("XOR0", ("x", "x", "y"))])
     data = reduce_pgp_to_csp(s, 2, witness=xor0_witness).to_json()
-    assert {"r", "combined", "conditional", "members", "instances_solved", "instances_skipped"} <= set(data)
+    assert {"r", "combined", "conditional", "members", "instances_solved", "instances_reused",
+            "instances_skipped"} <= set(data)
     assert all({"indices", "satisfiable", "nodes"} <= set(m) for m in data["members"])
+    # (2,) and (1, 2) have the shapes of () and (1,): the only occurring
+    # universal x is at position 1
+    assert [m["indices"] for m in data["members"]] == [[], [1]]
+    assert (data["instances_solved"], data["instances_reused"], data["instances_skipped"]) == (2, 2, 0)
     # a false sentence lists only the solved prefix and counts the rest
     prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2")]
     s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "x2"))])
     data = reduce_pgp_to_csp(s, 2, witness=xor0_witness).to_json()
     assert data["combined"] is False
     assert data["instances_solved"] == len(data["members"]) == 2
+    assert data["instances_reused"] == 0
     assert data["instances_skipped"] == 4 - 2
     assert [m["satisfiable"] for m in data["members"]] == [True, False]
 
@@ -463,21 +473,75 @@ def test_lazy_bundle_matches_eager_bundle(make_lang, seed):
         witness.r, witness.operations[::-1], witness.powers, witness.verdict
     )
     rnd = random.Random(seed)
-    falses = skipped = 0
+    falses = skipped = reused = 0
     for _ in range(60):
         s = random_sentence(rnd, lang, max_vars=6, max_atoms=3)
         bundle = reduce_pgp_to_csp(s, 2, witness=witness)
         eager = _eager_verdicts(s, 2)
         assert bundle.combined == all(eager) == oracle_qcsp(s).truth, (s.prefix, s.matrix)
-        solved = len(eager) if all(eager) else eager.index(False) + 1
-        assert [m.verdict.truth for m in bundle.members] == eager[:solved]
+        decided = len(eager) if all(eager) else eager.index(False) + 1
+        position = {idx: i for i, idx in enumerate(bundle.index_sets)}
+        assert [m.verdict.truth for m in bundle.members] == [
+            eager[position[m.indices]] for m in bundle.members
+        ]
+        assert all(eager[position[idx]] for idx in bundle.reused)
+        assert len(bundle.members) + len(bundle.reused) == decided
         assert len(bundle.index_sets) == len(eager)
         t = QuantifiedSentence(s.prefix, s.matrix, flipped)
         again = reduce_pgp_to_csp(t, 2, witness=flipped_witness)
         assert json.dumps(bundle.to_json()) == json.dumps(again.to_json())
         falses += not bundle.combined
-        skipped += len(eager) - solved
-    assert falses and skipped  # the seed exercises stopping early
+        skipped += len(eager) - decided
+        reused += len(bundle.reused)
+    assert falses and skipped and reused  # the seed exercises stopping early and reuse
+
+
+def _stripped(sentence):
+    """The sentence without its vacuous variables, up to renaming: the
+    occurring prefix's quantifiers, and each atom with its variables given
+    by their position in that prefix."""
+    occurring = sentence.matrix_variables()
+    prefix = [(q, v) for q, v in sentence.prefix if v in occurring]
+    position = {v: i for i, (_, v) in enumerate(prefix)}
+    matrix = tuple((a.relation, tuple(position[v] for v in a.args)) for a in sentence.matrix)
+    return tuple(q for q, _ in prefix), matrix
+
+
+@pytest.mark.parametrize("make_lang, seed", [(lang_mixed2, 83), (lang_dom3, 89)])
+@pytest.mark.parametrize("r", [1, 2])
+def test_reused_patterns_match_their_members(make_lang, seed, r):
+    # every reused pattern, built and solved eagerly, has its member's
+    # verdict, and patterns of equal shape give equal stripped collapses
+    lang = make_lang()
+    witness = switchability_witness(lang, r, max_arity=2 if lang.domain.size == 3 else 3)
+    assert witness.verdict == "witnessed"
+    rnd = random.Random(seed)
+    reused = equal_pairs = 0
+    for _ in range(150):
+        s = random_sentence(rnd, lang, max_vars=8, max_atoms=3)
+        bundle = reduce_pgp_to_csp(s, r, witness=witness)
+        assert bundle.combined == oracle_qcsp(s).truth, (s.prefix, s.matrix)
+        alt = normalize_alternating(s)
+        occurring = s.matrix_variables()
+        member_of = {solvers._collapse_shape(alt, occurring, m.indices): m for m in bundle.members}
+        assert len(member_of) == len(bundle.members)
+        for idx in bundle.reused:
+            member = member_of[solvers._collapse_shape(alt, occurring, idx)]
+            collapse = omega(alt, idx)
+            verdict = solve_csp(eliminate_universals(collapse))
+            assert verdict.truth is member.verdict.truth is True
+            assert verdict.stats == member.verdict.stats
+            assert _stripped(collapse) == _stripped(member.sentence)
+            reused += 1
+        by_shape = {}
+        for idx in bundle.index_sets:
+            by_shape.setdefault(solvers._collapse_shape(alt, occurring, idx), []).append(idx)
+        for group in by_shape.values():
+            first = _stripped(omega(alt, group[0]))
+            for idx in group[1:]:
+                assert _stripped(omega(alt, idx)) == first, (s.prefix, s.matrix, group[0], idx)
+                equal_pairs += 1
+    assert reused and equal_pairs
 
 
 def test_bundle_budget_error_precedes_first_false_member(xor0_lang, xor0_witness, monkeypatch):
@@ -510,20 +574,41 @@ def test_bundle_invariants_are_checked(xor0_lang, xor0_witness):
     prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2")]
     false_s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "x2"))])
     true_s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "y2"))])
+    # x2 occurs in no atom of either: (2,) has the shape of () and (1, 2) that
+    # of (1,); in stop_s the pattern (1,) is false
+    stop_s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "y2")), Atom("XOR0", ("y1", "y1", "y2"))])
     eager = _eager_members(false_s, 2)
     assert [m.verdict.truth for m in eager[:2]] == [True, False]
+    every = _eager_members(true_s, 2)
+    stop = _eager_members(stop_s, 2)
+    assert [m.verdict.truth for m in stop[:2]] == [True, False]
     full = reduce_pgp_to_csp(true_s, 2, witness=xor0_witness)
-    for members, combined in [
-        ((eager[1], eager[0]), False),  # not in index-set order
-        (tuple(eager[:3]), False),  # solved on past a false member
-        (full.members[:2], False),  # stopped at a true member
-        ((), False),  # stopped before any member
-        (full.members, False),  # combined disagrees with a full true bundle
-        (tuple(eager[:2]), True),  # combined disagrees with a false member
+    assert [m.indices for m in full.members] == [(), (1,)]
+    assert full.reused == ((2,), (1, 2))
+    for source, members, reused, combined, message in [
+        # not in index-set order
+        (false_s, (eager[1], eager[0]), (), False, "prefix of the index sets"),
+        (true_s, full.members, full.reused[::-1], True, "prefix of the index sets"),
+        # solved on past a false member
+        (false_s, tuple(eager[:3]), (), False, "after an unsatisfiable member"),
+        # a reused pattern listed past a false member
+        (stop_s, tuple(stop[:2]), ((2,),), False, "after an unsatisfiable member"),
+        # stopped at a true member, or before any member
+        (true_s, full.members, (), False, "only stop at an unsatisfiable member"),
+        (true_s, (), (), False, "only stop at an unsatisfiable member"),
+        # a member that repeats an earlier member's shape
+        (true_s, tuple(every), (), True, "repeats the shape of an earlier member"),
+        # a reused pattern with no earlier member of its shape
+        (true_s, (every[0],), ((1,), (2,), (1, 2)), True, "no earlier member of its shape"),
+        (true_s, (every[0], every[3]), ((1,), (2,)), True, "no earlier member of its shape"),
+        # combined disagrees with a full true bundle, or with a false member
+        (true_s, full.members, full.reused, False, "conjunction"),
+        (false_s, tuple(eager[:2]), (), True, "conjunction"),
     ]:
-        with pytest.raises(ValueError):
-            ReductionBundle(true_s, 2, full.index_sets, members, combined, False)
-    assert ReductionBundle(false_s, 2, full.index_sets, tuple(eager[:2]), False, False).members
+        with pytest.raises(ValueError, match=message):
+            ReductionBundle(source, 2, full.index_sets, members, reused, combined, False)
+    assert ReductionBundle(false_s, 2, full.index_sets, tuple(eager[:2]), (), False, False).members
+    assert ReductionBundle(stop_s, 2, full.index_sets, tuple(stop[:2]), (), False, False).members
 
 
 # ---------------------------------------------------------------------------
@@ -862,6 +947,30 @@ def test_classify_one_in_three_override(one_in_three_lang):
     assert report.searched_tables == 2**4 + 2**8  # complete through the 256-table space
 
 
+def test_classify_override_skips_the_witness(one_in_three_lang, monkeypatch):
+    calls = []
+    real = solvers.switchability_witness
+    monkeypatch.setattr(solvers, "switchability_witness", lambda *a, **k: calls.append(a) or real(*a, **k))
+    classify(one_in_three_lang, 2, override=True)
+    assert len(calls) == 0
+    classify(one_in_three_lang, 2)
+    assert len(calls) == 1
+    # so the witness's budget checks no longer fire under the override; the
+    # search's do: 2 tables at arity 2, 4 at arity 3, against 16 and 256 for
+    # the witness's enumeration of every table
+    with pytest.raises(BudgetError, match="^arity-2 operation enumeration: requires 16, budget allows 8$"):
+        classify(one_in_three_lang, 2, budgets=Budgets(max_op_tables=8))
+    report = classify(one_in_three_lang, 2, override=True, budgets=Budgets(max_op_tables=8))
+    assert report.verdict == "NP-complete-modulo-arity-bound"
+    with pytest.raises(BudgetError, match="^arity-3 symmetric-table enumeration: requires 4, budget allows 2$"):
+        classify(one_in_three_lang, 2, override=True, budgets=Budgets(max_op_tables=2))
+    # a negative switch bound is still refused, witness or not
+    for override in (True, False):
+        with pytest.raises(ValueError, match="switch bound must be >= 0"):
+            classify(one_in_three_lang, -1, override=override)
+    assert len(calls) == 2
+
+
 def test_classify_refuses_dom3(dom3_lang):
     with pytest.raises(BudgetError) as err:
         classify(dom3_lang, 2)
@@ -946,7 +1055,10 @@ def test_bundle_copies_only_the_occurring_universal(dom3_lang):
     s = QuantifiedSentence(tuple(prefix), tuple(matrix), dom3_lang)
     witness = switchability_witness(dom3_lang, 2, max_arity=2)
     bundle = reduce_pgp_to_csp(s, 2, witness=witness)
-    assert len(bundle.members) == 1 + 7 + 21
+    # of the 1 + 7 + 21 patterns, only () and (1,) differ in shape: g is the
+    # only occurring universal, at position 1
+    assert [m.indices for m in bundle.members] == [(), (1,)]
+    assert len(bundle.reused) == 27
     for member in bundle.members:
         copies = [a for a in member.instance.atoms if a.relation in dom3_lang.relations]
         assert len(copies) <= 3 * len(matrix), member.indices
