@@ -4,8 +4,11 @@ the reduction to two quantifier levels.
 
 Draws random quantified sentences over the affine language, decides each with
 the oracle, the collapse bundle and ``pi2_truth`` of ``reduce_to_pi2``, and
-reports the rate at which all three agree, with timing.  Exits nonzero on any
-disagreement.
+reports the rate at which all three agree, with timing.  The bundle solves its
+members without building their instances; each solved member is also checked
+against ``solve_csp`` of its instance, built on access, and a member whose
+truth, witness or node count differs makes its sentence a disagreement.  Exits
+nonzero on any disagreement.
 """
 
 import argparse
@@ -21,6 +24,7 @@ from qcsp import (
     pi2_truth,
     reduce_pgp_to_csp,
     reduce_to_pi2,
+    solve_csp,
     switchability_witness,
 )
 
@@ -67,10 +71,14 @@ def main() -> int:
         reused += len(bundle.reused)
         instances += len(bundle.index_sets)
         true_count += truth
-        if truth == bundle.combined == pi2:
+        mismatched = [m.indices for m in bundle.members if solve_csp(m.instance) != m.verdict]
+        if truth == bundle.combined == pi2 and not mismatched:
             agree += 1
         else:
-            print(f"DISAGREEMENT at sentence {i}: oracle={truth} bundle={bundle.combined} pi2={pi2}")
+            print(
+                f"DISAGREEMENT at sentence {i}: oracle={truth} bundle={bundle.combined} pi2={pi2}"
+                f" members unlike their instances={mismatched}"
+            )
             print("  prefix:", s.prefix)
             print("  matrix:", s.matrix)
     elapsed = time.time() - start

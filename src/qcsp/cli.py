@@ -20,6 +20,7 @@ from .budgets import Budgets
 from .errors import QcspError
 from .model import FORALL, QuantifiedSentence
 from .parsing import (
+    is_integer,
     language_to_dict,
     load_language,
     load_sentence,
@@ -66,6 +67,21 @@ TRANSFORMS = (
 )
 
 
+def _integer(token: str) -> int:
+    """The argparse type of every integer flag: the integer syntax of the
+    input files (:func:`qcsp.parsing.is_integer`), so a token such as
+    ``+9``, ``1_0`` or a non-ASCII digit is a usage error (exit 2) naming
+    the flag."""
+    if not is_integer(token):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {token!r}")
+    return int(token)
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    """The argparse type of ``--indices``: comma-separated :func:`_integer` tokens."""
+    return tuple(_integer(token) for token in text.split(",")) if text else ()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qcsp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -84,40 +100,40 @@ def build_parser() -> argparse.ArgumentParser:
         if trace:
             p.add_argument("--trace", action="store_true")
         if closure:
-            p.add_argument("--budget-closure", type=int, default=None)
+            p.add_argument("--budget-closure", type=_integer, default=None)
         return p
 
     p = command("solve", _run_solve, "evaluate a sentence or instance", trace=True)
     p.add_argument("--method", choices=SOLVE_METHODS, default="oracle")
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--max-arity", type=int, default=3)
-    p.add_argument("--max-power", type=int, default=4)
+    p.add_argument("--r", type=_integer, default=0)
+    p.add_argument("--max-arity", type=_integer, default=3)
+    p.add_argument("--max-power", type=_integer, default=4)
     p.add_argument("--override-witness", action="store_true")
 
     p = command("transform", _run_transform, "apply one named transform", trace=True, closure=False)
     p.add_argument("--transform", choices=TRANSFORMS, required=True)
-    p.add_argument("--indices", default="", help="comma-separated positions for omega")
-    p.add_argument("--k", type=int, default=1, help="width/power parameter")
+    p.add_argument("--indices", type=_integers, default=(), help="comma-separated positions for omega")
+    p.add_argument("--k", type=_integer, default=1, help="width/power parameter")
     p.add_argument("--relation", help="relation name for power-relation")
 
     p = command("witness", _run_witness, "bounded switchability check", sentence=False)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--max-arity", type=int, default=3)
-    p.add_argument("--max-power", type=int, default=4)
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--max-arity", type=_integer, default=3)
+    p.add_argument("--max-power", type=_integer, default=4)
 
     p = command("classify", _run_classify, "tractability classification over the power language",
                 sentence=False)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
     p.add_argument(
-        "--max-arity", type=int, default=3, help="largest weak near-unanimity arity searched (>= 2)"
+        "--max-arity", type=_integer, default=3, help="largest weak near-unanimity arity searched (>= 2)"
     )
     p.add_argument("--override-witness", action="store_true")
 
     p = command("verify", _run_verify, "cross-check solve methods on one sentence")
     p.add_argument("--methods", required=True, help="two or more comma-separated methods")
-    p.add_argument("--r", type=int, default=0)
-    p.add_argument("--max-arity", type=int, default=3)
-    p.add_argument("--max-power", type=int, default=4)
+    p.add_argument("--r", type=_integer, default=0)
+    p.add_argument("--max-arity", type=_integer, default=3)
+    p.add_argument("--max-power", type=_integer, default=4)
     p.add_argument("--override-witness", action="store_true")
     return parser
 
@@ -221,7 +237,7 @@ def _solve_with_method(
         trace.append({"step": len(trace) + 1, "rule": "pi2",
                       "before": _sentence_size(target), "after": _sentence_size(pi2)})
         truth = pi2_truth(pi2, budgets)
-        return truth, {"truth": truth, "method": "pi2", "conditional": conditional,
+        return truth, {"truth": truth, "method": "pi2", "conditional": conditional and truth,
                        "pi2_size": _sentence_size(pi2)}
     # power-csp
     inst = qcsp_to_power_csp(pi2, budgets)
@@ -229,7 +245,8 @@ def _solve_with_method(
                   "before": _sentence_size(pi2), "after": _instance_size(inst)})
     verdict = solve_csp(inst)
     return verdict.truth, {"truth": verdict.truth, "method": "power-csp",
-                           "conditional": conditional, "instance_size": _instance_size(inst)}
+                           "conditional": conditional and verdict.truth,
+                           "instance_size": _instance_size(inst)}
 
 
 def _run_solve(args: argparse.Namespace, budgets: Budgets) -> int:
@@ -250,7 +267,6 @@ def _run_solve(args: argparse.Namespace, budgets: Budgets) -> int:
 
 
 def _run_transform(args: argparse.Namespace, budgets: Budgets) -> int:
-    indices = tuple(int(tok) for tok in args.indices.split(",")) if args.indices else ()
     lang = load_language(args.language)
     trace: list = []
     name = args.transform
@@ -301,7 +317,7 @@ def _run_transform(args: argparse.Namespace, budgets: Budgets) -> int:
     elif name == "omega":
         alt = normalize_alternating(target)
         record("normalize", _sentence_size(target), _sentence_size(alt.sentence))
-        result = omega(alt, indices)
+        result = omega(alt, args.indices)
         record("omega", _sentence_size(alt.sentence), _sentence_size(result))
     elif name == "eliminate-universals":
         result = eliminate_universals(target, budgets)

@@ -60,10 +60,15 @@ def _column(raw: str, token: str) -> int:
     return pos + 1 if pos >= 0 else 1
 
 
+def is_integer(token: str) -> bool:
+    """Whether ``token`` is an optional ``-`` then ASCII digits, the one
+    integer syntax of the input files and the command line; ``int`` alone
+    would also take ``+9``, `` 9``, ``1_0`` and non-ASCII digits."""
+    return _INTEGER.fullmatch(token) is not None
+
+
 def _parse_int(token: str, lineno: int, raw: str) -> int:
-    """An optional ``-`` then ASCII digits; ``int`` alone would also take
-    ``+9``, ``1_0`` and non-ASCII digits."""
-    if not _INTEGER.fullmatch(token):
+    if not is_integer(token):
         raise ParseError(f"expected an integer, got {token!r}", lineno, _column(raw, token))
     return int(token)
 

@@ -10,7 +10,7 @@ actually generate the powers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .algebra import (
@@ -31,12 +31,14 @@ from .model import (
     Atom,
     ConstraintLanguage,
     QuantifiedSentence,
+    cached_on,
     check_wellformed,
 )
 from .transforms import (
     AlternatingSentence,
     CanonicalFalse,
     CspInstance,
+    _elimination_core,
     check_elimination_budget,
     eliminate_universals,
     move_universals_left,
@@ -145,13 +147,15 @@ def _find(parent, x):
 class _CompiledCsp:
     """A conjunction of atoms compiled once and searched from any start domains.
 
-    Domains are int bitsets over the domain elements.  Identical atoms (same
-    relation, same variables in the same order) are compiled once.  A unary
-    atom is never propagated: it becomes a mask on its variable's start
-    domain, applied once per search, which is its whole arc-consistent
-    effect.  Every other atom keeps its relation's support table
-    (:attr:`Relation.supports`), the mask of all the relation's tuples, its
-    variable indices, and whether its own revision must queue it again: only
+    Domains are int bitsets over the domain elements.  Variables are the ids
+    0..n-1, named by ``variables``, and each atom is a pair (relation name,
+    variable ids); :func:`_atom_ids` maps atoms over names to them.
+    Identical atoms (same relation, same variables in the same order) are
+    compiled once.  A unary atom is never propagated: it becomes a mask on
+    its variable's start domain, applied once per search, which is its whole
+    arc-consistent effect.  Every other atom keeps its relation's support
+    table (:attr:`Relation.supports`), the mask of all the relation's tuples,
+    its variable ids, and whether its own revision must queue it again: only
     when a variable repeats in it (see :meth:`solve`).
     """
 
@@ -159,34 +163,34 @@ class _CompiledCsp:
         self.variables = list(variables)
         self.full = (1 << language.domain.size) - 1
         n = len(self.variables)
-        index = dict(zip(self.variables, range(n)))
         self.order = sorted(range(n), key=self.variables.__getitem__)  # name order
         relations = language.relations
         self.masks: list[tuple[int, int]] = []
         self.atoms: list[tuple[tuple, int, tuple[int, ...], bool]] = []
         self.scopes: list[set[int]] = []
         self.watch: list[list[int]] = [[] for _ in range(n)]
-        # (relation, variable indices) -> tuples of each distinct atom, unary
+        # (relation, variable ids) -> tuples of each distinct atom, unary
         # ones included, for the final witness check
         self.checks: dict[tuple[str, tuple[int, ...]], frozenset] = {}
-        for atom in atoms:
-            idxs = tuple(map(index.__getitem__, atom.args))
-            key = (atom.relation, idxs)
-            if key in self.checks:
+        masks, compiled, scopes, watch, checks = self.masks, self.atoms, self.scopes, self.watch, self.checks
+        for key in atoms:
+            if key in checks:
                 continue
-            rel = relations[atom.relation]
-            self.checks[key] = rel.tuples
+            name, idxs = key
+            rel = relations[name]
+            checks[key] = rel.tuples
             if len(idxs) == 1:
                 mask = 0
                 for bit, _ in rel.supports[0]:
                     mask |= bit
-                self.masks.append((idxs[0], mask))
+                masks.append((idxs[0], mask))
                 continue
             scope = set(idxs)
+            aid = len(compiled)
             for i in scope:
-                self.watch[i].append(len(self.atoms))
-            self.scopes.append(scope)
-            self.atoms.append((rel.supports, (1 << len(rel.tuples)) - 1, idxs, len(scope) < len(idxs)))
+                watch[i].append(aid)
+            scopes.append(scope)
+            compiled.append((rel.supports, (1 << len(rel.tuples)) - 1, idxs, len(scope) < len(idxs)))
 
     def components(self, domains: list[int]) -> list[list[int]]:
         """Connected components of the variables with more than one value
@@ -352,9 +356,21 @@ def solve_csp(inst: CspInstance) -> SolveVerdict:
     returned.  It builds nothing larger than the instance and its
     relations' support tables, so it takes no budgets.
     """
-    if not inst.atoms:
+    return _solve_ids(inst.language, inst.variables, _atom_ids(inst.variables, inst.atoms))
+
+
+def _atom_ids(variables, atoms) -> list[tuple[str, tuple[int, ...]]]:
+    """Each atom as (relation, ids), the id of a variable being its position
+    in ``variables``."""
+    index = dict(zip(variables, range(len(variables))))
+    return [(a.relation, tuple(map(index.__getitem__, a.args))) for a in atoms]
+
+
+def _solve_ids(language: ConstraintLanguage, variables, atoms) -> SolveVerdict:
+    """:func:`solve_csp` of the instance whose atoms are given over ids."""
+    if not atoms:
         return SolveVerdict(True, "csp", {}, {"nodes": 0})
-    model = _CompiledCsp(inst.language, inst.variables, inst.atoms)
+    model = _CompiledCsp(language, variables, atoms)
     domains = [model.full] * len(model.variables)
     truth, nodes = model.solve(domains)
     if not truth:
@@ -436,11 +452,10 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
         key = tuple(shape)
         if key in holding:
             return True
-        pinned = sorted(touched, key=universal_pos.get)
-        evars = sorted(number)
-        model = _CompiledCsp(sentence.language, pinned + evars, atoms)
-        free = [model.full] * len(evars)
-        for values in product(range(size), repeat=len(pinned)):
+        variables = sorted(touched, key=universal_pos.get) + sorted(number)
+        model = _CompiledCsp(sentence.language, variables, _atom_ids(variables, atoms))
+        free = [model.full] * len(number)
+        for values in product(range(size), repeat=len(touched)):
             if not model.solve([1 << val for val in values] + free)[0]:
                 return False
         holding.add(key)
@@ -462,9 +477,11 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
 def check_witness_gate(
     witness: SwitchabilityWitness | None, r: int, override: bool
 ) -> bool:
-    """Whether a reduction's result must carry the conditional caveat: False
-    when the witness holds at bound r, True when it does not and ``override``
-    is set; otherwise raises :class:`WitnessRequiredError`."""
+    """Whether a true verdict of a reduction must carry the conditional
+    caveat: False when the witness holds at bound r, True when it does not
+    and ``override`` is set; otherwise raises :class:`WitnessRequiredError`.
+    A false verdict never carries it: the sentence entails each of its
+    collapses, so a false collapse refutes it over any language."""
     if r < 0:
         raise ValueError(f"switch bound must be >= 0, got {r}")
     valid = witness is not None and witness.verdict == WITNESSED and witness.r <= r
@@ -515,10 +532,19 @@ def _collapse_shape(
 
 @dataclass(frozen=True)
 class BundleMember:
+    """One solved collapse pattern: its indices, its collapse and the verdict
+    of the collapse's eliminated instance.  The bundle solves that instance
+    without building it; :attr:`instance` builds it on first access, under
+    the bundle's ``budgets``."""
+
     indices: tuple[int, ...]
     sentence: QuantifiedSentence
-    instance: CspInstance
     verdict: SolveVerdict
+    budgets: Budgets = field(default=DEFAULT_BUDGETS, compare=False, repr=False)
+
+    @property
+    def instance(self) -> CspInstance:
+        return cached_on(self, "instance", lambda: eliminate_universals(self.sentence, self.budgets))
 
 
 @dataclass(frozen=True)
@@ -527,12 +553,14 @@ class ReductionBundle:
 
     ``index_sets`` lists every pattern.  The patterns are decided in that
     order, and the bundle stops at the first unsatisfiable one.  The first
-    pattern of each collapse shape (see :func:`_collapse_shape`) is built and
-    solved, and kept in ``members``; a later pattern of the same shape has
-    the same verdict, and is only listed in ``reused``.  Both are in
+    pattern of each collapse shape (see :func:`_collapse_shape`) is collapsed
+    and solved, and kept in ``members``; a later pattern of the same shape
+    has the same verdict, and is only listed in ``reused``.  Both are in
     index-set order, and together they are the decided prefix of
     ``index_sets``: all of it when the sentence is true, and up to its first
-    false member otherwise.
+    false member otherwise.  ``conditional`` marks a true verdict reached
+    without a valid switchability witness; a false one never is, since a
+    false collapse refutes the sentence over any language.
     """
 
     source: QuantifiedSentence
@@ -574,6 +602,8 @@ class ReductionBundle:
             raise ValueError("bundle may only stop at an unsatisfiable member")
         if self.combined != (complete and all(x.verdict.truth for x in members)):
             raise ValueError("combined verdict must be the conjunction over every pattern")
+        if self.conditional and not self.combined:
+            raise ValueError("only a true verdict is conditional: a false member refutes the sentence")
 
     def to_json(self) -> dict:
         decided = len(self.members) + len(self.reused)
@@ -617,9 +647,15 @@ def reduce_pgp_to_csp(
     shape, computed from the pattern before any collapse is built (see
     :func:`_collapse_shape`); a later pattern of that shape has the same
     verdict, true since the bundle did not stop there, and is recorded as
-    reused.  The elimination budgets of every pattern size are checked first,
-    smallest first, so a budget error is raised exactly as if every pattern
-    were built in order, whatever the verdict of an earlier pattern.
+    reused.  A member is solved straight from the integer form of its
+    elimination (:func:`~qcsp.transforms._elimination_core`), so its
+    :class:`CspInstance` is built only when :attr:`BundleMember.instance` is
+    read; solving that instance gives the member's verdict.  The elimination
+    budgets of every pattern size are checked first, smallest first, so a
+    budget error is raised exactly as if every pattern were built in order,
+    whatever the verdict of an earlier pattern.  ``conditional`` is the
+    witness gate's flag (:func:`check_witness_gate`) on a true verdict, and
+    False on a false one.
     """
     conditional = check_witness_gate(witness, r, override)
     alt = normalize_alternating(s)
@@ -637,13 +673,13 @@ def reduce_pgp_to_csp(
             continue
         shapes.add(shape)
         w = omega(alt, idx)
-        inst = eliminate_universals(w, budgets)
-        verdict = solve_csp(inst)
-        members.append(BundleMember(idx, w, inst, verdict))
+        verdict = _solve_ids(*_elimination_core(w, budgets))
+        members.append(BundleMember(idx, w, verdict, budgets))
         if not verdict.truth:
             break
+    combined = members[-1].verdict.truth
     return ReductionBundle(
-        s, r, sets, tuple(members), tuple(reused), members[-1].verdict.truth, conditional
+        s, r, sets, tuple(members), tuple(reused), combined, conditional and combined
     )
 
 

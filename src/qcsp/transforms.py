@@ -25,6 +25,10 @@ existential never copied, so their output is smaller than the input's prefix
 suggests; their budget checks still count the input as given.  Elimination
 and hoisting copy only the atoms that mention a variable they rename: any
 other atom would come out the same in every copy, so it is kept once.
+Elimination counts its copies in closed form: with k the number of occurring
+universals at or before a variable, the variable gets |A|^k copies, and an
+atom gets |A|^K copies, K being the k of its last variable.  It builds them
+in one pass over integer variable ids and makes each name once.
 
 Every transform returns freshly named variables marked with "$" so the output
 never collides with user input, and every output is checked well-formed.
@@ -215,17 +219,17 @@ def _occurring_prefix(s: QuantifiedSentence) -> list[tuple[str, str]]:
 # copying the atoms a renaming touches
 
 
-def _copy_touched(matrix, renamed, size: int, check=None) -> list[Atom]:
+def _copy_touched(matrix, renamed, size: int, check) -> list[Atom]:
     """One copy per domain element of each atom that mentions a variable in
     ``renamed``, the variable v becoming v$c in copy c; every other atom is
     kept once.  The result lists the whole matrix with the first copy in
-    place, then copies 2..size of the touched atoms.  ``check``, if given,
-    is called with the number of touched atoms before any copy is made.
+    place, then copies 2..size of the touched atoms.  ``check`` is called
+    with the number of touched atoms before any copy is made.  Hoisting
+    copies this way, one universal at a time.
     """
     names = set(renamed)
     touched = [a for a in matrix if not names.isdisjoint(a.args)]
-    if check is not None:
-        check(len(touched))
+    check(len(touched))
     maps = [{v: f"{v}${c}" for v in renamed} for c in range(1, size + 1)]
     out = [a.rename(maps[0]) for a in matrix]
     for cmap in maps[1:]:
@@ -247,38 +251,132 @@ def check_elimination_budget(
     budgets.check_expansion(what, (n_atoms + 1) * copies)
 
 
+def _elimination_core(
+    s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS
+) -> tuple[ConstraintLanguage, list[str], list[tuple[str, tuple[int, ...]]]]:
+    """The language with constants, the variable names and the atoms of
+    ``eliminate_universals(s)``, each atom as (relation, variable ids), where
+    the id of a variable is its position among the names.
+
+    Every copy is computed in closed form (see :func:`eliminate_universals`)
+    and each name is built once.  The budgets are checked before anything is
+    built.  Each atom of the input is checked against the language with
+    constants and the prefix, and the names for being distinct: a malformed
+    input raises ``ValueError`` listing what is wrong with it, so a solver
+    may compile the atoms without building the instance that would check
+    them.
+    """
+    size = s.language.domain.size
+    check_elimination_budget(size, s.universal_count(), len(s.matrix), budgets)
+    language = gamma_star(s.language)
+    relations = language.relations
+
+    # k of each occurring variable: the occurring universals at or before it
+    prefix = _occurring_prefix(s)
+    level: dict[str, int] = {}
+    universals: list[str] = []
+    segments: list[list[str]] = [[]]  # the existentials of each k, in order
+    for q, v in prefix:
+        if q == FORALL:
+            universals.append(v)
+            segments.append([])
+        else:
+            segments[-1].append(v)
+        level[v] = len(universals)
+    top = len(universals)
+    if len(level) < len(prefix) or not all(
+        a.relation in relations
+        and relations[a.relation].arity == len(a.args)
+        and all(v in level for v in a.args)
+        for a in s.matrix
+    ):
+        invariant_report(s.prefix, s.matrix, language).require("sentence")
+
+    # names in output order; copies[v][r] is the id of copy r of v, whose
+    # digits, first universal most significant, give the name v$c_k...$c_1
+    names: list[str] = []
+    copies: dict[str, list[int]] = {v: [] for v in level}
+    tags = [f"${c}" for c in range(1, size + 1)]
+
+    def name(k: int, suffix: str) -> None:
+        for v in segments[k]:
+            copies[v].append(len(names))
+            names.append(v + suffix)
+        if k == top:
+            return
+        u = universals[k]
+        for c in range(size):
+            copies[u].append(len(names))
+            names.append(u + tags[c] + suffix)
+        for c in range(size):
+            name(k + 1, tags[c] + suffix)
+
+    name(0, "")
+    if len(set(names)) < len(names):
+        invariant_report([(EXISTS, v) for v in names], (), language).require("instance")
+
+    # the atoms of each k and above, in matrix order, each with its copies
+    # in digit order and the divisor taking a full digit string to its copy
+    at_least: list[list[tuple[str, list[tuple[int, ...]], int]]] = [[] for _ in range(top + 1)]
+    for atom in s.matrix:
+        k = max((level[v] for v in atom.args), default=0)
+        columns = []
+        for v in atom.args:
+            repeat = size ** (k - level[v])
+            columns.append(copies[v] if repeat == 1 else [i for i in copies[v] for _ in range(repeat)])
+        entry = (atom.relation, list(zip(*columns)) if columns else [()], size ** (top - k))
+        for j in range(k + 1):
+            at_least[j].append(entry)
+    # each universal's pins, one per copy in digit order: const_c for the
+    # copy's last digit c, the universal's own value
+    consts = [const_name(c) for c in range(size)]
+    pins = [[(consts[r % size], (i,)) for r, i in enumerate(copies[u])] for u in universals]
+    atoms: list[tuple[str, tuple[int, ...]]] = []
+
+    def emit(j: int, t: int, r: int) -> None:
+        # the atoms of level t and above under digits r of universals 1..j-1:
+        # the first copy of universal j in place, then its other copies of
+        # the atoms of level j and above, then its pins
+        if j > top:
+            atoms.extend([(rel, copied[r // d]) for rel, copied, d in at_least[t]])
+            return
+        emit(j + 1, t, r * size)
+        for c in range(1, size):
+            emit(j + 1, j, r * size + c)
+        atoms.extend(pins[j - 1][r * size : (r + 1) * size])
+
+    emit(1, 0, 0)
+    return language, names, atoms
+
+
 def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) -> CspInstance:
     """Expand every universal into one constant-tagged copy per domain element.
 
     Prefix variables that occur in no atom are dropped first, so only
     occurring universals are expanded and only occurring existentials copied.
-    The innermost universal is expanded first; each expansion renames the
-    variable and the existential tail with a $c copy suffix and adds a
-    const_a(x$c) atom.  Only the atoms that mention the variable or its tail
-    are copied (see :func:`_copy_touched`); an atom over earlier variables
-    alone is kept once, since its copies would all be the same atom.  The
-    result is a CSP over the language with constants.  The budgets are
-    checked against the input's full universal count.
+    Let k of a variable count the occurring universals at or before it, and
+    c_1, ..., c_k be one value plus one of each of them, outermost first:
+
+    * a variable v gets |A|^k copies v$c_k...$c_1 (v itself when k = 0);
+    * an atom gets |A|^K copies, K being the k of its last variable, each
+      over the copies its variables take under the same values, so an atom
+      over variables before the first universal is kept once;
+    * each copy of a universal gets one const_a atom pinning it to a = c_k - 1.
+
+    The order is that of expanding the innermost universal first, each
+    expansion keeping the first copy in place, then adding the other copies
+    of the atoms that mention the universal or a later variable, then the
+    pins.  The copies are computed in one integer pass
+    (:func:`_elimination_core`), each name built once.  The result is a CSP
+    over the language with constants.  The budgets are checked against the
+    input's full universal count.
     """
-    size = s.language.domain.size
-    check_elimination_budget(size, s.universal_count(), len(s.matrix), budgets)
-
-    prefix = _occurring_prefix(s)
-    matrix = list(s.matrix)
-    while True:
-        pos = next((i for i in range(len(prefix) - 1, -1, -1) if prefix[i][0] == FORALL), None)
-        if pos is None:
-            break
-        x = prefix[pos][1]
-        tail = [v for _, v in prefix[pos + 1 :]]
-        new_prefix = prefix[:pos] + [(EXISTS, f"{x}${c}") for c in range(1, size + 1)]
-        for c in range(1, size + 1):
-            new_prefix.extend((EXISTS, f"{v}${c}") for v in tail)
-        consts = [Atom(const_name(c - 1), (f"{x}${c}",)) for c in range(1, size + 1)]
-        prefix = new_prefix
-        matrix = _copy_touched(matrix, [x, *tail], size) + consts
-
-    return CspInstance(gamma_star(s.language), tuple(v for _, v in prefix), tuple(matrix))
+    language, names, atoms = _elimination_core(s, budgets)
+    return CspInstance(
+        language,
+        tuple(names),
+        tuple(Atom(rel, tuple([names[i] for i in idxs])) for rel, idxs in atoms),
+    )
 
 
 # ---------------------------------------------------------------------------

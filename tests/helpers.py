@@ -18,10 +18,12 @@ from qcsp import (
     QuantifiedSentence,
     Relation,
     enumerate_switch_bounded,
+    gamma_star,
     generate_closure,
     is_wnu,
     polymorphisms,
 )
+from qcsp.model import const_name
 
 XOR0 = Relation("XOR0", 3, frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}))
 NOT = Relation("NOT", 2, frozenset({(0, 1), (1, 0)}))
@@ -96,6 +98,29 @@ def random_alternating(rnd: random.Random, lang, n, max_atoms=2) -> QuantifiedSe
         prefix += [("exists", f"y{i}"), ("forall", f"x{i}")]
     names = [v for _, v in prefix]
     return QuantifiedSentence(tuple(prefix), random_matrix(rnd, lang, names, max_atoms), lang)
+
+
+TRUE0 = Relation("T0", 0, frozenset({()}))
+FALSE0 = Relation("F0", 0, frozenset())
+
+
+def messy_sentence(rnd: random.Random, lang, max_vars=5, max_atoms=4) -> QuantifiedSentence:
+    """A random sentence whose atoms draw on a random part of its prefix, so
+    variables repeat inside atoms and the rest stay vacuous, with some atoms
+    repeated and, when the language has T0 and F0, some 0-ary atoms."""
+    names = [f"v{i}" for i in range(rnd.randint(1, max_vars))]
+    prefix = tuple((rnd.choice(["forall", "exists"]), v) for v in names)
+    base = [r for r in sorted(lang.relations) if lang.relations[r].arity]
+    pool = rnd.sample(names, rnd.randint(1, len(names)))
+    atoms = []
+    for _ in range(rnd.randint(0, max_atoms)):
+        rel = rnd.choice(base)
+        atoms.append(Atom(rel, tuple(rnd.choice(pool) for _ in range(lang.relations[rel].arity))))
+    atoms += rnd.sample(atoms, rnd.randint(0, min(2, len(atoms))))
+    for rel, p in (("T0", 0.3), ("F0", 0.05)):
+        if rel in lang.relations and rnd.random() < p:
+            atoms.insert(rnd.randint(0, len(atoms)), Atom(rel, ()))
+    return QuantifiedSentence(prefix, tuple(atoms), lang)
 
 
 def alternating_family(lang, n, max_atoms=2):
@@ -206,3 +231,30 @@ def sat_by_enumeration(inst: CspInstance) -> bool:
         if all(tuple(env[v] for v in a.args) in rels[a.relation] for a in inst.atoms):
             return True
     return False
+
+
+def eliminate_universals_reference(s: QuantifiedSentence) -> CspInstance:
+    """Universal elimination one universal at a time, the innermost first:
+    its copies x$1..x$|A| and those of the variables after it replace them,
+    each atom that mentions one of them is copied once per value, every other
+    atom is kept once, and const_a(x$c) atoms pin the copies.  Vacuous
+    prefix variables are dropped first.  Takes no budgets."""
+    size = s.language.domain.size
+    occurring = s.matrix_variables()
+    prefix = [(q, v) for q, v in s.prefix if v in occurring]
+    matrix = list(s.matrix)
+    while any(q == "forall" for q, _ in prefix):
+        pos = max(i for i, (q, _) in enumerate(prefix) if q == "forall")
+        x = prefix[pos][1]
+        renamed = [x] + [v for _, v in prefix[pos + 1 :]]
+        maps = [{v: f"{v}${c}" for v in renamed} for c in range(1, size + 1)]
+        touched = [a for a in matrix if set(a.args) & set(renamed)]
+        prefix = prefix[:pos] + [("exists", f"{x}${c}") for c in range(1, size + 1)] + [
+            ("exists", cmap[v]) for cmap in maps for v in renamed[1:]
+        ]
+        matrix = (
+            [a.rename(maps[0]) for a in matrix]
+            + [a.rename(cmap) for cmap in maps[1:] for a in touched]
+            + [Atom(const_name(c - 1), (f"{x}${c}",)) for c in range(1, size + 1)]
+        )
+    return CspInstance(gamma_star(s.language), tuple(v for _, v in prefix), tuple(matrix))

@@ -117,6 +117,23 @@ def test_every_reduction_method_reports_the_gate_flag(files, tmp_path, capsys, m
     assert json.loads(capsys.readouterr().out)["conditional"] is False
 
 
+@pytest.mark.parametrize("method", ["pgp-csp", "pi2", "power-csp"])
+def test_false_override_verdict_is_not_conditional(tmp_path, capsys, method):
+    # a false verdict needs no witness, so the caveat marks true ones only
+    lang = tmp_path / "one.txt"
+    lang.write_text("domain 2\nrelation ONE 3\n0 0 1\n0 1 0\n1 0 0\nend\n")
+    sent = tmp_path / "s.txt"
+    sent.write_text("forall x\nexists y\nconstraint ONE x x y\n")
+    args = ["solve", "--language", lang, "--sentence", sent, "--method", method, "--r", "2",
+            "--override-witness"]
+    assert run_cli([*args, "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["conditional"] is False
+    assert (data["combined"] if method == "pgp-csp" else data["truth"]) is False
+    assert run_cli(args) == 1
+    assert "conditional: False" in capsys.readouterr().out.splitlines()
+
+
 def test_solve_pi2_and_power(files, capsys):
     lang, true_s, false_s = files
     assert run_cli(["solve", "--language", lang, "--sentence", true_s,
@@ -477,6 +494,36 @@ def test_malformed_integer_token_exit_two(tmp_path, capsys, doc, message):
     lang.write_text(doc, encoding="utf-8")
     assert run_cli(["witness", "--language", lang, "--r", "1"]) == 2
     assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize(
+    "args, flag, token",
+    [
+        (["solve", "--sentence", "TRUE", "--r", "\u0662"], "--r", "\u0662"),
+        (["solve", "--sentence", "TRUE", "--budget-closure", "1_0"], "--budget-closure", "1_0"),
+        (["verify", "--sentence", "TRUE", "--methods", "oracle,pi2", "--max-power", "+4"],
+         "--max-power", "+4"),
+        (["witness", "--r", "1", "--max-arity", " 2"], "--max-arity", " 2"),
+        (["classify", "--r", "2.0"], "--r", "2.0"),
+        (["transform", "--sentence", "TRUE", "--transform", "gamma-columns", "--k", "\uff12"],
+         "--k", "\uff12"),
+        (["transform", "--sentence", "TRUE", "--transform", "omega", "--indices", "\u0661"],
+         "--indices", "\u0661"),
+        (["transform", "--sentence", "TRUE", "--transform", "omega", "--indices", "1,a"],
+         "--indices", "a"),
+    ],
+    ids=["arabic-indic-r", "underscore-closure", "plus-power", "space-arity", "float-r",
+         "fullwidth-k", "arabic-indic-indices", "letter-indices"],
+)
+def test_malformed_integer_flag_exit_two(files, capsys, args, flag, token):
+    lang, true_s, _ = files
+    args = [true_s if a == "TRUE" else a for a in args]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([args[0], "--language", lang, *args[1:]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: expected an integer, got {token!r}" in err
+    assert "invalid literal" not in err
 
 
 def _le_language(path, size):

@@ -37,13 +37,17 @@ from qcsp.solvers import BundleMember, pi2_truth
 from qcsp.transforms import eliminate_universals, normalize_alternating, omega
 from helpers import (
     CYCLE3,
+    FALSE0,
     LT3,
     NOT,
     ORNAND,
+    TRUE0,
+    XOR0,
     XOR4,
     lang_dom3,
     lang_mixed2,
     lang_xor0,
+    messy_sentence,
     preserves_bruteforce,
     random_alternating,
     random_language,
@@ -262,7 +266,7 @@ _COMPILED_DIGEST = "8820fb1c560fa8d7002a6636f3b51cbabfa9c53961ab26447e85d83a8190
 def test_compiled_csp_differential():
     results = []
     for lang, names, atoms, pins in _compiled_cases(2024, 600):
-        model = solvers._CompiledCsp(lang, names, atoms)
+        model = solvers._CompiledCsp(lang, names, solvers._atom_ids(names, atoms))
         domains = [1 << pins[v] if v in pins else model.full for v in names]
         truth, nodes = model.solve(domains)
         pinned = [Atom(const_name(val), (v,)) for v, val in pins.items()]
@@ -347,7 +351,7 @@ def _eager_members(s, r):
     for idx in solvers._index_sets(alt.n, r):
         w = omega(alt, idx)
         inst = eliminate_universals(w)
-        out.append(BundleMember(idx, w, inst, solve_csp(inst)))
+        out.append(BundleMember(idx, w, solve_csp(inst)))
     return out
 
 
@@ -554,8 +558,8 @@ def test_bundle_budget_error_precedes_first_false_member(xor0_lang, xor0_witness
     s = sent(xor0_lang, prefix, matrix)
     assert _eager_verdicts(s, 2)[0] is False
     calls = []
-    real_solve = solvers.solve_csp
-    monkeypatch.setattr(solvers, "solve_csp", lambda *a: calls.append(a) or real_solve(*a))
+    real_solve = solvers._solve_ids
+    monkeypatch.setattr(solvers, "_solve_ids", lambda *a: calls.append(a) or real_solve(*a))
     for budgets, message in [
         (Budgets(max_matrix_copies=4), "universal elimination copies: requires 8, budget allows 4"),
         (Budgets(max_matrix_copies=16), "universal elimination copies: requires 32, budget allows 16"),
@@ -608,7 +612,62 @@ def test_bundle_invariants_are_checked(xor0_lang, xor0_witness):
         with pytest.raises(ValueError, match=message):
             ReductionBundle(source, 2, full.index_sets, members, reused, combined, False)
     assert ReductionBundle(false_s, 2, full.index_sets, tuple(eager[:2]), (), False, False).members
+    # a false verdict needs no witness, so it is never conditional
+    with pytest.raises(ValueError, match="only a true verdict is conditional"):
+        ReductionBundle(false_s, 2, full.index_sets, tuple(eager[:2]), (), False, True)
+    assert ReductionBundle(true_s, 2, full.index_sets, full.members, full.reused, True, True).conditional
     assert ReductionBundle(stop_s, 2, full.index_sets, tuple(stop[:2]), (), False, False).members
+
+
+def test_bundle_members_match_their_instances():
+    # the bundle solves each member straight from the integer elimination;
+    # the instance built on access must give the same truth, witness (in the
+    # same order) and node count
+    members = witnessed = 0
+    for size, seed in [(2, 97), (3, 101)]:
+        rels = (XOR0, NOT) if size == 2 else (LT3, CYCLE3)
+        lang = ConstraintLanguage.of(size, *rels, TRUE0, FALSE0)
+        rnd = random.Random(seed)
+        for _ in range(150):
+            s = messy_sentence(rnd, lang, max_vars=5 if size == 2 else 4)
+            for member in reduce_pgp_to_csp(s, 2, override=True).members:
+                assert "instance" not in member.__dict__
+                verdict = solve_csp(member.instance)
+                assert member.instance is member.instance
+                assert verdict == member.verdict, (s, member.indices)
+                assert list((verdict.witness or {}).items()) == list((member.verdict.witness or {}).items())
+                members += 1
+                witnessed += bool(verdict.witness)
+    assert members > 250 and witnessed > 30
+
+
+@pytest.mark.parametrize("size, seed", [(2, 107), (3, 109)])
+def test_false_override_verdicts_match_the_oracle(size, seed):
+    # every collapse is entailed by the sentence, so a false collapse refutes
+    # it over any language: without a witness only a true verdict can be
+    # wrong, and only a true one is marked conditional
+    rnd = random.Random(seed)
+    languages = falses = wrong = 0
+    while languages < 6:
+        lang = random_language(rnd, size, (1, 2, 3), max_tuples=2 * size + 1)
+        r = rnd.randint(0, 2)
+        if switchability_witness(lang, r, max_arity=2, max_power=3).verdict == "witnessed":
+            continue
+        languages += 1
+        for _ in range(25):
+            s = random_sentence(rnd, lang, max_vars=5, max_atoms=3)
+            truth = oracle_qcsp(s).truth
+            bundle = reduce_pgp_to_csp(s, r, override=True)
+            assert bundle.conditional is bundle.combined
+            pi2 = reduce_to_pi2(s, r, override=True)
+            verdicts = [bundle.combined, pi2_truth(pi2)]
+            if size == 2:  # the power domain of three elements is over budget
+                verdicts.append(solve_csp(qcsp_to_power_csp(pi2)).truth)
+            for verdict in verdicts:
+                assert verdict or not truth, (s.prefix, s.matrix, r)
+                falses += not verdict
+                wrong += verdict and not truth
+    assert falses > 100 and wrong  # the languages are unwitnessed indeed
 
 
 # ---------------------------------------------------------------------------

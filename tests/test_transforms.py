@@ -30,10 +30,16 @@ from qcsp import (
 )
 from qcsp import algebra
 from qcsp.model import decode_rank, encode_tuple
-from qcsp.solvers import pi2_truth, truth_of
+from qcsp.solvers import pi2_truth, reduce_pgp_to_csp, truth_of
 from helpers import (
+    CYCLE3,
+    FALSE0,
+    LT3,
     NOT,
+    TRUE0,
     XOR0,
+    eliminate_universals_reference,
+    messy_sentence,
     random_pi2,
     random_sentence,
 )
@@ -795,3 +801,50 @@ def test_instance_reports_every_broken_invariant_at_once(mixed_lang):
         "atom 1: NOT expects 2 arguments, got 3; "
         "atom 2: variable z not quantified"
     )
+
+
+# ---------------------------------------------------------------------------
+# universal elimination against the one-universal-at-a-time reference
+
+
+@pytest.mark.parametrize("size, seed", [(2, 101), (3, 103)])
+def test_eliminate_matches_reference(size, seed):
+    rels = (XOR0, NOT) if size == 2 else (LT3, CYCLE3)
+    lang = ConstraintLanguage.of(size, *rels, TRUE0, FALSE0)
+    rnd = random.Random(seed)
+    universals = zero_ary = 0
+    for _ in range(300):
+        s = messy_sentence(rnd, lang, max_vars=5 if size == 2 else 4)
+        inst = eliminate_universals(s)
+        ref = eliminate_universals_reference(s)
+        assert inst.variables == ref.variables, s
+        assert inst.atoms == ref.atoms, s
+        assert inst.language is ref.language
+        universals += any(v.count("$") > 1 for v in inst.variables)
+        zero_ary += any(not a.args for a in s.matrix)
+    assert universals > 30 and zero_ary > 30  # nested copies and 0-ary atoms are exercised
+
+
+@pytest.mark.parametrize(
+    "prefix, atoms, message",
+    [
+        ([("forall", "x")], [("NOPE", "x")], "malformed sentence: atom 0: relation NOPE not in language"),
+        ([("forall", "x")], [("NOT", "x")], "malformed sentence: atom 0: NOT expects 2 arguments, got 1"),
+        ([("forall", "x")], [("NOT", "x", "y")], "malformed sentence: atom 0: variable y not quantified"),
+        ([("forall", "x"), ("exists", "x")], [("NOT", "x", "x")],
+         "malformed sentence: variable x quantified twice"),
+        # a$1 is also the name of the first copy of a
+        ([("exists", "a$1"), ("forall", "a")], [("NOT", "a$1", "a")],
+         "malformed instance: variable a$1 quantified twice"),
+    ],
+)
+def test_eliminate_rejects_malformed_input_before_copying(mixed_lang, prefix, atoms, message):
+    # the bundle compiles elimination's atoms without building the instance,
+    # so elimination checks its input and its names itself
+    s = sent(mixed_lang, prefix, [Atom(rel, tuple(args)) for rel, *args in atoms])
+    with pytest.raises(ValueError) as err:
+        eliminate_universals(s)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        reduce_pgp_to_csp(s, 1, override=True)
+    assert str(err.value) == message
