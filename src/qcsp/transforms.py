@@ -346,10 +346,9 @@ def _elimination_core(
         atoms.extend(pins[j - 1][r * size : (r + 1) * size])
 
     emit(1, 0, 0)
-    # name and emit reach themselves through their closure cells, a cycle
-    # that would keep this call's lists alive until the cyclic collector
-    # runs (a fifth of a bundle round when measured); clearing the cells
-    # frees them now
+    # name and emit reach themselves through their closure cells; clearing
+    # the cells frees this call's lists now, where the cycle would leave
+    # them to the cyclic collector, which then scans them again and again
     del name, emit
     return language, names, atoms
 

@@ -838,7 +838,7 @@ def test_eliminate_matches_reference(size, seed):
          "malformed instance: variable a$1 quantified twice"),
     ],
 )
-def test_eliminate_rejects_malformed_input_before_copying(mixed_lang, prefix, atoms, message):
+def test_eliminate_rejects_malformed_input(mixed_lang, prefix, atoms, message):
     # the bundle compiles elimination's atoms without building the instance,
     # so elimination checks its input and its names itself
     s = sent(mixed_lang, prefix, [Atom(rel, tuple(args)) for rel, *args in atoms])
