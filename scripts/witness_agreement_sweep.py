@@ -8,10 +8,15 @@ Each draw is a random language over two or three elements, checked twice:
   elements) or 2 (three elements) against every table of that arity, each
   applied to every combination of relation rows.  The sieve runs once as it
   is and once with ``_BLOCK_CELLS`` small, which splits it into many stages.
-* witness: ``switchability_witness``, which closes only the top power and
-  projects it, against a loop that closes every power on its own, at the
-  default budgets and at a closure-point budget that only the top power's
-  closure can exceed.
+* witness: ``switchability_witness``, which sieves only its top arity,
+  reads the lower ones as minors, closes only the top power under the
+  operations that depend on every argument, and projects it, against a loop
+  that sieves every arity and closes every power on its own under all of
+  them, at the default budgets and at a closure-point budget that only the
+  top power's closure can exceed.
+* classify: on two elements, where ``classify`` finds a witness, the weak
+  near-unanimity operation it reads off the witness (``base_wnu``) at each
+  search bound 2 and 3, against the first ``find_wnu`` hit up to the bound.
 
 The references are the brute-force ones the tests use, from
 ``tests/helpers.py``.  Prints each disagreement and a summary line; exits
@@ -27,6 +32,7 @@ from pathlib import Path
 
 from qcsp import (
     Budgets,
+    classify,
     enumerate_switch_bounded,
     find_wnu,
     generate_closure,
@@ -63,8 +69,7 @@ def sieve_disagreements(lang):
     return out
 
 
-def witness_disagreements(rnd, lang, verdicts):
-    r = rnd.randint(0, 2)
+def witness_disagreements(lang, r, verdicts):
     max_arity, max_power = (3, 5) if lang.domain.size == 2 else (2, 4)
     ops = tuple(f for m in range(1, max_arity + 1) for f in polymorphisms(lang, m))
     below = generate_closure(enumerate_switch_bounded(max_power - 1, r, lang.domain), ops, max_power - 1)
@@ -75,6 +80,18 @@ def witness_disagreements(rnd, lang, verdicts):
         verdicts[w.verdict] += 1
         if (w.operations, w.powers, w.verdict) != want:
             out.append(f"witness at r={r}, {budgets.max_closure_points} closure points: {w.verdict}")
+    return out
+
+
+def classify_disagreements(lang, r):
+    out, want = [], None
+    if lang.domain.size != 2:
+        return out
+    for m in (2, 3):
+        want = want or find_wnu(lang, m)
+        report = classify(lang, r, wnu_arity=m)
+        if report.verdict != "not-applicable" and report.base_wnu != want:
+            out.append(f"classify base_wnu at r={r}, arity bound {m}")
     return out
 
 
@@ -90,7 +107,12 @@ def main() -> int:
     for i in range(args.count):
         lang = random_language(rnd, rnd.choice((2, 3)), (1, 2, 3), 6)
         three += lang.domain.size == 3
-        failures = sieve_disagreements(lang) + witness_disagreements(rnd, lang, verdicts)
+        r = rnd.randint(0, 2)
+        failures = (
+            sieve_disagreements(lang)
+            + witness_disagreements(lang, r, verdicts)
+            + classify_disagreements(lang, r)
+        )
         for failure in failures:
             rels = [(rel.name, sorted(rel.tuples)) for rel in lang.sorted_relations()]
             print(f"FAIL at {i}: {failure} on {lang.domain.size} elements, {rels}")

@@ -210,7 +210,14 @@ class _CompiledCsp:
         return list(groups.values())
 
     def solve(self, domains: list[int]) -> tuple[bool, int]:
-        """Search from ``domains`` (mutated in place); returns (truth, nodes).
+        """(truth, nodes) of :meth:`assignment`."""
+        values, nodes = self.assignment(domains)
+        return values is not None, nodes
+
+    def assignment(self, domains: list[int]) -> tuple[list[int] | None, int]:
+        """Search from ``domains`` (mutated in place); returns the value of
+        each variable, checked against every atom, or None if there is no
+        solution, and the number of nodes.
 
         The unary masks narrow the start domains first.  On success every
         domain is a singleton.  After the initial propagation the constraint
@@ -231,7 +238,7 @@ class _CompiledCsp:
         for i, mask in self.masks:
             domains[i] &= mask
             if not domains[i]:
-                return False, 0
+                return None, 0
 
         def propagate(seed_atoms) -> bool:
             # FIFO revision to the arc-consistent fixpoint: an atom's valid
@@ -293,7 +300,7 @@ class _CompiledCsp:
                 domains[w] = old
 
         if not propagate(range(len(atoms))):
-            return False, 0
+            return None, 0
 
         def search(order: list[int]) -> bool:
             nonlocal nodes
@@ -326,12 +333,12 @@ class _CompiledCsp:
 
         for component in self.components(domains):
             if not search(component):
-                return False, nodes
+                return None, nodes
         values = [_lowest(d) for d in domains]
         for (_, idxs), tuples in self.checks.items():
             if tuple(map(values.__getitem__, idxs)) not in tuples:
                 raise QcspError("CSP search ended on an assignment that violates an atom")
-        return True, nodes
+        return values, nodes
 
 
 def solve_csp(inst: CspInstance) -> SolveVerdict:
@@ -371,12 +378,10 @@ def _solve_ids(language: ConstraintLanguage, variables, atoms) -> SolveVerdict:
     if not atoms:
         return SolveVerdict(True, "csp", {}, {"nodes": 0})
     model = _CompiledCsp(language, variables, atoms)
-    domains = [model.full] * len(model.variables)
-    truth, nodes = model.solve(domains)
-    if not truth:
+    values, nodes = model.assignment([model.full] * len(model.variables))
+    if values is None:
         return SolveVerdict(False, "csp", None, {"nodes": nodes})
-    witness = {v: _lowest(d) for v, d in zip(model.variables, domains)}
-    return SolveVerdict(True, "csp", witness, {"nodes": nodes})
+    return SolveVerdict(True, "csp", dict(zip(model.variables, values)), {"nodes": nodes})
 
 
 def truth_of(obj, budgets: Budgets = DEFAULT_BUDGETS) -> bool:
@@ -784,6 +789,17 @@ def classify(
     for a P verdict, 2 up to ``wnu_arity`` otherwise.  A bound far above the
     hit costs nothing.
 
+    Without ``override`` the search at each arity the witness holds (up to
+    its arity bound, 3) reads the first weak near-unanimity operation among
+    the witness's operations of that arity, in their lexicographic table
+    order; ``find_wnu`` runs only at the arities above it.  That is the
+    operation ``find_wnu`` returns: the witness holds every polymorphism of
+    the arity, and on weak near-unanimity tables lexicographic order is
+    ``find_wnu``'s slot order, since each slot is numbered by its first
+    entry and the diagonal is fixed.  The witness's budget checks dominate
+    the search's (size**(size**m) tables, the same preservation cells), so
+    reading it raises no check the search would not.
+
     The switchability witness is computed only without ``override``, the one
     case that reads it.  So under the override an over-budget language never
     raises a check of the witness (``arity-m operation enumeration``,
@@ -798,6 +814,7 @@ def classify(
     budgets.check_power("power domain", budgets.max_power_domain, size, (size, size))
     if r < 0:
         raise ValueError(f"switch bound must be >= 0, got {r}")
+    read = set()
     if not override:
         witness = switchability_witness(lang, r, budgets=budgets)
         if witness.verdict != WITNESSED:
@@ -805,9 +822,10 @@ def classify(
                 NOT_APPLICABLE,
                 f"switchability check returned {witness.verdict!r}; classification needs a witness",
             )
+        read = set(witness.arities_used())
 
     for top in range(2, wnu_arity + 1):
-        base = find_wnu(lang, top, budgets)
+        base = witness.first_wnu(top) if top in read else find_wnu(lang, top, budgets)
         if base is not None:
             break
     arities = tuple(range(2, top + 1))

@@ -138,6 +138,15 @@ def test_closure_no_ops_is_identity():
     assert generate_closure(seeds, [], 2) == frozenset(seeds)
 
 
+def test_closure_without_operations_checks_the_seed_budget():
+    # the 14 switch-bounded 4-tuples exceed the budget with or without an
+    # operation to apply to them
+    seeds = enumerate_switch_bounded(4, 2, DOM2)
+    for ops in ([], [projection_table(DOM2, 1, 0)]):
+        with pytest.raises(BudgetError, match="closure size: requires 14"):
+            generate_closure(seeds, ops, 4, Budgets(max_closure_points=3))
+
+
 @given(st.data())
 @settings(max_examples=50, deadline=None)
 def test_closure_laws(data):
@@ -350,11 +359,14 @@ def test_polymorphisms_and_find_wnu_match_bruteforce(
     rnd = random.Random(size)
     for _ in range(count):
         lang = random_language(rnd, size, 3)
+        # the witness sieves only the top arity and reads the others as minors
+        witness = switchability_witness(lang, 0, max(arities), 2)
         for m in arities:
             got = polymorphisms(lang, m)
             assert list(got) == polymorphisms_bruteforce(lang, m)
+            assert [f for f in witness.operations if f.arity == m] == list(got)
             if m >= 2:
-                assert find_wnu(lang, m) == first_wnu_bruteforce(lang, m)
+                assert find_wnu(lang, m) == first_wnu_bruteforce(lang, m) == witness.first_wnu(m)
     # a stage holds at most isqrt(_BLOCK_CELLS) tables; the projections
     # survive every stage, so a sieve too large for one reaches a later stage
     top = size ** size ** max(arities)
@@ -535,9 +547,11 @@ def test_row_index_is_built_once_and_budget_checked_every_call(xor0_lang):
 
 @pytest.mark.parametrize("size, max_arity, max_power", [(2, 3, 5), (3, 2, 4)])
 def test_projected_witness_powers_match_per_power_closures(size, max_arity, max_power, monkeypatch):
-    closures = []
+    closures, generators = [], []
     real = algebra.generate_closure
-    monkeypatch.setattr(algebra, "generate_closure", lambda *a: closures.append(a[2]) or real(*a))
+    monkeypatch.setattr(
+        algebra, "generate_closure", lambda *a: closures.append(a[2]) or generators.append(a[1]) or real(*a)
+    )
     rnd = random.Random(size)
     outcomes = set()
     for _ in range(8):
@@ -553,10 +567,69 @@ def test_projected_witness_powers_match_per_power_closures(size, max_arity, max_
             budgets = Budgets(max_closure_points=limit)
             want = helpers.witness_per_power(lang, r, max_arity, max_power, budgets)
             closures.clear()
+            generators.clear()
             w = switchability_witness(lang, r, max_arity, max_power, budgets)
             assert (w.operations, w.powers, w.verdict) == want
+            # every closure runs under the essential operations only
+            assert all(g == [f for f in w.operations if essential(f)] for g in generators)
             # one closure, at the top power; the powers below it one by one if it fails
             fallback = list(range(2, max_power)) if sizes[max_power] > limit else []
             assert closures == [max_power] + fallback
             outcomes.add(w.verdict)
     assert outcomes == {"witnessed", "refuted-at-bounds", "inconclusive"}
+
+
+def essential(f: OperationTable) -> bool:
+    """Whether ``f`` can add a point to a closure under every operation of
+    lower arity: unary and not the identity, or dependent on every argument."""
+    if f.arity == 1:
+        return f.table != tuple(range(f.domain.size))
+    elements = range(f.domain.size)
+    return all(
+        any(
+            f.apply(x[:i] + (a,) + x[i + 1 :]) != f.apply(x)
+            for x in product(elements, repeat=f.arity)
+            for a in elements
+        )
+        for i in range(f.arity)
+    )
+
+
+@pytest.mark.parametrize("size, max_arity, max_power", [(2, 3, 4), (3, 2, 3)])
+def test_closure_under_the_generators_equals_closure_under_all_operations(
+    size, max_arity, max_power, monkeypatch
+):
+    generators = []
+    real = algebra.generate_closure
+    monkeypatch.setattr(algebra, "generate_closure", lambda *a: generators.append(a[1]) or real(*a))
+    rnd = random.Random(40 + size)
+    langs = [helpers.random_language(rnd, size, (1, 2, 3), 5) for _ in range(10)]
+    # one-in-three has only projections; x <= y admits both unary constants
+    one_in_three = ConstraintLanguage.of(2, ONE_IN_THREE)
+    both_constants = ConstraintLanguage.of(2, Relation("LE", 2, frozenset({(0, 0), (0, 1), (1, 1)})))
+    if size == 2:
+        langs += [one_in_three, both_constants]
+    for lang in langs:
+        for r in (0, 1):
+            generators.clear()
+            w = switchability_witness(lang, r, max_arity, max_power)
+            gens = generators[0]
+            assert gens == [f for f in w.operations if essential(f)]
+            for n in range(1, max_power + 1):
+                seeds = enumerate_switch_bounded(n, r, lang.domain)
+                assert real(seeds, gens, n) == real(seeds, w.operations, n)
+            if lang is one_in_three:
+                assert gens == []
+            if lang is both_constants:
+                assert {(1, (0, 0)), (1, (1, 1))} <= {(f.arity, f.table) for f in gens}
+
+
+def test_witness_raises_the_lowest_arity_preservation_check_first():
+    # B's arity-2 check (16**2 * 4 cells) fails before A's arity-3 one
+    # (4**3 * 3), though only arity 3 is sieved
+    a = Relation("A", 3, XOR0.tuples)
+    b = Relation("B", 4, frozenset(product(range(2), repeat=4)))
+    lang = ConstraintLanguage.of(2, a, b)
+    with pytest.raises(BudgetError) as err:
+        switchability_witness(lang, 2, 3, 4, Budgets(max_preserve_cells=100))
+    assert str(err.value) == "preservation check cells: requires 1024, budget allows 100"

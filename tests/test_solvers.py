@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -1046,9 +1047,54 @@ def test_classify_json_keys(xor0_lang):
 def test_classify_rejects_a_lift_that_breaks_preservation(xor0_lang, monkeypatch):
     # majority is a weak near-unanimity operation but does not preserve XOR0
     majority = table_from_function(xor0_lang.domain, 3, lambda a, b, c: int(a + b + c >= 2))
-    monkeypatch.setattr(solvers, "find_wnu", lambda lang, m, budgets: majority)
+    # a forged witness lists it ahead of minority, so it is the arity-3 hit
+    real = switchability_witness(xor0_lang, 2)
+    forged = dataclasses.replace(real, operations=(majority,) + real.operations)
+    monkeypatch.setattr(solvers, "switchability_witness", lambda *a, **k: forged)
     with pytest.raises(QcspError, match="does not preserve XOR0"):
         classify(xor0_lang, 2)
+    # under the override the hit comes from find_wnu
+    monkeypatch.setattr(solvers, "find_wnu", lambda lang, m, budgets: majority)
+    with pytest.raises(QcspError, match="does not preserve XOR0"):
+        classify(xor0_lang, 2, override=True)
+
+
+def test_classify_reads_the_wnu_off_the_witness_up_to_its_arity_bound(
+    xor0_lang, one_in_three_lang, monkeypatch
+):
+    calls = []
+    real = solvers.find_wnu
+    monkeypatch.setattr(
+        solvers, "find_wnu", lambda lang, m, budgets: calls.append(m) or real(lang, m, budgets)
+    )
+    assert classify(xor0_lang, 2).base_wnu == real(xor0_lang, 3)
+    assert calls == []
+    # at r = 3 every 4-tuple is switch-bounded, so one-in-three is witnessed;
+    # it has no weak near-unanimity operation, and arity 4 is above the witness's
+    report = classify(one_in_three_lang, 3, wnu_arity=4)
+    assert report.verdict == "NP-complete-modulo-arity-bound"
+    assert report.searched_arities == (2, 3, 4)
+    assert calls == [4]
+    calls.clear()
+    assert classify(xor0_lang, 2, override=True).base_wnu == real(xor0_lang, 3)
+    assert calls == [2, 3]
+
+
+def test_classify_witnessed_answers_match_the_override():
+    # the WNU read off the witness is the one find_wnu finds, at every arity
+    rnd = random.Random(31)
+    seen = set()
+    for _ in range(40):
+        lang = random_language(rnd, 2, (1, 2, 3), 5)
+        r = rnd.randint(1, 3)
+        for arity in (2, 3, 4):
+            report = classify(lang, r, wnu_arity=arity)
+            if report.verdict == "not-applicable":
+                continue
+            forced = classify(lang, r, wnu_arity=arity, override=True)
+            assert report == forced
+            seen.add((report.verdict, report.base_wnu and report.base_wnu.arity))
+    assert {("P", 2), ("P", 3), ("NP-complete-modulo-arity-bound", None)} <= seen
 
 
 def test_classify_four_ary_preservation_budget():

@@ -59,6 +59,8 @@ def test_benchmark_tracer_wraps_and_records_the_traced_functions(xor0_lang, monk
         unwrapped = [f"{s}.{n}" for (s, n), fn in originals.items() if getattr(homes[s], n) is fn]
         assert unwrapped == []
         assert homes["solvers"].classify(xor0_lang, 2).verdict == "P"
+        # only the override searches with find_wnu at the witness's arities
+        assert homes["solvers"].classify(xor0_lang, 2, override=True).verdict == "P"
         s = homes["parsing"].parse_sentence(
             "forall x1\nforall x2\nexists y\nconstraint XOR0 x1 x2 y\n", xor0_lang
         )
