@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress, groupby, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -378,8 +379,13 @@ class SwitchabilityWitness:
 
     def first_wnu(self, m: int) -> OperationTable | None:
         """The first arity-m operation, in the order held, that is a weak
-        near-unanimity operation."""
-        return next((f for f in self.operations if f.arity == m and is_wnu(f)), None)
+        near-unanimity operation, each table read at the entries that
+        :func:`_wnu_entries` names."""
+        if m < 2:
+            raise ValueError("weak near-unanimity needs arity >= 2")
+        return next(
+            (f for f in self.operations if f.arity == m and _is_wnu_table(f.table, f.domain.size, m)), None
+        )
 
     def to_json(self) -> dict:
         return {
@@ -516,6 +522,32 @@ def is_wnu(f: OperationTable) -> bool:
             if len({f.apply((x,) * p + (y,) + (x,) * (m - 1 - p)) for p in range(m)}) != 1:
                 return False
     return True
+
+
+@lru_cache(maxsize=32)
+def _wnu_entries(size: int, m: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The entries of an arity-m table that :func:`is_wnu` reads, by rank in
+    lexicographic argument order: (rank of (x, ..., x), x) for each x, and
+    for each x != y the ranks of the m tuples with y at one position and x
+    at the others, x * (|A|^(m-1) + ... + 1) + (y - x) * |A|^(m-1-p) for y
+    at position p."""
+    base = sum(size**q for q in range(m))
+    diagonal = tuple((x * base, x) for x in range(size))
+    one_off = tuple(
+        tuple(x * base + (y - x) * size ** (m - 1 - p) for p in range(m))
+        for x in range(size)
+        for y in range(size)
+        if x != y
+    )
+    return diagonal, one_off
+
+
+def _is_wnu_table(table: Sequence[int], size: int, m: int) -> bool:
+    """:func:`is_wnu` of the arity-m operation with this table."""
+    diagonal, one_off = _wnu_entries(size, m)
+    return all(table[e] == x for e, x in diagonal) and all(
+        len({table[e] for e in ranks}) == 1 for ranks in one_off
+    )
 
 
 def _wnu_slots(size: int, m: int) -> tuple[dict[int, int], dict[int, int]]:

@@ -63,6 +63,18 @@ class Budgets:
         self.check(what, scale * figure, limit)
         return scale * figure
 
+    def check_partitions(self, what: str, limit: int, n: int, m: int) -> int:
+        """Check S(n, m), the number of partitions of n things into m nonempty
+        blocks (a Stirling number of the second kind), against ``limit`` and
+        return it.  S(n, m) >= m ** (n - m), so when :meth:`check_power` would
+        not build that power, S(n, m) exceeds 2**2048 too and is not built:
+        the failure's ``required`` is the expression ``"S(n, m)"``."""
+        if isinstance(_power(m, n - m), str):
+            raise BudgetError(what, f"S({n}, {m})", limit)
+        figure = _stirling2(n, m)
+        self.check(what, figure, limit)
+        return figure
+
     def check_expansion(self, what: str, atoms: int, prefix: int | None = None) -> None:
         """Check a matrix expansion, in this order: its ``atoms``, its
         ``prefix`` variables (skipped when None), and the atoms' bytes.  A
@@ -87,6 +99,17 @@ def _power(base: int, exp) -> int | str:
     if isinstance(exp, str) or exp * base.bit_length() > _PRINTABLE_BITS:
         return f"{base}**{exp}"
     return base**exp
+
+
+def _stirling2(n: int, m: int) -> int:
+    """S(n, m) for n >= m >= 0, as the complete homogeneous symmetric
+    polynomial of degree n - m in 1, ..., m, taking in one variable at a
+    time: O(m (n - m)) steps."""
+    h = [1] + [0] * (n - m)
+    for x in range(1, m + 1):
+        for j in range(1, n - m + 1):
+            h[j] += x * h[j - 1]
+    return h[-1]
 
 
 DEFAULT_BUDGETS = Budgets()

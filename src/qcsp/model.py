@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping
 
 FORALL = "forall"
@@ -330,8 +330,12 @@ def switch_bounded_count(n: int, k: int, size: int) -> int:
     return size * sum(math.comb(n - 1, s) * (size - 1) ** s for s in range(top + 1))
 
 
+@lru_cache(maxsize=64)
 def enumerate_switch_bounded(n: int, k: int, dom: DomainSpec) -> tuple[tuple[int, ...], ...]:
-    """All tuples of A^n with at most k switches, in lexicographic order."""
+    """All tuples of A^n with at most k switches, in lexicographic order.
+
+    Memoized on (n, k, dom): the result is an immutable tuple, and every
+    witness at the same bound and domain starts its closure from it."""
     if n < 1:
         raise ValueError("tuple length must be >= 1")
     if k < 0:

@@ -404,23 +404,25 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
     assignment of the universals it actually touches, solved with those
     universals' domains pinned to the assigned singletons.
 
-    A component's shape is its atoms in order, with each universal kept by
-    name and each existential replaced by its first-occurrence number within
-    the component.  Components of equal shape differ only by a bijective
-    renaming of existentials, so they have the same truth: each shape is
-    decided once per call.
+    A component's shape is its atoms in order, with each universal and each
+    existential replaced by its first-occurrence number within the component,
+    the two kinds numbered apart.  Components of equal shape differ only by a
+    bijective renaming of universals and of existentials.  Each component on
+    its own is the closed sentence forall U exists E C over the universals U
+    it touches and its existentials E, so two of equal shape differ only in
+    bound names and have the same truth: each shape is decided once per call.
     """
     if not sentence.is_pi2():
         raise ValueError("input must be in forall*exists* form")
     check_wellformed(sentence)
     size = sentence.language.domain.size
-    universal_pos = {v: i for i, v in enumerate(sentence.universals())}
+    universals = set(sentence.universals())
 
     # union-find over existential variables; atoms join their existentials
     parent: dict[str, str] = {v: v for v in sentence.existentials()}
     firsts: list[str | None] = []
     for atom in sentence.matrix:
-        evars = [v for v in atom.args if v not in universal_pos]
+        evars = [v for v in atom.args if v not in universals]
         if not evars:
             firsts.append(None)
             continue
@@ -441,15 +443,15 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
     holding: set[tuple] = set()
 
     def holds_for_all(atoms: list[Atom]) -> bool:
+        # existentials numbered 0, 1, ... and universals -1, -2, ...
         number: dict[str, int] = {}
-        touched: set[str] = set()
+        touched: dict[str, int] = {}
         shape = []
         for a in atoms:
             args = []
             for v in a.args:
-                if v in universal_pos:
-                    touched.add(v)
-                    args.append(v)
+                if v in universals:
+                    args.append(~touched.setdefault(v, len(touched)))
                 else:
                     args.append(number.setdefault(v, len(number)))
             shape.append((a.relation, tuple(args)))
@@ -457,10 +459,12 @@ def pi2_truth(sentence: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) 
         key = tuple(shape)
         if key in holding:
             return True
-        variables = sorted(touched, key=universal_pos.get) + sorted(number)
-        model = _CompiledCsp(sentence.language, variables, _atom_ids(variables, atoms))
+        # the shape itself is compiled: universal j is id j, existential i id |U| + i
+        u = len(touched)
+        ids = [(rel, tuple(u + i if i >= 0 else ~i for i in args)) for rel, args in shape]
+        model = _CompiledCsp(sentence.language, [*touched, *number], ids)
         free = [model.full] * len(number)
-        for values in product(range(size), repeat=len(touched)):
+        for values in product(range(size), repeat=u):
             if not model.solve([1 << val for val in values] + free)[0]:
                 return False
         holding.add(key)

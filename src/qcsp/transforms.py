@@ -11,7 +11,7 @@ The pipeline pieces here rewrite prefixes while preserving truth value:
 * :func:`move_universals_left` hoists universals over the existential block
   in front of them, copy by copy, until the prefix is forall*exists*.
 * :func:`reduce_universal_count` shrinks a forall*exists* prefix to at most
-  one universal per domain element.
+  one universal per domain element, one copy per partition of the universals.
 * :func:`zeta` fully expands an alternating sentence into an equivalent
   forall*exists* sentence of exponential size.
 * relational powers and the lexicographic column constraints translate
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Iterator
 
 import numpy as np
 from .algebra import _entry_blocks
@@ -453,14 +454,61 @@ def move_universals_left(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
 # shrinking the universal count
 
 
+def _partitions(k: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Each partition of k things into exactly m >= 1 blocks, k >= m, as its
+    restricted-growth labelling: a tuple a with a[0] = 0 and each a[i] at
+    most one above every label before it, so block labels appear in order of
+    first occurrence.  Built directly in lexicographic order, one step per
+    partition: the rightmost label that can grow grows, and the labels after
+    it take the least completion that still opens all m blocks."""
+    a: list[int] = []
+
+    def fill(i: int, used: int) -> None:
+        # the least labels for positions i.. after ``used`` blocks are open
+        a[i:] = [0] * (k - i - m + used) + list(range(used, m))
+
+    fill(0, 0)
+    while True:
+        yield tuple(a)
+        opened = [0] * k  # opened[i]: the blocks open before position i
+        for i in range(1, k):
+            opened[i] = max(opened[i - 1], a[i - 1] + 1)
+        for i in range(k - 1, 0, -1):
+            label = a[i] + 1
+            used = max(opened[i], label + 1)
+            if label <= opened[i] and label < m and k - i - 1 >= m - used:
+                a[i] = label
+                fill(i + 1, used)
+                break
+        else:
+            return
+
+
 def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) -> QuantifiedSentence:
-    """Conjoin one renamed copy per map from the k universals to |A| shared
-    universals, leaving a forall*exists* sentence with at most |A| universals.
+    """Conjoin one renamed copy per partition of the k universals into
+    m = min(k, |A|) blocks, leaving a forall*exists* sentence with m <= |A|
+    universals z$u1..z$um.
+
+    Copy j, for the j-th partition in the lexicographic order of its
+    restricted-growth labelling (:func:`_partitions`), renames each universal
+    to the shared universal of its block and each existential e to e$j.
+    That is S(k, m) copies, a Stirling number of the second kind, and one
+    copy when k <= |A|.  Every block holds an occurring universal, so no
+    output universal is vacuous.
+
+    The output is equivalent to the input.  It is the conjunction of some of
+    the copies for all |A|^k maps from the k universals to |A| shared ones,
+    so the input implies it.  Conversely, take any assignment alpha of the
+    universals.  Its kernel has at most m blocks, so some partition P into
+    exactly m blocks refines it, and alpha = beta . phi_P, phi_P taking each
+    universal to its block.  The copy for P at the shared universals beta
+    then gives the input's existentials under alpha.
 
     Prefix variables that occur in no atom are dropped first, so k counts
     only occurring universals and only occurring existentials are copied; with
     none of the universals occurring, the input comes back without its
-    vacuous variables.  The budgets are checked against the input as given.
+    vacuous variables.  The budgets are checked against the input as given:
+    S(n, min(n, |A|)) copies for its n universals, which is at least S(k, m).
     """
     if not s.is_pi2():
         raise ValueError("input must be in forall*exists* form")
@@ -468,9 +516,10 @@ def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUD
     n_univ = s.universal_count()
     if n_univ:
         what = "universal-count reduction"
-        copies = budgets.check_power(f"{what} copies", budgets.max_matrix_copies, size, n_univ)
+        shared = min(n_univ, size)
+        copies = budgets.check_partitions(f"{what} copies", budgets.max_matrix_copies, n_univ, shared)
         budgets.check_expansion(
-            what, copies * max(1, len(s.matrix)), prefix=size + copies * len(s.existentials())
+            what, copies * max(1, len(s.matrix)), prefix=shared + copies * len(s.existentials())
         )
 
     kept = _occurring_prefix(s)
@@ -480,11 +529,12 @@ def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUD
     if k == 0:
         return QuantifiedSentence(tuple(kept), s.matrix, s.language)
 
-    zs = [f"z$u{i}" for i in range(1, size + 1)]
+    m = min(k, size)
+    zs = [f"z$u{i}" for i in range(1, m + 1)]
     prefix: list[tuple[str, str]] = [(FORALL, z) for z in zs]
     matrix: list[Atom] = []
-    for j, phi in enumerate(product(range(size), repeat=k), start=1):
-        cmap: dict[str, str] = {uvars[i]: zs[phi[i]] for i in range(k)}
+    for j, labels in enumerate(_partitions(k, m), start=1):
+        cmap: dict[str, str] = {u: zs[b] for u, b in zip(uvars, labels)}
         cmap.update({e: f"{e}${j}" for e in evars})
         prefix.extend((EXISTS, cmap[e]) for e in evars)
         matrix.extend(a.rename(cmap) for a in s.matrix)

@@ -5,6 +5,7 @@ Everything randomized lives here (seeded), never in the library code.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, product
 
@@ -179,6 +180,12 @@ def polymorphisms_bruteforce(lang: ConstraintLanguage, m: int) -> list[Operation
         if all(preserves_bruteforce(f, r) for r in lang.relations.values()):
             out.append(f)
     return out
+
+
+def stirling2(n: int, m: int) -> int:
+    """S(n, m), the partitions of n things into m nonempty blocks, by the
+    inclusion-exclusion formula."""
+    return sum((-1) ** i * math.comb(m, i) * (m - i) ** n for i in range(m + 1)) // math.factorial(m)
 
 
 def first_wnu_bruteforce(lang: ConstraintLanguage, m: int) -> OperationTable | None:

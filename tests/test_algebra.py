@@ -373,6 +373,15 @@ def test_polymorphisms_and_find_wnu_match_bruteforce(
     assert any(lo >= 0 for lo in stages) == (math.isqrt(block_cells) < top)
 
 
+@pytest.mark.parametrize("size, m", [(2, 2), (2, 3), (3, 2)])
+def test_wnu_table_check_matches_is_wnu_on_every_table(size, m):
+    dom = DomainSpec(size)
+    tables = list(product(range(size), repeat=size**m))
+    expected = [is_wnu(OperationTable(m, dom, table)) for table in tables]
+    assert [algebra._is_wnu_table(table, size, m) for table in tables] == expected
+    assert any(expected)
+
+
 def test_find_wnu_none_matches_bruteforce(one_in_three_lang):
     assert first_wnu_bruteforce(one_in_three_lang, 3) is None
     assert find_wnu(one_in_three_lang, 3) is None

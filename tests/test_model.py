@@ -81,6 +81,14 @@ def test_enumerate_deterministic():
     assert a == b
 
 
+def test_enumerate_is_memoized_on_length_bound_and_domain():
+    a = enumerate_switch_bounded(4, 2, DomainSpec(3))
+    assert enumerate_switch_bounded(4, 2, DomainSpec(3)) is a
+    assert enumerate_switch_bounded(4, 2, DomainSpec(2)) is not a
+    with pytest.raises(ValueError):
+        enumerate_switch_bounded(0, 2, DomainSpec(3))
+
+
 def test_relation_invariants():
     with pytest.raises(ValueError):
         Relation("R", 2, frozenset({(0, 1, 0)}))

@@ -66,3 +66,25 @@ def test_affine_demo_json():
     assert out["sentence"]["agreement"] is True
     assert out["witness"]["verdict"] == "witnessed"
     assert out["classification"]["verdict"] == "P"
+
+
+def test_size_law_pins_the_ladder_sizes():
+    # the route sizes against depth; at depth 4 and r = 2 the count reduction
+    # builds 63 copies of the 112-atom conjoined matrix
+    done = run_script("size_law.py", "--max-depth", "4")
+    assert done.returncode == 0, done.stderr
+    rows = [
+        (1, 1, "1 solved, 1 reused, 0 atoms", 0, 2),
+        (1, 2, "2 solved, 1 reused, 8 atoms", 3, 5),
+        (1, 3, "3 solved, 1 reused, 32 atoms", 27, 29),
+        (1, 4, "4 solved, 1 reused, 74 atoms", 126, 128),
+        (2, 1, "1 solved, 1 reused, 0 atoms", 0, 2),
+        (2, 2, "2 solved, 2 reused, 8 atoms", 2, 4),
+        (2, 3, "4 solved, 3 reused, 44 atoms", 961, 963),
+        (2, 4, "7 solved, 4 reused, 166 atoms", 7056, 7058),
+    ]
+    assert done.stdout.splitlines() == [
+        f"r={r} depth={d}  oracle true  bundle true ({bundle})  pi2 true ({pi2} atoms)"
+        f"  power-csp true ({power} atoms)"
+        for r, d, bundle, pi2, power in rows
+    ] + ["8 ladders, 0 with a verdict unlike the oracle's"]

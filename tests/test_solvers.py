@@ -853,6 +853,16 @@ NEAR_TWINS = {
         _pi2_prefix(["a", "b", "c"], []),
         [("LT", "a", "b"), ("LT", "c", "c")],
     ),
+    "universal or existential": (
+        lang_dom3,
+        _pi2_prefix(["a", "b", "c"], ["z"]),
+        [("LT", "a", "b"), ("LT", "z", "c")],
+    ),
+    "universal and existential numbers": (
+        lang_dom3,
+        _pi2_prefix(["a", "b", "e", "f"], ["z"]),
+        [("LT", "a", "b"), ("LT", "a", "b"), ("LT", "e", "f"), ("LT", "z", "f")],
+    ),
     "relation": (
         lambda: ConstraintLanguage.of(3, LT3, LE3),
         _pi2_prefix(["a", "b"], ["z"]),
@@ -887,8 +897,9 @@ def _counting_compiles(monkeypatch):
 
 def test_pi2_truth_compiles_each_shape_once(mixed_lang, monkeypatch):
     # shape A three times, shape B (A's atoms in the other order) twice, and
-    # one component each on z1 alone and on z2 alone: four shapes, seven
-    # components, with the copies' atoms interleaved in the matrix
+    # one component each on z1 alone and on z2 alone, which are one shape up
+    # to renaming the universal: three shapes, seven components, with the
+    # copies' atoms interleaved in the matrix
     parts = [[Atom("NOT", ("z1", f"a{i}")), Atom("XOR0", (f"a{i}", "z2", f"b{i}"))] for i in range(3)]
     parts += [[Atom("XOR0", (f"c{i}", "z2", f"d{i}")), Atom("NOT", ("z1", f"c{i}"))] for i in range(2)]
     parts += [[Atom("NOT", ("z1", "p"))], [Atom("NOT", ("z2", "q"))]]
@@ -905,10 +916,18 @@ def test_pi2_truth_compiles_each_shape_once(mixed_lang, monkeypatch):
     monkeypatch.setattr(Budgets, "check", counting_check)
     built = _counting_compiles(monkeypatch)
     assert pi2_truth(s) is True
-    assert len(built) == 4
+    assert len(built) == 3
     assert checks.count("component assignments") == len(parts)
     monkeypatch.undo()
     assert oracle_qcsp(s).truth is True
+
+
+def test_pi2_truth_compiles_components_on_renamed_universals_once(mixed_lang, monkeypatch):
+    # NOT(z1, p) and NOT(z2, q) differ only in bound names
+    s = sent(mixed_lang, _pi2_prefix(["p", "q"]), [Atom("NOT", ("z1", "p")), Atom("NOT", ("z2", "q"))])
+    built = _counting_compiles(monkeypatch)
+    assert pi2_truth(s) is True
+    assert built == [["z1", "p"]]
 
 
 def test_pi2_truth_stops_at_a_failing_repeated_shape(mixed_lang, monkeypatch):

@@ -36,12 +36,14 @@ from helpers import (
     FALSE0,
     LT3,
     NOT,
+    ONE_IN_THREE,
     TRUE0,
     XOR0,
     eliminate_universals_reference,
     messy_sentence,
     random_pi2,
     random_sentence,
+    stirling2,
 )
 
 
@@ -274,23 +276,62 @@ def test_move_left_truth_random(mixed_lang, dom3_lang):
 
 
 def test_reduce_count_copies_k3(mixed_lang):
+    # one copy per partition of x1, x2, x3 into two blocks: S(3, 2) = 3,
+    # labelled 001, 010, 011
     s = sent(
         mixed_lang,
         [("forall", "x1"), ("forall", "x2"), ("forall", "x3"), ("exists", "y")],
         [Atom("XOR0", ("x1", "x2", "x3")), Atom("NOT", ("x1", "y"))],
     )
     out = reduce_universal_count(s)
-    assert out.universals() == ["z$u1", "z$u2"]
-    assert len(out.matrix) == 8 * len(s.matrix)
+    assert out.prefix == (
+        ("forall", "z$u1"), ("forall", "z$u2"), ("exists", "y$1"), ("exists", "y$2"), ("exists", "y$3")
+    )
+    assert out.matrix == (
+        Atom("XOR0", ("z$u1", "z$u1", "z$u2")),
+        Atom("NOT", ("z$u1", "y$1")),
+        Atom("XOR0", ("z$u1", "z$u2", "z$u1")),
+        Atom("NOT", ("z$u1", "y$2")),
+        Atom("XOR0", ("z$u1", "z$u2", "z$u2")),
+        Atom("NOT", ("z$u1", "y$3")),
+    )
     assert pi2_truth(out) == pi2_truth(s)
 
 
 def test_reduce_count_copies_k1(mixed_lang):
     s = sent(mixed_lang, [("forall", "x"), ("exists", "y")], [Atom("NOT", ("x", "y"))])
     out = reduce_universal_count(s)
-    assert out.universals() == ["z$u1", "z$u2"]
-    assert len(out.matrix) == 2
+    assert out.universals() == ["z$u1"]
+    assert out.matrix == (Atom("NOT", ("z$u1", "y$1")),)
     assert pi2_truth(out) is True
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_reduce_count_copies_one_per_partition(size):
+    # k universals, each in its own atom with one existential: S(k, m) copies
+    # over m = min(k, |A|) shared universals, each copy's universals labelled
+    # by a distinct partition into exactly m blocks
+    lang = ConstraintLanguage.of(size, Relation("EQ", 2, frozenset((a, a) for a in range(size))))
+    for k in range(1, 7):
+        xs = [f"x{i}" for i in range(k)]
+        prefix = [("forall", x) for x in xs] + [("exists", "y")]
+        s = sent(lang, prefix, [Atom("EQ", (x, "y")) for x in xs])
+        out = reduce_universal_count(s)
+        m = min(k, size)
+        copies = stirling2(k, m)
+        assert out.universals() == [f"z$u{i}" for i in range(1, m + 1)]
+        assert out.existentials() == [f"y${j}" for j in range(1, copies + 1)]
+        # copy j's atoms are EQ(z$u<label + 1>, y$j), one per universal in order
+        labels = [
+            tuple(int(a.args[0][len("z$u") :]) - 1 for a in out.matrix[j * k : (j + 1) * k])
+            for j in range(copies)
+        ]
+        assert labels == sorted(set(labels))
+        assert all(
+            set(p) == set(range(m)) and all(p[i] <= max(p[:i], default=-1) + 1 for i in range(k))
+            for p in labels
+        )
+        assert pi2_truth(out) is oracle_qcsp(s).truth is (k == 1 or size == 1)
 
 
 def test_reduce_count_no_universals_unchanged(mixed_lang):
@@ -312,6 +353,48 @@ def test_reduce_count_truth_random(mixed_lang, dom3_lang):
             out = reduce_universal_count(s)
             assert out.universal_count() <= lang.domain.size
             assert pi2_truth(out) == oracle_qcsp(s).truth
+
+
+NE3 = Relation("NE", 2, frozenset((a, b) for a, b in product(range(3), repeat=2) if a != b))
+LE3 = Relation("LE", 2, frozenset((a, b) for a, b in product(range(3), repeat=2) if a <= b))
+SUM3 = Relation("SUM", 3, frozenset(t for t in product(range(3), repeat=3) if sum(t) % 3 == 0))
+
+
+@pytest.mark.parametrize(
+    "lang, top",
+    [
+        (ConstraintLanguage.of(2, XOR0, NOT, ONE_IN_THREE), 5),
+        (ConstraintLanguage.of(3, LE3, NE3, SUM3), 4),
+    ],
+    ids=["2 elements", "3 elements"],
+)
+def test_reduce_count_matches_oracle_beyond_domain_size(lang, top):
+    # more occurring universals than domain elements, up to ``top``, with one
+    # or two vacuous universals besides and variables repeated inside atoms;
+    # drawn until 40 sentences of each truth value have been checked
+    rnd = random.Random(79)
+    size = lang.domain.size
+    rels = lang.sorted_relations()
+    seen = {True: 0, False: 0}
+    while min(seen.values()) < 40:
+        k = rnd.randint(size + 1, top)
+        us = [f"u{i}" for i in range(k)]
+        es = [f"e{i}" for i in range(rnd.randint(k - 1, k + 1))]
+        atoms = []
+        for _ in range(rnd.randint(2, k)):
+            rel = rnd.choice(rels)
+            args = [rnd.choice(us if i == 0 or rnd.random() < 0.1 else es) for i in range(rel.arity)]
+            rnd.shuffle(args)
+            atoms.append(Atom(rel.name, tuple(args)))
+        if len({v for a in atoms for v in a.args} & set(us)) <= size:
+            continue
+        us += [f"pu{i}" for i in range(rnd.randint(0, 2))]
+        s = sent(lang, [("forall", u) for u in us] + [("exists", e) for e in es], atoms)
+        t = oracle_qcsp(s).truth
+        out = reduce_universal_count(s)
+        assert out.universal_count() == size
+        assert pi2_truth(out) is t, s
+        seen[t] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -785,10 +868,16 @@ def test_reduce_count_with_only_vacuous_universals(mixed_lang):
 
 
 def test_reduce_count_budget_counts_vacuous_universals(mixed_lang):
-    prefix = [("forall", f"x{i}") for i in range(13)] + [("exists", "y")]
-    s = sent(mixed_lang, prefix, [Atom("NOT", ("y", "y"))])
-    with pytest.raises(BudgetError):
-        reduce_universal_count(s)
+    # S(13, 2) = 4095 copies fit the default 4096; S(14, 2) = 8191 do not
+    def vacuous(n):
+        prefix = [("forall", f"x{i}") for i in range(n)] + [("exists", "y")]
+        return sent(mixed_lang, prefix, [Atom("NOT", ("y", "y"))])
+
+    assert reduce_universal_count(vacuous(13)).prefix == (("exists", "y"),)
+    with pytest.raises(BudgetError) as err:
+        reduce_universal_count(vacuous(14))
+    assert err.value.what == "universal-count reduction copies"
+    assert err.value.required == 8191
 
 
 def test_instance_reports_every_broken_invariant_at_once(mixed_lang):
