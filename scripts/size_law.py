@@ -6,8 +6,8 @@ XOR0(yi, xi, y(i+1)) for i < d; it is true.  For each switch bound r and each
 depth, decides the ladder with the oracle and with the three routes, and
 prints the exact size of what each route built:
 
-* ``bundle``: :func:`reduce_pgp_to_csp`, its solved and reused collapse
-  patterns and the atoms of its solved members' instances;
+* ``bundle``: :func:`reduce_pgp_to_csp`, its solved collapse patterns and
+  the atoms of their instances;
 * ``pi2``: :func:`pi2_truth` of :func:`reduce_to_pi2`, the reduced sentence's
   atoms;
 * ``power-csp``: :func:`solve_csp` of :func:`qcsp_to_power_csp` of the same
@@ -66,7 +66,7 @@ def routes(s, r, witness):
     def bundle():
         b = reduce_pgp_to_csp(s, r, witness=witness)
         atoms = sum(len(m.instance.atoms) for m in b.members)
-        return b.combined, f" ({len(b.members)} solved, {len(b.reused)} reused, {atoms} atoms)"
+        return b.combined, f" ({len(b.members)} solved, {atoms} atoms)"
 
     def pi2():
         return pi2_truth(reduced()), f" ({len(reduced().matrix)} atoms)"

@@ -11,7 +11,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import BudgetError
+from .errors import BudgetError, QcspError
+from .parsing import is_integer
 
 ENV_BUDGET_BYTES = "QCSP_BUDGET_BYTES"
 
@@ -38,8 +39,14 @@ class Budgets:
 
     @classmethod
     def from_env(cls, **overrides) -> "Budgets":
+        """Budgets with ``max_bytes`` read from the environment variable
+        QCSP_BUDGET_BYTES when it is set, in the integer syntax of the input
+        files (:func:`qcsp.parsing.is_integer`); a value that is not a
+        positive integer in that syntax raises :class:`QcspError`."""
         raw = os.environ.get(ENV_BUDGET_BYTES)
         if raw is not None and "max_bytes" not in overrides:
+            if not is_integer(raw) or int(raw) <= 0:
+                raise QcspError(f"{ENV_BUDGET_BYTES} must be a positive integer, got {raw!r}")
             overrides["max_bytes"] = int(raw)
         return cls(**overrides)
 

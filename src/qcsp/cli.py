@@ -224,8 +224,7 @@ def _solve_with_method(
         bundle = reduce_pgp_to_csp(
             target, args.r, witness=witness, override=args.override_witness, budgets=budgets
         )
-        counts = {"instances": len(bundle.index_sets), "solved": len(bundle.members),
-                  "reused": len(bundle.reused)}
+        counts = {"instances": len(bundle.index_sets), "solved": len(bundle.members)}
         trace.append({"step": len(trace) + 1, "rule": "pgp-csp-bundle",
                       "before": _sentence_size(target), "after": counts})
         return bundle.combined, bundle.to_json()

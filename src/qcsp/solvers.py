@@ -503,40 +503,17 @@ def check_witness_gate(
     )
 
 
-def _index_sets(n: int, r: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(idx for k in range(min(r, n) + 1) for idx in combinations(range(1, n + 1), k))
+def _occurring_positions(alt: AlternatingSentence) -> tuple[int, ...]:
+    """The alternation positions i whose universal x_i occurs in the matrix:
+    the only positions a collapse pattern keeps (see :func:`reduce_pgp_to_csp`)."""
+    occurring = alt.sentence.matrix_variables()
+    return tuple(i for i, x in enumerate(alt.x_vars(), start=1) if x in occurring)
 
 
-def _collapse_shape(
-    alt: AlternatingSentence, occurring: set[str], indices: tuple[int, ...]
-) -> tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]:
-    """What of the collapse ``omega(alt, indices)`` survives once its vacuous
-    variables are dropped: the kept universals that occur in the matrix, and
-    per segment between kept positions the occurring universals folded into
-    its z$oj, segments that fold none left out.
-
-    Two patterns of equal shape give collapses that are equal after their
-    vacuous variables are dropped, up to a renaming of the z$oj that keeps
-    their order: both keep every existential and the same occurring
-    universals in place, and both put the same groups, in the same order,
-    under the leading z$oj that :func:`eliminate_universals` keeps.  Their
-    eliminated instances then differ only in the names of the z$oj copies,
-    which their const_a atoms pin to one value each, so no search ever
-    branches on them: the two instances have the same truth, the same search
-    and the same node count.
-    """
-    xs = alt.sentence.prefix[1::2]  # (forall, x_i) at i - 1
-    kept: list[str] = []
-    groups: list[tuple[str, ...]] = []
-    lo = 0
-    for hi in (*indices, alt.n + 1):
-        group = tuple(x for _, x in xs[lo : hi - 1] if x in occurring)
-        if group:
-            groups.append(group)
-        if hi <= alt.n and xs[hi - 1][1] in occurring:
-            kept.append(xs[hi - 1][1])
-        lo = hi
-    return tuple(kept), tuple(groups)
+def _index_sets(alt: AlternatingSentence, r: int) -> tuple[tuple[int, ...], ...]:
+    """Every collapse pattern of at most r occurring positions, smallest first."""
+    positions = _occurring_positions(alt)
+    return tuple(idx for k in range(min(r, len(positions)) + 1) for idx in combinations(positions, k))
 
 
 @dataclass(frozen=True)
@@ -560,69 +537,46 @@ class BundleMember:
 class ReductionBundle:
     """One decision per collapse pattern; true iff every pattern is satisfiable.
 
-    ``index_sets`` lists every pattern.  The patterns are decided in that
-    order, and the bundle stops at the first unsatisfiable one.  The first
-    pattern of each collapse shape (see :func:`_collapse_shape`) is collapsed
-    and solved, and kept in ``members``; a later pattern of the same shape
-    has the same verdict, and is only listed in ``reused``.  Both are in
-    index-set order, and together they are the decided prefix of
-    ``index_sets``: all of it when the sentence is true, and up to its first
-    false member otherwise.  ``conditional`` marks a true verdict reached
-    without a valid switchability witness; a false one never is, since a
-    false collapse refutes the sentence over any language.
+    ``index_sets`` lists every pattern of at most ``r`` kept universals that
+    occur in the matrix (:func:`_index_sets`).  The patterns are decided in
+    that order, and the bundle stops at the first unsatisfiable one:
+    ``members`` is the decided prefix of ``index_sets``, all of it when the
+    sentence is true, and up to its first false member otherwise.
+    ``conditional`` marks a true verdict reached without a valid
+    switchability witness; a false one never is, since a false collapse
+    refutes the sentence over any language.
     """
 
     source: QuantifiedSentence
     r: int
     index_sets: tuple[tuple[int, ...], ...]
     members: tuple[BundleMember, ...]
-    reused: tuple[tuple[int, ...], ...]
     combined: bool
     conditional: bool
 
     def __post_init__(self):
-        alt = normalize_alternating(self.source)
-        occurring = self.source.matrix_variables()
-        members, reused = self.members, self.reused
-        shapes: set[tuple] = set()
-        m = j = 0
-        for idx in self.index_sets:
-            solved = m < len(members) and members[m].indices == idx
-            if not solved and not (j < len(reused) and reused[j] == idx):
-                break
-            if m and not members[m - 1].verdict.truth:
-                raise ValueError("bundle decides no pattern after an unsatisfiable member")
-            shape = _collapse_shape(alt, occurring, idx)
-            if solved:
-                if shape in shapes:
-                    raise ValueError(f"bundle member {idx} repeats the shape of an earlier member")
-                shapes.add(shape)
-                m += 1
-            else:
-                if shape not in shapes:
-                    raise ValueError(f"reused pattern {idx} has no earlier member of its shape")
-                j += 1
-        if (m, j) != (len(members), len(reused)):
-            raise ValueError(
-                "solved and reused patterns must form a prefix of the index sets, in order"
-            )
-        complete = m + j == len(self.index_sets)
-        if not complete and (not members or members[-1].verdict.truth):
+        if self.index_sets != _index_sets(normalize_alternating(self.source), self.r):
+            raise ValueError("index sets must be the patterns over the occurring universals")
+        truths = [m.verdict.truth for m in self.members]
+        if tuple(m.indices for m in self.members) != self.index_sets[: len(self.members)]:
+            raise ValueError("members must form a prefix of the index sets, in order")
+        if False in truths[:-1]:
+            raise ValueError("bundle decides no pattern after an unsatisfiable member")
+        complete = len(truths) == len(self.index_sets)
+        if not complete and (not truths or truths[-1]):
             raise ValueError("bundle may only stop at an unsatisfiable member")
-        if self.combined != (complete and all(x.verdict.truth for x in members)):
+        if self.combined != (complete and all(truths)):
             raise ValueError("combined verdict must be the conjunction over every pattern")
         if self.conditional and not self.combined:
             raise ValueError("only a true verdict is conditional: a false member refutes the sentence")
 
     def to_json(self) -> dict:
-        decided = len(self.members) + len(self.reused)
         return {
             "r": self.r,
             "combined": self.combined,
             "conditional": self.conditional,
             "instances_solved": len(self.members),
-            "instances_reused": len(self.reused),
-            "instances_skipped": len(self.index_sets) - decided,
+            "instances_skipped": len(self.index_sets) - len(self.members),
             "members": [
                 {
                     "indices": list(m.indices),
@@ -642,8 +596,31 @@ def reduce_pgp_to_csp(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> ReductionBundle:
     """Solve the sentence as a conjunction of plain CSP instances, one per
-    collapse shape of the patterns with at most r kept universals (2k+1
-    universals each).
+    collapse pattern that keeps at most r universals occurring in the matrix
+    (2k+1 universals each).
+
+    The patterns keep only occurring universals (:func:`_occurring_positions`)
+    because the padded patterns, which may keep any of the n universals, add
+    nothing: the conjunction over the occurring patterns equals the
+    conjunction over all padded patterns, witness or not.  Take a padded
+    pattern I with a kept position v whose universal x_v is vacuous.  If the
+    segment of I before v (the positions after the previous kept one) has an
+    occurring universal, let u be the last one, and I' = I - {v} + {u}.
+    Every universal after u up to x_v is vacuous, so ``omega(alt, I')`` folds
+    the same occurring universals into each collapsed universal as
+    ``omega(alt, I)``, except that x_u stays in place instead of joining the
+    collapsed universal of its segment.  Moving x_u to the front
+    (exists y forall x phi entails forall x exists y phi) and identifying it
+    with that segment's collapsed universal (forall a forall b phi entails
+    forall a phi[b:=a]) gives ``omega(alt, I)`` back, so ``omega(alt, I')``
+    entails it.  If that segment has no occurring universal, let
+    I' = I - {v}: the segments on either side of v merge, and the collapse is
+    the same up to renaming once vacuous variables are dropped.  Either way
+    I' has one vacuous kept position fewer and no more kept positions than I,
+    so repeating the step ends at an occurring pattern of at most |I| kept
+    universals that entails ``omega(alt, I)``.  Every occurring pattern is a
+    padded one, and the sentence entails each of its collapses, so a false
+    member still refutes the sentence over any language.
 
     Every pattern is decided, though the maximal ones alone decide the
     verdict (see :func:`reduce_to_pi2`): the bundle reports a verdict per
@@ -652,44 +629,30 @@ def reduce_pgp_to_csp(
 
     Patterns are decided one at a time in index-set order, and the first
     unsatisfiable one decides the verdict; later ones are never built.  A
-    pattern is built and solved only when it is the first of its collapse
-    shape, computed from the pattern before any collapse is built (see
-    :func:`_collapse_shape`); a later pattern of that shape has the same
-    verdict, true since the bundle did not stop there, and is recorded as
-    reused.  A member is solved straight from the integer form of its
-    elimination (:func:`~qcsp.transforms._elimination_core`), so its
+    member is solved straight from the integer form of its elimination
+    (:func:`~qcsp.transforms._elimination_core`), so its
     :class:`CspInstance` is built only when :attr:`BundleMember.instance` is
     read; solving that instance gives the member's verdict.  The elimination
-    budgets of every pattern size are checked first, smallest first, so a
-    budget error is raised exactly as if every pattern were built in order,
+    budgets of every pattern size built are checked first, smallest first, so
+    a budget error is raised exactly as if every pattern were built in order,
     whatever the verdict of an earlier pattern.  ``conditional`` is the
     witness gate's flag (:func:`check_witness_gate`) on a true verdict, and
     False on a false one.
     """
     conditional = check_witness_gate(witness, r, override)
     alt = normalize_alternating(s)
-    sets = _index_sets(alt.n, r)
-    for k in range(min(r, alt.n) + 1):
+    sets = _index_sets(alt, r)
+    for k in range(len(sets[-1]) + 1):
         check_elimination_budget(s.language.domain.size, 2 * k + 1, len(s.matrix), budgets)
-    occurring = s.matrix_variables()
-    shapes: set[tuple] = set()
     members: list[BundleMember] = []
-    reused: list[tuple[int, ...]] = []
     for idx in sets:
-        shape = _collapse_shape(alt, occurring, idx)
-        if shape in shapes:
-            reused.append(idx)
-            continue
-        shapes.add(shape)
         w = omega(alt, idx)
         verdict = _solve_ids(*_elimination_core(w, budgets))
         members.append(BundleMember(idx, w, verdict, budgets))
         if not verdict.truth:
             break
     combined = members[-1].verdict.truth
-    return ReductionBundle(
-        s, r, sets, tuple(members), tuple(reused), combined, conditional and combined
-    )
+    return ReductionBundle(s, r, sets, tuple(members), combined, conditional and combined)
 
 
 def reduce_to_pi2(
@@ -701,10 +664,11 @@ def reduce_to_pi2(
 ) -> QuantifiedSentence:
     """Equivalent forall*exists* sentence with at most |A| universals.
 
-    Collapses the sentence at every pattern of exactly min(r, n) kept
-    universals, hoists each member's universals left, conjoins the members on
-    a shared universal ladder with member-disjoint existentials, and shrinks
-    the universal count.
+    Collapses the sentence at every pattern of exactly min(r, m) kept
+    universals among the m that occur in the matrix
+    (:func:`_occurring_positions`), hoists each member's universals left,
+    conjoins the members on a shared universal ladder with member-disjoint
+    existentials, and shrinks the universal count.
 
     The smaller patterns that :func:`reduce_pgp_to_csp` also solves are left
     out because each is implied by a maximal one: for J a subset of I,
@@ -712,14 +676,19 @@ def reduce_to_pi2(
     from I moves the universal x_t to the front (exists y forall x phi entails
     forall x exists y phi) and identifies it with the collapsed universals of
     the segments on either side of t (forall a forall b phi entails
-    forall a phi[b:=a]); both steps weaken the sentence.  So the conjunction
-    is the same over the maximal patterns as over all of them, witness or not.
-    When r >= n the only pattern keeps every universal, and its vacuous
-    collapsed universals are dropped by :func:`move_universals_left`.
+    forall a phi[b:=a]); both steps weaken the sentence.  Patterns that keep
+    a vacuous universal are left out too: each is entailed by an occurring
+    pattern of no more kept universals (the proof is in
+    :func:`reduce_pgp_to_csp`), and so by a maximal one.  So the conjunction
+    is the same over the maximal occurring patterns as over every padded
+    pattern of at most r kept universals, witness or not.  When r >= m the
+    only pattern keeps every occurring universal, and its vacuous collapsed
+    universals are dropped by :func:`move_universals_left`.
     """
     check_witness_gate(witness, r, override)
     alt = normalize_alternating(s)
-    maximal = combinations(range(1, alt.n + 1), min(r, alt.n))
+    positions = _occurring_positions(alt)
+    maximal = combinations(positions, min(r, len(positions)))
     members = [move_universals_left(omega(alt, idx), budgets) for idx in maximal]
 
     shared_count = max(m.universal_count() for m in members)

@@ -458,30 +458,26 @@ def _partitions(k: int, m: int) -> Iterator[tuple[int, ...]]:
     """Each partition of k things into exactly m >= 1 blocks, k >= m, as its
     restricted-growth labelling: a tuple a with a[0] = 0 and each a[i] at
     most one above every label before it, so block labels appear in order of
-    first occurrence.  Built directly in lexicographic order, one step per
-    partition: the rightmost label that can grow grows, and the labels after
-    it take the least completion that still opens all m blocks."""
-    a: list[int] = []
+    first occurrence.  Built in lexicographic order: each position tries its
+    labels in ascending order, and a prefix is dropped as soon as the
+    positions left cannot open the blocks still missing.  The recursion takes
+    one level per position, so one block, whose one labelling is all zeros,
+    is built without it; m >= 2 blocks have S(k, m) >= 2**(k - 1) - 1
+    labellings, so any k whose copies fit a budget is small."""
+    if m == 1:
+        yield (0,) * k
+        return
 
-    def fill(i: int, used: int) -> None:
-        # the least labels for positions i.. after ``used`` blocks are open
-        a[i:] = [0] * (k - i - m + used) + list(range(used, m))
-
-    fill(0, 0)
-    while True:
-        yield tuple(a)
-        opened = [0] * k  # opened[i]: the blocks open before position i
-        for i in range(1, k):
-            opened[i] = max(opened[i - 1], a[i - 1] + 1)
-        for i in range(k - 1, 0, -1):
-            label = a[i] + 1
-            used = max(opened[i], label + 1)
-            if label <= opened[i] and label < m and k - i - 1 >= m - used:
-                a[i] = label
-                fill(i + 1, used)
-                break
-        else:
+    def extend(a: tuple[int, ...], used: int) -> Iterator[tuple[int, ...]]:
+        if len(a) == k:
+            yield a
             return
+        for label in range(min(used + 1, m)):
+            opened = used + (label == used)
+            if k - len(a) - 1 >= m - opened:
+                yield from extend((*a, label), opened)
+
+    yield from extend((), 0)
 
 
 def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) -> QuantifiedSentence:

@@ -82,18 +82,21 @@ def test_solve_pgp_csp(files, capsys):
 
 
 def test_solve_pgp_csp_trace_counts_solved_patterns(files, tmp_path, capsys):
-    # four collapse patterns; the second keeps x and is already false
+    # four collapse patterns over the occurring x and v; the second keeps x
+    # and is already false
     lang, _, _ = files
     s = tmp_path / "s.txt"
-    s.write_text("exists y\nforall x\nexists w\nforall v\nconstraint NOT x y\n")
+    s.write_text("exists y\nforall x\nexists w\nforall v\nexists u\n"
+                 "constraint NOT x y\nconstraint NOT v u\n")
     code = run_cli(["solve", "--language", lang, "--sentence", s,
                     "--method", "pgp-csp", "--r", "2", "--format", "json", "--trace"])
     data = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert (data["instances_solved"], data["instances_reused"], data["instances_skipped"]) == (2, 0, 2)
+    assert (data["instances_solved"], data["instances_skipped"]) == (2, 2)
+    assert "instances_reused" not in data
     [step] = data["trace"]
     assert step["rule"] == "pgp-csp-bundle"
-    assert step["after"] == {"instances": 4, "solved": 2, "reused": 0}
+    assert step["after"] == {"instances": 4, "solved": 2}
 
 
 @pytest.mark.parametrize("method", ["pgp-csp", "pi2", "power-csp"])
@@ -478,6 +481,17 @@ def test_env_budget_cap(tmp_path, capsys, monkeypatch):
                     "--transform", "eliminate-universals"])
     assert code == 2
     assert "bytes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "1_0", "+999999", " 7", "-5", "0"],
+                         ids=["letters", "empty", "underscore", "plus-sign", "space", "negative", "zero"])
+def test_malformed_env_budget_exit_two(files, capsys, monkeypatch, raw):
+    # QCSP_BUDGET_BYTES takes the integer syntax of the input files, and only
+    # a positive value
+    monkeypatch.setenv("QCSP_BUDGET_BYTES", raw)
+    lang, true_s, _ = files
+    assert run_cli(["solve", "--language", lang, "--sentence", true_s]) == 2
+    assert capsys.readouterr().err == f"error: QCSP_BUDGET_BYTES must be a positive integer, got {raw!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,7 @@ def run_script(name, *args):
         (
             "bundle_agreement_sweep.py",
             ["--count", "15"],
-            r"^15/15 agree \(100\.0%\), \d+ true, \d+ solved, \d+ reused of \d+ CSP instances, [\d.]+s$",
+            r"^15/15 agree \(100\.0%\), \d+ true, \d+ solved of \d+ CSP instances, [\d.]+s$",
         ),
         (
             "power_roundtrip_sweep.py",
@@ -70,18 +70,18 @@ def test_affine_demo_json():
 
 def test_size_law_pins_the_ladder_sizes():
     # the route sizes against depth; at depth 4 and r = 2 the count reduction
-    # builds 63 copies of the 112-atom conjoined matrix
+    # builds 63 copies of the 97-atom conjoined matrix
     done = run_script("size_law.py", "--max-depth", "4")
     assert done.returncode == 0, done.stderr
     rows = [
-        (1, 1, "1 solved, 1 reused, 0 atoms", 0, 2),
-        (1, 2, "2 solved, 1 reused, 8 atoms", 3, 5),
-        (1, 3, "3 solved, 1 reused, 32 atoms", 27, 29),
-        (1, 4, "4 solved, 1 reused, 74 atoms", 126, 128),
-        (2, 1, "1 solved, 1 reused, 0 atoms", 0, 2),
-        (2, 2, "2 solved, 2 reused, 8 atoms", 2, 4),
-        (2, 3, "4 solved, 3 reused, 44 atoms", 961, 963),
-        (2, 4, "7 solved, 4 reused, 166 atoms", 7056, 7058),
+        (1, 1, "1 solved, 0 atoms", 0, 2),
+        (1, 2, "2 solved, 8 atoms", 2, 4),
+        (1, 3, "3 solved, 32 atoms", 21, 23),
+        (1, 4, "4 solved, 74 atoms", 105, 107),
+        (2, 1, "1 solved, 0 atoms", 0, 2),
+        (2, 2, "2 solved, 8 atoms", 2, 4),
+        (2, 3, "4 solved, 44 atoms", 744, 746),
+        (2, 4, "7 solved, 166 atoms", 6111, 6113),
     ]
     assert done.stdout.splitlines() == [
         f"r={r} depth={d}  oracle true  bundle true ({bundle})  pi2 true ({pi2} atoms)"

@@ -52,6 +52,7 @@ from helpers import (
     preserves_bruteforce,
     random_alternating,
     random_language,
+    random_matrix,
     random_pi2,
     random_sentence,
     reversed_relations,
@@ -345,15 +346,25 @@ def xor0_witness():
     return switchability_witness(lang_xor0(), 2, max_arity=3, max_power=4)
 
 
-def _eager_members(s, r):
-    """Every collapse pattern built and solved, none skipped."""
+def _padded_sets(n, r):
+    """Every collapse pattern of at most r kept positions out of 1..n, those
+    that keep a vacuous universal included, smallest first."""
+    return [idx for k in range(min(r, n) + 1) for idx in combinations(range(1, n + 1), k)]
+
+
+def _members(s, index_sets):
+    """The given collapse patterns of ``s``, each built and solved."""
     alt = normalize_alternating(s)
     out = []
-    for idx in solvers._index_sets(alt.n, r):
+    for idx in index_sets:
         w = omega(alt, idx)
-        inst = eliminate_universals(w)
-        out.append(BundleMember(idx, w, solve_csp(inst)))
+        out.append(BundleMember(idx, w, solve_csp(eliminate_universals(w))))
     return out
+
+
+def _eager_members(s, r):
+    """Every padded collapse pattern built and solved, none skipped."""
+    return _members(s, _padded_sets(normalize_alternating(s).n, r))
 
 
 def _eager_verdicts(s, r):
@@ -363,27 +374,25 @@ def _eager_verdicts(s, r):
 def test_bundle_member_count(xor0_lang, xor0_witness):
     prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2"),
               ("exists", "y3"), ("forall", "x3")]
-    patterns = [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+    # x1 and x3 occur, x2 does not: the patterns keep only positions 1 and 3
+    patterns = [(), (1,), (3,), (1, 3)]
     s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "x3"))])
     bundle = reduce_pgp_to_csp(s, 2, witness=xor0_witness)
     assert list(bundle.index_sets) == patterns
     # the solved members are the prefix that ends at the first false pattern
-    eager = _eager_verdicts(s, 2)
+    eager = [m.verdict.truth for m in _members(s, patterns)]
     first_false = eager.index(False)
     assert first_false == 1
     assert [m.indices for m in bundle.members] == patterns[: first_false + 1]
     assert [m.verdict.truth for m in bundle.members] == eager[: first_false + 1]
-    assert bundle.reused == ()
-    assert bundle.combined is False is oracle_qcsp(s).truth
+    assert bundle.combined is False is all(_eager_verdicts(s, 2)) is oracle_qcsp(s).truth
     # a true sentence over the same prefix decides every pattern; only x1
-    # occurs, so each pattern either keeps it, as (1,) does, or folds it into
-    # z$o0, as () does, and only those two are solved
+    # occurs, so the patterns are () and (1,) of the 7 padded ones
     t = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "y2"))])
     full = reduce_pgp_to_csp(t, 2, witness=xor0_witness)
-    assert list(full.index_sets) == patterns
+    assert list(full.index_sets) == [(), (1,)]
     assert [m.indices for m in full.members] == [(), (1,)]
-    assert list(full.reused) == [(2,), (3,), (1, 2), (1, 3), (2, 3)]
-    assert full.combined is True is oracle_qcsp(t).truth
+    assert full.combined is True is all(_eager_verdicts(t, 2)) is oracle_qcsp(t).truth
 
 
 def test_bundle_r0_single_member(xor0_lang, xor0_witness):
@@ -451,20 +460,19 @@ def test_bundle_deterministic_under_input_order(mixed_lang):
 def test_bundle_json_lists_members(xor0_lang, xor0_witness):
     s = sent(xor0_lang, [("forall", "x"), ("exists", "y")], [Atom("XOR0", ("x", "x", "y"))])
     data = reduce_pgp_to_csp(s, 2, witness=xor0_witness).to_json()
-    assert {"r", "combined", "conditional", "members", "instances_solved", "instances_reused",
-            "instances_skipped"} <= set(data)
+    assert set(data) == {"r", "combined", "conditional", "members", "instances_solved",
+                         "instances_skipped"}
     assert all({"indices", "satisfiable", "nodes"} <= set(m) for m in data["members"])
-    # (2,) and (1, 2) have the shapes of () and (1,): the only occurring
-    # universal x is at position 1
+    # the only occurring universal x is at position 1 of the padded prefix
+    # exists y$d1 forall x exists y forall x$d2, so (2,) and (1, 2) are no patterns
     assert [m["indices"] for m in data["members"]] == [[], [1]]
-    assert (data["instances_solved"], data["instances_reused"], data["instances_skipped"]) == (2, 2, 0)
+    assert (data["instances_solved"], data["instances_skipped"]) == (2, 0)
     # a false sentence lists only the solved prefix and counts the rest
     prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2")]
     s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "x2"))])
     data = reduce_pgp_to_csp(s, 2, witness=xor0_witness).to_json()
     assert data["combined"] is False
     assert data["instances_solved"] == len(data["members"]) == 2
-    assert data["instances_reused"] == 0
     assert data["instances_skipped"] == 4 - 2
     assert [m["satisfiable"] for m in data["members"]] == [True, False]
 
@@ -478,75 +486,85 @@ def test_lazy_bundle_matches_eager_bundle(make_lang, seed):
         witness.r, witness.operations[::-1], witness.powers, witness.verdict
     )
     rnd = random.Random(seed)
-    falses = skipped = reused = 0
+    falses = skipped = fewer = 0
     for _ in range(60):
         s = random_sentence(rnd, lang, max_vars=6, max_atoms=3)
         bundle = reduce_pgp_to_csp(s, 2, witness=witness)
+        padded = _padded_sets(normalize_alternating(s).n, 2)
         eager = _eager_verdicts(s, 2)
         assert bundle.combined == all(eager) == oracle_qcsp(s).truth, (s.prefix, s.matrix)
-        decided = len(eager) if all(eager) else eager.index(False) + 1
-        position = {idx: i for i, idx in enumerate(bundle.index_sets)}
-        assert [m.verdict.truth for m in bundle.members] == [
-            eager[position[m.indices]] for m in bundle.members
-        ]
-        assert all(eager[position[idx]] for idx in bundle.reused)
-        assert len(bundle.members) + len(bundle.reused) == decided
-        assert len(bundle.index_sets) == len(eager)
+        # the patterns are the padded ones that keep occurring universals
+        # only, decided in the same order up to the first false one
+        assert set(bundle.index_sets) <= set(padded)
+        assert sorted(bundle.index_sets, key=padded.index) == list(bundle.index_sets)
+        truths = [eager[padded.index(idx)] for idx in bundle.index_sets]
+        decided = len(truths) if all(truths) else truths.index(False) + 1
+        assert [m.indices for m in bundle.members] == list(bundle.index_sets[:decided])
+        assert [m.verdict.truth for m in bundle.members] == truths[:decided]
         t = QuantifiedSentence(s.prefix, s.matrix, flipped)
         again = reduce_pgp_to_csp(t, 2, witness=flipped_witness)
         assert json.dumps(bundle.to_json()) == json.dumps(again.to_json())
         falses += not bundle.combined
-        skipped += len(eager) - decided
-        reused += len(bundle.reused)
-    assert falses and skipped and reused  # the seed exercises stopping early and reuse
+        skipped += len(truths) - decided
+        fewer += len(bundle.index_sets) < len(padded)
+    assert falses and skipped and fewer  # the seed stops early and drops vacuous patterns
 
 
-def _stripped(sentence):
-    """The sentence without its vacuous variables, up to renaming: the
-    occurring prefix's quantifiers, and each atom with its variables given
-    by their position in that prefix."""
-    occurring = sentence.matrix_variables()
-    prefix = [(q, v) for q, v in sentence.prefix if v in occurring]
-    position = {v: i for i, (_, v) in enumerate(prefix)}
-    matrix = tuple((a.relation, tuple(position[v] for v in a.args)) for a in sentence.matrix)
-    return tuple(q for q, _ in prefix), matrix
+def _cut_sentence(rnd, lang, max_vars, max_atoms):
+    """A random sentence some of whose universals occur in no atom, so that
+    vacuous universals fall between occurring ones."""
+    names = [f"v{i}" for i in range(rnd.randint(2, max_vars))]
+    prefix = tuple((rnd.choice(["forall", "exists"]), v) for v in names)
+    vacuous = {v for q, v in prefix[1:] if q == "forall" and rnd.random() < 0.5}
+    atoms = random_matrix(rnd, lang, [v for v in names if v not in vacuous], max_atoms)
+    return QuantifiedSentence(prefix, atoms, lang)
 
 
-@pytest.mark.parametrize("make_lang, seed", [(lang_mixed2, 83), (lang_dom3, 89)])
-@pytest.mark.parametrize("r", [1, 2])
-def test_reused_patterns_match_their_members(make_lang, seed, r):
-    # every reused pattern, built and solved eagerly, has its member's
-    # verdict, and patterns of equal shape give equal stripped collapses
-    lang = make_lang()
-    witness = switchability_witness(lang, r, max_arity=2 if lang.domain.size == 3 else 3)
-    assert witness.verdict == "witnessed"
+@pytest.mark.parametrize("size, seed", [(2, 113), (3, 127)])
+def test_occurring_patterns_decide_as_every_padded_pattern(size, seed):
+    # both reductions keep only occurring universals; their verdicts equal the
+    # eager conjunction over every padded pattern, vacuous kept universals
+    # included, under the override and with a witness, and then the oracle's
     rnd = random.Random(seed)
-    reused = equal_pairs = 0
-    for _ in range(150):
-        s = random_sentence(rnd, lang, max_vars=8, max_atoms=3)
-        bundle = reduce_pgp_to_csp(s, r, witness=witness)
-        assert bundle.combined == oracle_qcsp(s).truth, (s.prefix, s.matrix)
-        alt = normalize_alternating(s)
-        occurring = s.matrix_variables()
-        member_of = {solvers._collapse_shape(alt, occurring, m.indices): m for m in bundle.members}
-        assert len(member_of) == len(bundle.members)
-        for idx in bundle.reused:
-            member = member_of[solvers._collapse_shape(alt, occurring, idx)]
-            collapse = omega(alt, idx)
-            verdict = solve_csp(eliminate_universals(collapse))
-            assert verdict.truth is member.verdict.truth is True
-            assert verdict.stats == member.verdict.stats
-            assert _stripped(collapse) == _stripped(member.sentence)
-            reused += 1
-        by_shape = {}
-        for idx in bundle.index_sets:
-            by_shape.setdefault(solvers._collapse_shape(alt, occurring, idx), []).append(idx)
-        for group in by_shape.values():
-            first = _stripped(omega(alt, group[0]))
-            for idx in group[1:]:
-                assert _stripped(omega(alt, idx)) == first, (s.prefix, s.matrix, group[0], idx)
-                equal_pairs += 1
-    assert reused and equal_pairs
+    cuts = padded = witnessed = 0
+    truths = set()
+    for _ in range(8):
+        lang = random_language(rnd, size, (1, 2, 3) if size == 2 else (1, 2), max_tuples=2 * size + 1)
+        r = rnd.randint(1, 2)
+        witness = switchability_witness(lang, r, max_arity=3 if size == 2 else 2, max_power=3)
+        gates = [{"override": True}]
+        if witness.verdict == "witnessed":
+            gates.append({"witness": witness})
+            witnessed += 1
+        for _ in range(25):
+            s = _cut_sentence(rnd, lang, max_vars=7 if size == 2 else 6, max_atoms=4)
+            alt = normalize_alternating(s)
+            want = all(_eager_verdicts(s, r))
+            for gate in gates:
+                assert reduce_pgp_to_csp(s, r, **gate).combined == want, (lang, s.prefix, s.matrix, r)
+                assert pi2_truth(reduce_to_pi2(s, r, **gate)) == want, (lang, s.prefix, s.matrix, r)
+            if len(gates) == 2:
+                assert want == oracle_qcsp(s).truth, (lang, s.prefix, s.matrix, r)
+            # a vacuous position between the first and the last occurring one
+            positions = solvers._occurring_positions(alt)
+            cuts += bool(positions) and positions[-1] - positions[0] >= len(positions)
+            padded += alt.n > s.universal_count()
+            truths.add(want)
+    assert cuts > 10 and padded > 10 and witnessed and truths == {True, False}
+
+
+def test_bundle_lists_only_the_occurring_patterns(dom3_lang):
+    # one occurring universal g in front of 80 existentials: normalization
+    # puts a dummy universal after each, and at r = 2 the padded patterns
+    # number C(81, <= 2) = 3,322, but only () and (1,) keep occurring ones
+    prefix = [("forall", "g")] + [("exists", f"a{i}") for i in range(80)]
+    s = QuantifiedSentence(tuple(prefix), (Atom("CYC", ("g", "a0", "a1")),), dom3_lang)
+    assert len(_padded_sets(normalize_alternating(s).n, 2)) == 3322
+    witness = switchability_witness(dom3_lang, 2, max_arity=2)
+    bundle = reduce_pgp_to_csp(s, 2, witness=witness)
+    assert bundle.index_sets == ((), (1,))
+    assert [m.indices for m in bundle.members] == [(), (1,)]
+    assert bundle.combined is True
 
 
 def test_bundle_budget_error_precedes_first_false_member(xor0_lang, xor0_witness, monkeypatch):
@@ -579,45 +597,41 @@ def test_bundle_invariants_are_checked(xor0_lang, xor0_witness):
     prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2")]
     false_s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "x2"))])
     true_s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "y2"))])
-    # x2 occurs in no atom of either: (2,) has the shape of () and (1, 2) that
-    # of (1,); in stop_s the pattern (1,) is false
+    # in stop_s the last pattern (1,) is false
     stop_s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "y2")), Atom("XOR0", ("y1", "y1", "y2"))])
-    eager = _eager_members(false_s, 2)
+    every_sets = ((), (1,), (2,), (1, 2))
+    eager = _members(false_s, every_sets)
     assert [m.verdict.truth for m in eager[:2]] == [True, False]
-    every = _eager_members(true_s, 2)
-    stop = _eager_members(stop_s, 2)
-    assert [m.verdict.truth for m in stop[:2]] == [True, False]
+    # x2 occurs in no atom of true_s or stop_s: (2,) and (1, 2) are no patterns
     full = reduce_pgp_to_csp(true_s, 2, witness=xor0_witness)
-    assert [m.indices for m in full.members] == [(), (1,)]
-    assert full.reused == ((2,), (1, 2))
-    for source, members, reused, combined, message in [
+    assert full.index_sets == ((), (1,))
+    stop = _members(stop_s, full.index_sets)
+    assert [m.verdict.truth for m in stop] == [True, False]
+    for source, sets, members, combined, message in [
+        # index sets other than the patterns over the occurring universals
+        (true_s, every_sets, full.members, True, "patterns over the occurring universals"),
+        (false_s, every_sets[:3], tuple(eager[:2]), False, "patterns over the occurring universals"),
         # not in index-set order
-        (false_s, (eager[1], eager[0]), (), False, "prefix of the index sets"),
-        (true_s, full.members, full.reused[::-1], True, "prefix of the index sets"),
+        (false_s, every_sets, (eager[1], eager[0]), False, "prefix of the index sets"),
+        (true_s, full.index_sets, full.members[::-1], True, "prefix of the index sets"),
         # solved on past a false member
-        (false_s, tuple(eager[:3]), (), False, "after an unsatisfiable member"),
-        # a reused pattern listed past a false member
-        (stop_s, tuple(stop[:2]), ((2,),), False, "after an unsatisfiable member"),
+        (false_s, every_sets, tuple(eager[:3]), False, "after an unsatisfiable member"),
         # stopped at a true member, or before any member
-        (true_s, full.members, (), False, "only stop at an unsatisfiable member"),
-        (true_s, (), (), False, "only stop at an unsatisfiable member"),
-        # a member that repeats an earlier member's shape
-        (true_s, tuple(every), (), True, "repeats the shape of an earlier member"),
-        # a reused pattern with no earlier member of its shape
-        (true_s, (every[0],), ((1,), (2,), (1, 2)), True, "no earlier member of its shape"),
-        (true_s, (every[0], every[3]), ((1,), (2,)), True, "no earlier member of its shape"),
+        (true_s, full.index_sets, full.members[:1], False, "only stop at an unsatisfiable member"),
+        (true_s, full.index_sets, (), False, "only stop at an unsatisfiable member"),
         # combined disagrees with a full true bundle, or with a false member
-        (true_s, full.members, full.reused, False, "conjunction"),
-        (false_s, tuple(eager[:2]), (), True, "conjunction"),
+        (true_s, full.index_sets, full.members, False, "conjunction"),
+        (false_s, every_sets, tuple(eager[:2]), True, "conjunction"),
+        (stop_s, full.index_sets, tuple(stop), True, "conjunction"),
     ]:
         with pytest.raises(ValueError, match=message):
-            ReductionBundle(source, 2, full.index_sets, members, reused, combined, False)
-    assert ReductionBundle(false_s, 2, full.index_sets, tuple(eager[:2]), (), False, False).members
+            ReductionBundle(source, 2, sets, members, combined, False)
+    assert ReductionBundle(false_s, 2, every_sets, tuple(eager[:2]), False, False).members
     # a false verdict needs no witness, so it is never conditional
     with pytest.raises(ValueError, match="only a true verdict is conditional"):
-        ReductionBundle(false_s, 2, full.index_sets, tuple(eager[:2]), (), False, True)
-    assert ReductionBundle(true_s, 2, full.index_sets, full.members, full.reused, True, True).conditional
-    assert ReductionBundle(stop_s, 2, full.index_sets, tuple(stop[:2]), (), False, False).members
+        ReductionBundle(false_s, 2, every_sets, tuple(eager[:2]), False, True)
+    assert ReductionBundle(true_s, 2, full.index_sets, full.members, True, True).conditional
+    assert ReductionBundle(stop_s, 2, full.index_sets, tuple(stop), False, False).members
 
 
 def test_bundle_members_match_their_instances():
@@ -778,7 +792,7 @@ def test_collapse_keeping_more_universals_implies_one_keeping_fewer():
     for lang, depths, count in [(lang_mixed2(), (1, 2, 3, 4), 200), (lang_dom3(), (1, 2, 3), 120)]:
         for _ in range(count):
             alt = normalize_alternating(random_alternating(rnd, lang, rnd.choice(depths), max_atoms=3))
-            truth = {idx: oracle_qcsp(omega(alt, idx)).truth for idx in solvers._index_sets(alt.n, 3)}
+            truth = {idx: oracle_qcsp(omega(alt, idx)).truth for idx in _padded_sets(alt.n, 3)}
             for big, big_truth in truth.items():
                 for k in range(len(big)):
                     for small in combinations(big, k):
@@ -801,7 +815,7 @@ def test_pi2_reduction_is_the_conjunction_over_every_pattern(r):
         lang = random_language(rnd, size, (1, 2, 3) if size == 2 else (1, 2), 6)
         s = random_sentence(rnd, lang, max_vars=7 - size, max_atoms=2)
         alt = normalize_alternating(s)
-        want = all(oracle_qcsp(omega(alt, idx)).truth for idx in solvers._index_sets(alt.n, r))
+        want = all(oracle_qcsp(omega(alt, idx)).truth for idx in _padded_sets(alt.n, r))
         assert pi2_truth(reduce_to_pi2(s, r, override=True)) == want, (lang, s.prefix, s.matrix)
         truths.add(want)
         shallow += alt.n < r
@@ -1179,10 +1193,10 @@ def test_bundle_copies_only_the_occurring_universal(dom3_lang):
     s = QuantifiedSentence(tuple(prefix), tuple(matrix), dom3_lang)
     witness = switchability_witness(dom3_lang, 2, max_arity=2)
     bundle = reduce_pgp_to_csp(s, 2, witness=witness)
-    # of the 1 + 7 + 21 patterns, only () and (1,) differ in shape: g is the
-    # only occurring universal, at position 1
+    # g is the only occurring universal, at position 1, so of the 1 + 7 + 21
+    # padded patterns only () and (1,) are patterns
+    assert bundle.index_sets == ((), (1,))
     assert [m.indices for m in bundle.members] == [(), (1,)]
-    assert len(bundle.reused) == 27
     for member in bundle.members:
         copies = [a for a in member.instance.atoms if a.relation in dom3_lang.relations]
         assert len(copies) <= 3 * len(matrix), member.indices

@@ -334,6 +334,17 @@ def test_reduce_count_copies_one_per_partition(size):
         assert pi2_truth(out) is oracle_qcsp(s).truth is (k == 1 or size == 1)
 
 
+def test_reduce_count_one_block_over_many_universals():
+    # over one element all universals share one block: the one partition of
+    # 3,000 of them is built without a level of recursion per universal
+    lang = ConstraintLanguage.of(1, Relation("EQ", 2, frozenset({(0, 0)})))
+    xs = [f"x{i}" for i in range(3000)]
+    s = sent(lang, [("forall", x) for x in xs] + [("exists", "y")], [Atom("EQ", (x, "y")) for x in xs])
+    out = reduce_universal_count(s)
+    assert (out.universals(), out.existentials()) == (["z$u1"], ["y$1"])
+    assert {a.args for a in out.matrix} == {("z$u1", "y$1")}
+
+
 def test_reduce_count_no_universals_unchanged(mixed_lang):
     s = sent(mixed_lang, [("exists", "y")], [Atom("NOT", ("y", "y"))])
     assert reduce_universal_count(s) == s
