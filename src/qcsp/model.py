@@ -89,6 +89,21 @@ class Relation:
                 columns[p][v] = columns[p].get(v, 0) | bit
         return tuple(tuple((1 << v, m) for v, m in sorted(col.items())) for col in columns)
 
+    def agreeing(self, firsts: tuple[int, ...]) -> int:
+        """Mask, numbered as :attr:`supports` numbers the tuples, of the
+        tuples t with ``t[p] == t[firsts[p]]`` at every position p: the tuples
+        an atom can take whose position p holds the same variable as its
+        position ``firsts[p]``.  Built once per ``firsts`` and kept on the
+        relation."""
+        masks = cached_on(self, "agreeing_masks", dict)
+        if firsts not in masks:
+            masks[firsts] = sum(
+                1 << i
+                for i, t in enumerate(self.sorted_tuples())
+                if all(t[p] == t[f] for p, f in enumerate(firsts))
+            )
+        return masks[firsts]
+
     def __len__(self) -> int:
         return len(self.tuples)
 

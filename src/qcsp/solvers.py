@@ -154,9 +154,10 @@ class _CompiledCsp:
     compiled once.  A unary atom is never propagated: it becomes a mask on
     its variable's start domain, applied once per search, which is its whole
     arc-consistent effect.  Every other atom keeps its relation's support
-    table (:attr:`Relation.supports`), the mask of all the relation's tuples,
-    its variable ids, and whether its own revision must queue it again: only
-    when a variable repeats in it (see :meth:`solve`).
+    table (:attr:`Relation.supports`), the mask of the tuples it can take
+    (all the relation's tuples, or when a variable repeats in it only those
+    equal on the positions that variable holds, :meth:`Relation.agreeing`)
+    and its variable ids.
     """
 
     def __init__(self, language: ConstraintLanguage, variables, atoms) -> None:
@@ -166,7 +167,7 @@ class _CompiledCsp:
         self.order = sorted(range(n), key=self.variables.__getitem__)  # name order
         relations = language.relations
         self.masks: list[tuple[int, int]] = []
-        self.atoms: list[tuple[tuple, int, tuple[int, ...], bool]] = []
+        self.atoms: list[tuple[tuple, int, tuple[int, ...]]] = []
         self.scopes: list[set[int]] = []
         self.watch: list[list[int]] = [[] for _ in range(n)]
         # (relation, variable ids) -> tuples of each distinct atom, unary
@@ -190,7 +191,11 @@ class _CompiledCsp:
             for i in scope:
                 watch[i].append(aid)
             scopes.append(scope)
-            compiled.append((rel.supports, (1 << len(rel.tuples)) - 1, idxs, len(scope) < len(idxs)))
+            if len(scope) < len(idxs):
+                valid = rel.agreeing(tuple(map(idxs.index, idxs)))
+            else:
+                valid = (1 << len(rel.tuples)) - 1
+            compiled.append((rel.supports, valid, idxs))
 
     def components(self, domains: list[int]) -> list[list[int]]:
         """Connected components of the variables with more than one value
@@ -244,11 +249,10 @@ class _CompiledCsp:
             # FIFO revision to the arc-consistent fixpoint: an atom's valid
             # tuples are those whose every entry is still in its variable's
             # domain; each domain keeps the values some valid tuple supports.
-            # Over distinct variables every valid tuple survives the
-            # narrowing, so one revision is the atom's own fixpoint and it
-            # stays flagged as queued while it runs.  A repeated variable is
-            # narrowed once per position, which can drop a tuple valid at
-            # another position, so such an atom may queue itself again.
+            # Valid tuples agree on the positions of a repeated variable, so
+            # those positions support the same values and every valid tuple
+            # survives the narrowing: one revision is the atom's own
+            # fixpoint, and it stays flagged as queued while it runs.
             queue = list(seed_atoms)
             for aid in queue:
                 in_queue[aid] = True
@@ -256,8 +260,7 @@ class _CompiledCsp:
             while head < len(queue):
                 aid = queue[head]
                 head += 1
-                supports, valid, idxs, repeats = atoms[aid]
-                in_queue[aid] = not repeats
+                supports, valid, idxs = atoms[aid]
                 for p, w in enumerate(idxs):
                     dom = domains[w]
                     acc = 0
@@ -286,8 +289,7 @@ class _CompiledCsp:
                             if not in_queue[a2]:
                                 in_queue[a2] = True
                                 queue.append(a2)
-                if not repeats:
-                    in_queue[aid] = False
+                in_queue[aid] = False
                 if not valid:
                     for a2 in queue[head:]:
                         in_queue[a2] = False
@@ -351,10 +353,10 @@ def solve_csp(inst: CspInstance) -> SolveVerdict:
     table: the still-valid tuples are the AND over positions of the OR of the
     supports of the values left in that position's domain, and each domain
     keeps the values whose support meets them (compact-table filtering,
-    recomputed per revision).  An atom is queued again when a domain in its
-    scope shrinks, but not by its own revision unless a variable repeats in
-    it.  The arc-consistent fixpoint is unique, so none of this changes what
-    the search sees.  Search is lexicographic in variable name and value
+    recomputed per revision).  An atom whose variable repeats starts from
+    only the tuples equal on that variable's positions, so its revision is
+    arc consistent on the equality they impose.  An atom is queued again
+    when a domain in its scope shrinks, but never by its own revision.  Search is lexicographic in variable name and value
     inside each connected component of the branching variables, with its
     choice points on a stack of frames rather than the call stack, so no
     recursion limit bounds the number of variables (see
