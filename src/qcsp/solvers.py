@@ -356,14 +356,14 @@ def solve_csp(inst: CspInstance) -> SolveVerdict:
     recomputed per revision).  An atom whose variable repeats starts from
     only the tuples equal on that variable's positions, so its revision is
     arc consistent on the equality they impose.  An atom is queued again
-    when a domain in its scope shrinks, but never by its own revision.  Search is lexicographic in variable name and value
-    inside each connected component of the branching variables, with its
-    choice points on a stack of frames rather than the call stack, so no
-    recursion limit bounds the number of variables (see
-    :meth:`_CompiledCsp.solve`); the witness takes each variable's lowest
-    remaining value, and is checked against every atom before it is
-    returned.  It builds nothing larger than the instance and its
-    relations' support tables, so it takes no budgets.
+    when a domain in its scope shrinks, but never by its own revision.
+    Search is lexicographic in variable name and value inside each connected
+    component of the branching variables, with its choice points on a stack
+    of frames rather than the call stack, so no recursion limit bounds the
+    number of variables (see :meth:`_CompiledCsp.solve`); the witness takes
+    each variable's lowest remaining value, and is checked against every
+    atom before it is returned.  It builds nothing larger than the instance
+    and its relations' support tables, so it takes no budgets.
     """
     return _solve_ids(inst.language, inst.variables, _atom_ids(inst.variables, inst.atoms))
 
@@ -513,9 +513,11 @@ def _occurring_positions(alt: AlternatingSentence) -> tuple[int, ...]:
 
 
 def _index_sets(alt: AlternatingSentence, r: int) -> tuple[tuple[int, ...], ...]:
-    """Every collapse pattern of at most r occurring positions, smallest first."""
+    """The maximal collapse patterns: every choice of min(r, m) of the m
+    occurring positions, in lexicographic order, so ``((),)`` when m = 0.
+    Both reductions decide exactly these (see :func:`reduce_to_pi2`)."""
     positions = _occurring_positions(alt)
-    return tuple(idx for k in range(min(r, len(positions)) + 1) for idx in combinations(positions, k))
+    return tuple(combinations(positions, min(r, len(positions))))
 
 
 @dataclass(frozen=True)
@@ -537,13 +539,16 @@ class BundleMember:
 
 @dataclass(frozen=True)
 class ReductionBundle:
-    """One decision per collapse pattern; true iff every pattern is satisfiable.
+    """One decision per maximal collapse pattern; true iff every one is
+    satisfiable.
 
-    ``index_sets`` lists every pattern of at most ``r`` kept universals that
-    occur in the matrix (:func:`_index_sets`).  The patterns are decided in
-    that order, and the bundle stops at the first unsatisfiable one:
-    ``members`` is the decided prefix of ``index_sets``, all of it when the
-    sentence is true, and up to its first false member otherwise.
+    ``index_sets`` lists the patterns that keep min(r, m) of the m universals
+    occurring in the matrix (:func:`_index_sets`); they entail every smaller
+    pattern, so their conjunction is the conjunction over every pattern of at
+    most ``r`` kept universals.  The patterns are decided in that order, and
+    the bundle stops at the first unsatisfiable one: ``members`` is the
+    decided prefix of ``index_sets``, all of it when the sentence is true,
+    and up to its first false member otherwise.
     ``conditional`` marks a true verdict reached without a valid
     switchability witness; a false one never is, since a false collapse
     refutes the sentence over any language.
@@ -558,7 +563,7 @@ class ReductionBundle:
 
     def __post_init__(self):
         if self.index_sets != _index_sets(normalize_alternating(self.source), self.r):
-            raise ValueError("index sets must be the patterns over the occurring universals")
+            raise ValueError("index sets must be the maximal patterns over the occurring universals")
         truths = [m.verdict.truth for m in self.members]
         if tuple(m.indices for m in self.members) != self.index_sets[: len(self.members)]:
             raise ValueError("members must form a prefix of the index sets, in order")
@@ -598,8 +603,8 @@ def reduce_pgp_to_csp(
     budgets: Budgets = DEFAULT_BUDGETS,
 ) -> ReductionBundle:
     """Solve the sentence as a conjunction of plain CSP instances, one per
-    collapse pattern that keeps at most r universals occurring in the matrix
-    (2k+1 universals each).
+    maximal collapse pattern: each keeps k = min(r, m) of the m universals
+    occurring in the matrix (2k+1 universals each).
 
     The patterns keep only occurring universals (:func:`_occurring_positions`)
     because the padded patterns, which may keep any of the n universals, add
@@ -624,28 +629,31 @@ def reduce_pgp_to_csp(
     padded one, and the sentence entails each of its collapses, so a false
     member still refutes the sentence over any language.
 
-    Every pattern is decided, though the maximal ones alone decide the
-    verdict (see :func:`reduce_to_pi2`): the bundle reports a verdict per
-    pattern, and the small patterns are the cheapest to eliminate and solve,
-    so they refute a false sentence before a large one is built.
+    Only the maximal occurring patterns are decided, as :func:`reduce_to_pi2`
+    conjoins them: for J a subset of I, ``omega(alt, I)`` entails
+    ``omega(alt, J)`` (the proof is there), so every smaller occurring
+    pattern, and by the argument above every padded one, is entailed by a
+    maximal one.  Their conjunction is the conjunction over every padded
+    pattern of at most r kept universals, witness or not, and a false
+    smaller pattern lies under a false maximal one, which refutes the
+    sentence.
 
     Patterns are decided one at a time in index-set order, and the first
     unsatisfiable one decides the verdict; later ones are never built.  A
     member is solved straight from the integer form of its elimination
     (:func:`~qcsp.transforms._elimination_core`), so its
     :class:`CspInstance` is built only when :attr:`BundleMember.instance` is
-    read; solving that instance gives the member's verdict.  The elimination
-    budgets of every pattern size built are checked first, smallest first, so
-    a budget error is raised exactly as if every pattern were built in order,
-    whatever the verdict of an earlier pattern.  ``conditional`` is the
-    witness gate's flag (:func:`check_witness_gate`) on a true verdict, and
-    False on a false one.
+    read; solving that instance gives the member's verdict.  Every pattern
+    has the same size, and its elimination budgets are checked first, so a
+    budget error is raised before any member is solved, whatever their
+    verdicts.  ``conditional`` is the witness gate's flag
+    (:func:`check_witness_gate`) on a true verdict, and False on a false
+    one.
     """
     conditional = check_witness_gate(witness, r, override)
     alt = normalize_alternating(s)
     sets = _index_sets(alt, r)
-    for k in range(len(sets[-1]) + 1):
-        check_elimination_budget(s.language.domain.size, 2 * k + 1, len(s.matrix), budgets)
+    check_elimination_budget(s.language.domain.size, 2 * len(sets[0]) + 1, len(s.matrix), budgets)
     members: list[BundleMember] = []
     for idx in sets:
         w = omega(alt, idx)
@@ -667,31 +675,28 @@ def reduce_to_pi2(
     """Equivalent forall*exists* sentence with at most |A| universals.
 
     Collapses the sentence at every pattern of exactly min(r, m) kept
-    universals among the m that occur in the matrix
-    (:func:`_occurring_positions`), hoists each member's universals left,
-    conjoins the members on a shared universal ladder with member-disjoint
-    existentials, and shrinks the universal count.
+    universals among the m that occur in the matrix (:func:`_index_sets`),
+    hoists each member's universals left, conjoins the members on a shared
+    universal ladder with member-disjoint existentials, and shrinks the
+    universal count.
 
-    The smaller patterns that :func:`reduce_pgp_to_csp` also solves are left
-    out because each is implied by a maximal one: for J a subset of I,
-    ``omega(alt, I)`` entails ``omega(alt, J)``.  Dropping one kept position t
-    from I moves the universal x_t to the front (exists y forall x phi entails
-    forall x exists y phi) and identifies it with the collapsed universals of
-    the segments on either side of t (forall a forall b phi entails
-    forall a phi[b:=a]); both steps weaken the sentence.  Patterns that keep
-    a vacuous universal are left out too: each is entailed by an occurring
-    pattern of no more kept universals (the proof is in
-    :func:`reduce_pgp_to_csp`), and so by a maximal one.  So the conjunction
-    is the same over the maximal occurring patterns as over every padded
-    pattern of at most r kept universals, witness or not.  When r >= m the
-    only pattern keeps every occurring universal, and its vacuous collapsed
-    universals are dropped by :func:`move_universals_left`.
+    The smaller patterns are left out because each is implied by a maximal
+    one: for J a subset of I, ``omega(alt, I)`` entails ``omega(alt, J)``.
+    Dropping one kept position t from I moves the universal x_t to the front
+    (exists y forall x phi entails forall x exists y phi) and identifies it
+    with the collapsed universals of the segments on either side of t
+    (forall a forall b phi entails forall a phi[b:=a]); both steps weaken the
+    sentence.  Patterns that keep a vacuous universal are left out too: each
+    is entailed by an occurring pattern of no more kept universals (the proof
+    is in :func:`reduce_pgp_to_csp`), and so by a maximal one.  So the
+    conjunction is the same over the maximal occurring patterns as over every
+    padded pattern of at most r kept universals, witness or not.  When
+    r >= m the only pattern keeps every occurring universal, and its vacuous
+    collapsed universals are dropped by :func:`move_universals_left`.
     """
     check_witness_gate(witness, r, override)
     alt = normalize_alternating(s)
-    positions = _occurring_positions(alt)
-    maximal = combinations(positions, min(r, len(positions)))
-    members = [move_universals_left(omega(alt, idx), budgets) for idx in maximal]
+    members = [move_universals_left(omega(alt, idx), budgets) for idx in _index_sets(alt, r)]
 
     shared_count = max(m.universal_count() for m in members)
     shared = [f"z$s{i}" for i in range(1, shared_count + 1)]

@@ -82,21 +82,22 @@ def test_solve_pgp_csp(files, capsys):
 
 
 def test_solve_pgp_csp_trace_counts_solved_patterns(files, tmp_path, capsys):
-    # four collapse patterns over the occurring x and v; the second keeps x
-    # and is already false
+    # three maximal collapse patterns over the occurring x, v and t; the
+    # first keeps x and v and is already false
     lang, _, _ = files
     s = tmp_path / "s.txt"
-    s.write_text("exists y\nforall x\nexists w\nforall v\nexists u\n"
-                 "constraint NOT x y\nconstraint NOT v u\n")
+    s.write_text("exists y\nforall x\nexists w\nforall v\nexists u\nforall t\nexists q\n"
+                 "constraint NOT x y\nconstraint NOT v u\nconstraint NOT t q\n")
     code = run_cli(["solve", "--language", lang, "--sentence", s,
                     "--method", "pgp-csp", "--r", "2", "--format", "json", "--trace"])
     data = json.loads(capsys.readouterr().out)
     assert code == 1
-    assert (data["instances_solved"], data["instances_skipped"]) == (2, 2)
+    assert (data["instances_solved"], data["instances_skipped"]) == (1, 2)
+    assert [m["indices"] for m in data["members"]] == [[1, 2]]
     assert "instances_reused" not in data
     [step] = data["trace"]
     assert step["rule"] == "pgp-csp-bundle"
-    assert step["after"] == {"instances": 4, "solved": 2}
+    assert step["after"] == {"instances": 3, "solved": 1}
 
 
 @pytest.mark.parametrize("method", ["pgp-csp", "pi2", "power-csp"])

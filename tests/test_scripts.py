@@ -69,19 +69,20 @@ def test_affine_demo_json():
 
 
 def test_size_law_pins_the_ladder_sizes():
-    # the route sizes against depth; at depth 4 and r = 2 the count reduction
-    # builds 63 copies of the 97-atom conjoined matrix
+    # the route sizes against depth; at depth d the bundle solves the C(d-1, r)
+    # maximal patterns (one when d - 1 <= r), and at depth 4 and r = 2 the
+    # count reduction builds 63 copies of the 97-atom conjoined matrix
     done = run_script("size_law.py", "--max-depth", "4")
     assert done.returncode == 0, done.stderr
     rows = [
         (1, 1, "1 solved, 0 atoms", 0, 2),
-        (1, 2, "2 solved, 8 atoms", 2, 4),
-        (1, 3, "3 solved, 32 atoms", 21, 23),
-        (1, 4, "4 solved, 74 atoms", 105, 107),
+        (1, 2, "1 solved, 4 atoms", 2, 4),
+        (1, 3, "2 solved, 26 atoms", 21, 23),
+        (1, 4, "3 solved, 66 atoms", 105, 107),
         (2, 1, "1 solved, 0 atoms", 0, 2),
-        (2, 2, "2 solved, 8 atoms", 2, 4),
-        (2, 3, "4 solved, 44 atoms", 744, 746),
-        (2, 4, "7 solved, 166 atoms", 6111, 6113),
+        (2, 2, "1 solved, 4 atoms", 2, 4),
+        (2, 3, "1 solved, 12 atoms", 744, 746),
+        (2, 4, "3 solved, 92 atoms", 6111, 6113),
     ]
     assert done.stdout.splitlines() == [
         f"r={r} depth={d}  oracle true  bundle true ({bundle})  pi2 true ({pi2} atoms)"

@@ -399,24 +399,28 @@ def _eager_verdicts(s, r):
 def test_bundle_member_count(xor0_lang, xor0_witness):
     prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2"),
               ("exists", "y3"), ("forall", "x3")]
-    # x1 and x3 occur, x2 does not: the patterns keep only positions 1 and 3
-    patterns = [(), (1,), (3,), (1, 3)]
+    # x1 and x3 occur, x2 does not: the patterns keep only positions 1 and 3,
+    # and the bundle decides the maximal ones, which keep min(r, 2) of them
     s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "x3"))])
+    occurring = [(), (1,), (3,), (1, 3)]
+    assert [m.verdict.truth for m in _members(s, occurring)] == [True, False, False, False]
     bundle = reduce_pgp_to_csp(s, 2, witness=xor0_witness)
-    assert list(bundle.index_sets) == patterns
-    # the solved members are the prefix that ends at the first false pattern
-    eager = [m.verdict.truth for m in _members(s, patterns)]
-    first_false = eager.index(False)
-    assert first_false == 1
-    assert [m.indices for m in bundle.members] == patterns[: first_false + 1]
-    assert [m.verdict.truth for m in bundle.members] == eager[: first_false + 1]
+    assert list(bundle.index_sets) == [(1, 3)]
+    assert [(m.indices, m.verdict.truth) for m in bundle.members] == [((1, 3), False)]
     assert bundle.combined is False is all(_eager_verdicts(s, 2)) is oracle_qcsp(s).truth
+    # at r = 1 the maximal patterns are (1,) and (3,); the solved members are
+    # the prefix that ends at the first false one
+    w1 = switchability_witness(xor0_lang, 1, max_arity=3, max_power=4)
+    one = reduce_pgp_to_csp(s, 1, witness=w1)
+    assert list(one.index_sets) == [(1,), (3,)]
+    assert [(m.indices, m.verdict.truth) for m in one.members] == [((1,), False)]
+    assert one.combined is False is all(_eager_verdicts(s, 1))
     # a true sentence over the same prefix decides every pattern; only x1
-    # occurs, so the patterns are () and (1,) of the 7 padded ones
+    # occurs, so the one pattern is (1,) of the 7 padded ones
     t = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "y2"))])
     full = reduce_pgp_to_csp(t, 2, witness=xor0_witness)
-    assert list(full.index_sets) == [(), (1,)]
-    assert [m.indices for m in full.members] == [(), (1,)]
+    assert list(full.index_sets) == [(1,)]
+    assert [m.indices for m in full.members] == [(1,)]
     assert full.combined is True is all(_eager_verdicts(t, 2)) is oracle_qcsp(t).truth
 
 
@@ -489,17 +493,19 @@ def test_bundle_json_lists_members(xor0_lang, xor0_witness):
                          "instances_skipped"}
     assert all({"indices", "satisfiable", "nodes"} <= set(m) for m in data["members"])
     # the only occurring universal x is at position 1 of the padded prefix
-    # exists y$d1 forall x exists y forall x$d2, so (2,) and (1, 2) are no patterns
-    assert [m["indices"] for m in data["members"]] == [[], [1]]
-    assert (data["instances_solved"], data["instances_skipped"]) == (2, 0)
-    # a false sentence lists only the solved prefix and counts the rest
-    prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2")]
-    s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "x2"))])
+    # exists y$d1 forall x exists y forall x$d2, so the one maximal pattern is (1,)
+    assert [m["indices"] for m in data["members"]] == [[1]]
+    assert (data["instances_solved"], data["instances_skipped"]) == (1, 0)
+    # a false sentence lists only the solved prefix and counts the rest: of
+    # the maximal patterns (1, 2), (1, 3) and (2, 3), the first is false
+    prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2"),
+              ("exists", "y3"), ("forall", "x3")]
+    s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "x2")), Atom("XOR0", ("y2", "x2", "x3"))])
     data = reduce_pgp_to_csp(s, 2, witness=xor0_witness).to_json()
     assert data["combined"] is False
-    assert data["instances_solved"] == len(data["members"]) == 2
-    assert data["instances_skipped"] == 4 - 2
-    assert [m["satisfiable"] for m in data["members"]] == [True, False]
+    assert data["instances_solved"] == len(data["members"]) == 1
+    assert data["instances_skipped"] == 3 - 1
+    assert [(m["indices"], m["satisfiable"]) for m in data["members"]] == [([1, 2], False)]
 
 
 @pytest.mark.parametrize("make_lang, seed", [(lang_xor0, 67), (lang_mixed2, 71)])
@@ -578,85 +584,156 @@ def test_occurring_patterns_decide_as_every_padded_pattern(size, seed):
     assert cuts > 10 and padded > 10 and witnessed and truths == {True, False}
 
 
+@pytest.mark.parametrize("size, seed", [(2, 131), (3, 137)])
+def test_maximal_patterns_decide_as_every_padded_pattern(size, seed):
+    # the bundle decides only the maximal occurring patterns; its verdict is
+    # the eager conjunction over every padded pattern of at most r kept
+    # universals, on sentences with vacuous universals and repeated
+    # variables, under the override and with a witness, and then the
+    # oracle's; each member still equals the solve of its instance
+    rnd = random.Random(seed)
+    witnessed = several = stopped = repeats = vacuous = 0
+    truths = set()
+    for _ in range(8):
+        lang = random_language(rnd, size, (1, 2, 3) if size == 2 else (1, 2), max_tuples=2 * size + 1)
+        r = rnd.randint(1, 2)
+        witness = switchability_witness(lang, r, max_arity=3 if size == 2 else 2, max_power=3)
+        gates = [{"override": True}]
+        if witness.verdict == "witnessed":
+            gates.append({"witness": witness})
+            witnessed += 1
+        for _ in range(40):
+            s = messy_sentence(rnd, lang, max_vars=6)
+            alt = normalize_alternating(s)
+            want = all(_eager_verdicts(s, r))
+            for gate in gates:
+                bundle = reduce_pgp_to_csp(s, r, **gate)
+                assert bundle.combined == want, (lang, s.prefix, s.matrix, r)
+                keep = min(r, len(solvers._occurring_positions(alt)))
+                assert all(len(idx) == keep for idx in bundle.index_sets)
+                for member in bundle.members:
+                    assert solve_csp(member.instance) == member.verdict
+            if len(gates) == 2:
+                assert want == oracle_qcsp(s).truth, (lang, s.prefix, s.matrix, r)
+            several += len(bundle.index_sets) > 1
+            stopped += len(bundle.members) < len(bundle.index_sets)
+            repeats += any(len(set(a.args)) < len(a.args) for a in s.matrix)
+            vacuous += alt.n > len(solvers._occurring_positions(alt))
+            truths.add(want)
+    assert witnessed and several > 10 and stopped and repeats > 20 and vacuous > 20
+    assert truths == {True, False}
+
+
+def test_unlisted_false_collapse_is_refuted_by_a_maximal_member(mixed_lang):
+    # forall x1 forall x2 NOT(x1, x2): the collapse at () identifies x1 and x2
+    # and is false, but only the maximal pattern (1, 2) is listed, and it is
+    # false too, since a false pattern lies under a false maximal one
+    s = sent(mixed_lang, [("forall", "x1"), ("forall", "x2")], [Atom("NOT", ("x1", "x2"))])
+    [empty] = _members(s, [()])
+    assert empty.verdict.truth is False
+    bundle = reduce_pgp_to_csp(s, 2, witness=switchability_witness(mixed_lang, 2))
+    assert bundle.index_sets == ((1, 2),)
+    assert [(m.indices, m.verdict.truth) for m in bundle.members] == [((1, 2), False)]
+    assert bundle.combined is False is oracle_qcsp(s).truth
+    # at r = 1 the first maximal pattern (1,) refutes it, and in
+    # exists y1 forall x1 exists y2 forall x2 XOR0(x1, y2, x2) only the last
+    # maximal pattern (2,) is false, and the bundle still reaches it
+    w1 = switchability_witness(mixed_lang, 1, max_arity=3, max_power=4)
+    assert w1.verdict == "witnessed"
+    one = reduce_pgp_to_csp(s, 1, witness=w1)
+    assert [(m.indices, m.verdict.truth) for m in one.members] == [((1,), False)]
+    prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2")]
+    last = sent(mixed_lang, prefix, [Atom("XOR0", ("x1", "y2", "x2"))])
+    assert [m.verdict.truth for m in _members(last, [(), (1,), (2,)])] == [True, True, False]
+    bundle = reduce_pgp_to_csp(last, 1, witness=w1)
+    assert [(m.indices, m.verdict.truth) for m in bundle.members] == [((1,), True), ((2,), False)]
+    assert bundle.combined is False is oracle_qcsp(last).truth
+
+
 def test_bundle_lists_only_the_occurring_patterns(dom3_lang):
     # one occurring universal g in front of 80 existentials: normalization
     # puts a dummy universal after each, and at r = 2 the padded patterns
-    # number C(81, <= 2) = 3,322, but only () and (1,) keep occurring ones
+    # number C(81, <= 2) = 3,322, but the one maximal occurring pattern is (1,)
     prefix = [("forall", "g")] + [("exists", f"a{i}") for i in range(80)]
     s = QuantifiedSentence(tuple(prefix), (Atom("CYC", ("g", "a0", "a1")),), dom3_lang)
     assert len(_padded_sets(normalize_alternating(s).n, 2)) == 3322
     witness = switchability_witness(dom3_lang, 2, max_arity=2)
     bundle = reduce_pgp_to_csp(s, 2, witness=witness)
-    assert bundle.index_sets == ((), (1,))
-    assert [m.indices for m in bundle.members] == [(), (1,)]
+    assert bundle.index_sets == ((1,),)
+    assert [m.indices for m in bundle.members] == [(1,)]
     assert bundle.combined is True
 
 
 def test_bundle_budget_error_precedes_first_false_member(xor0_lang, xor0_witness, monkeypatch):
-    # pattern () is already false, and pattern (1,) needs 2^3 copies: the
-    # budget error of the first oversized pattern is raised, as when every
-    # pattern was built in order, and nothing is solved before it
+    # every pattern is false, and the one maximal pattern (1, 2) keeps 5
+    # universals, so 2^5 copies of 3 atoms: the budget error of that size is
+    # raised, even where a smaller pattern would fit, and nothing is solved
+    # before it
     prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2"),
               ("exists", "y3"), ("forall", "x3")]
     matrix = [Atom("XOR0", ("x1", "y1", "y1")), Atom("XOR0", ("y2", "x2", "y3"))]
     s = sent(xor0_lang, prefix, matrix)
-    assert _eager_verdicts(s, 2)[0] is False
+    assert not any(_eager_verdicts(s, 2))
     calls = []
     real_solve = solvers._solve_ids
     monkeypatch.setattr(solvers, "_solve_ids", lambda *a: calls.append(a) or real_solve(*a))
     for budgets, message in [
-        (Budgets(max_matrix_copies=4), "universal elimination copies: requires 8, budget allows 4"),
+        (Budgets(max_matrix_copies=4), "universal elimination copies: requires 32, budget allows 4"),
         (Budgets(max_matrix_copies=16), "universal elimination copies: requires 32, budget allows 16"),
-        (Budgets(max_matrix_atoms=20), "universal elimination atoms: requires 24, budget allows 20"),
+        (Budgets(max_matrix_atoms=20), "universal elimination atoms: requires 96, budget allows 20"),
+        (Budgets(max_matrix_atoms=95), "universal elimination atoms: requires 96, budget allows 95"),
     ]:
         with pytest.raises(BudgetError) as err:
             reduce_pgp_to_csp(s, 2, witness=xor0_witness, budgets=budgets)
         assert str(err.value) == message
     assert calls == []
-    bundle = reduce_pgp_to_csp(s, 2, witness=xor0_witness)
-    assert [m.indices for m in bundle.members] == [()]
+    bundle = reduce_pgp_to_csp(s, 2, witness=xor0_witness, budgets=Budgets(max_matrix_atoms=96))
+    assert [(m.indices, m.verdict.truth) for m in bundle.members] == [((1, 2), False)]
     assert len(calls) == 1
 
 
 def test_bundle_invariants_are_checked(xor0_lang, xor0_witness):
     prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2")]
+    # x1 and x2 occur in false_s and stop_s: at r = 1 the maximal patterns
+    # are (1,) and (2,), both false in false_s, and in stop_s only the last
     false_s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "x2"))])
+    stop_s = sent(xor0_lang, prefix, [Atom("XOR0", ("x1", "y2", "x2"))])
     true_s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "y2"))])
-    # in stop_s the last pattern (1,) is false
-    stop_s = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "y2")), Atom("XOR0", ("y1", "y1", "y2"))])
     every_sets = ((), (1,), (2,), (1, 2))
+    singles = ((1,), (2,))
     eager = _members(false_s, every_sets)
-    assert [m.verdict.truth for m in eager[:2]] == [True, False]
-    # x2 occurs in no atom of true_s or stop_s: (2,) and (1, 2) are no patterns
+    assert [m.verdict.truth for m in eager] == [True, False, False, False]
+    falses = _members(false_s, singles)
+    stop = _members(stop_s, singles)
+    assert [m.verdict.truth for m in falses + stop] == [False, False, True, False]
+    # x2 occurs in no atom of true_s: its one pattern is (1,), at r = 1 or 2
     full = reduce_pgp_to_csp(true_s, 2, witness=xor0_witness)
-    assert full.index_sets == ((), (1,))
-    stop = _members(stop_s, full.index_sets)
-    assert [m.verdict.truth for m in stop] == [True, False]
-    for source, sets, members, combined, message in [
-        # index sets other than the patterns over the occurring universals
-        (true_s, every_sets, full.members, True, "patterns over the occurring universals"),
-        (false_s, every_sets[:3], tuple(eager[:2]), False, "patterns over the occurring universals"),
+    assert full.index_sets == ((1,),)
+    for source, r, sets, members, combined, message in [
+        # index sets other than the maximal patterns over the occurring universals
+        (true_s, 2, ((), (1,)), tuple(_members(true_s, ((), (1,)))), True, "maximal patterns"),
+        (false_s, 2, every_sets, tuple(eager[:2]), False, "maximal patterns"),
+        (false_s, 1, singles[:1], tuple(falses[:1]), False, "maximal patterns"),
         # not in index-set order
-        (false_s, every_sets, (eager[1], eager[0]), False, "prefix of the index sets"),
-        (true_s, full.index_sets, full.members[::-1], True, "prefix of the index sets"),
+        (stop_s, 1, singles, tuple(stop[::-1]), False, "prefix of the index sets"),
         # solved on past a false member
-        (false_s, every_sets, tuple(eager[:3]), False, "after an unsatisfiable member"),
+        (false_s, 1, singles, tuple(falses), False, "after an unsatisfiable member"),
         # stopped at a true member, or before any member
-        (true_s, full.index_sets, full.members[:1], False, "only stop at an unsatisfiable member"),
-        (true_s, full.index_sets, (), False, "only stop at an unsatisfiable member"),
+        (stop_s, 1, singles, tuple(stop[:1]), False, "only stop at an unsatisfiable member"),
+        (true_s, 2, full.index_sets, (), False, "only stop at an unsatisfiable member"),
         # combined disagrees with a full true bundle, or with a false member
-        (true_s, full.index_sets, full.members, False, "conjunction"),
-        (false_s, every_sets, tuple(eager[:2]), True, "conjunction"),
-        (stop_s, full.index_sets, tuple(stop), True, "conjunction"),
+        (true_s, 2, full.index_sets, full.members, False, "conjunction"),
+        (false_s, 1, singles, tuple(falses[:1]), True, "conjunction"),
+        (stop_s, 1, singles, tuple(stop), True, "conjunction"),
     ]:
         with pytest.raises(ValueError, match=message):
-            ReductionBundle(source, 2, sets, members, combined, False)
-    assert ReductionBundle(false_s, 2, every_sets, tuple(eager[:2]), False, False).members
+            ReductionBundle(source, r, sets, members, combined, False)
+    assert ReductionBundle(false_s, 1, singles, tuple(falses[:1]), False, False).members
     # a false verdict needs no witness, so it is never conditional
     with pytest.raises(ValueError, match="only a true verdict is conditional"):
-        ReductionBundle(false_s, 2, every_sets, tuple(eager[:2]), False, True)
+        ReductionBundle(false_s, 1, singles, tuple(falses[:1]), False, True)
     assert ReductionBundle(true_s, 2, full.index_sets, full.members, True, True).conditional
-    assert ReductionBundle(stop_s, 2, full.index_sets, tuple(stop), False, False).members
+    assert ReductionBundle(stop_s, 1, singles, tuple(stop), False, False).members
 
 
 def test_bundle_members_match_their_instances():
@@ -668,7 +745,7 @@ def test_bundle_members_match_their_instances():
         rels = (XOR0, NOT) if size == 2 else (LT3, CYCLE3)
         lang = ConstraintLanguage.of(size, *rels, TRUE0, FALSE0)
         rnd = random.Random(seed)
-        for _ in range(150):
+        for _ in range(300):
             s = messy_sentence(rnd, lang, max_vars=5 if size == 2 else 4)
             for member in reduce_pgp_to_csp(s, 2, override=True).members:
                 assert "instance" not in member.__dict__
@@ -1219,9 +1296,9 @@ def test_bundle_copies_only_the_occurring_universal(dom3_lang):
     witness = switchability_witness(dom3_lang, 2, max_arity=2)
     bundle = reduce_pgp_to_csp(s, 2, witness=witness)
     # g is the only occurring universal, at position 1, so of the 1 + 7 + 21
-    # padded patterns only () and (1,) are patterns
-    assert bundle.index_sets == ((), (1,))
-    assert [m.indices for m in bundle.members] == [(), (1,)]
+    # padded patterns the one maximal occurring pattern is (1,)
+    assert bundle.index_sets == ((1,),)
+    assert [m.indices for m in bundle.members] == [(1,)]
     for member in bundle.members:
         copies = [a for a in member.instance.atoms if a.relation in dom3_lang.relations]
         assert len(copies) <= 3 * len(matrix), member.indices
