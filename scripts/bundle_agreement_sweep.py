@@ -9,10 +9,12 @@ refuses its reduction (counted and reported).  The bundle decides only the
 maximal collapse patterns over the universals that occur in the matrix; its
 verdict and the Π2 verdict are checked against the conjunction over every
 padded collapse pattern of at most r kept universals, vacuous ones included,
-each built and solved.  The bundle solves its members without building their
-instances; each solved member is also checked against ``solve_csp`` of its
-instance, built on access, and a member whose truth, witness or node count
-differs makes its sentence a disagreement.
+each built and solved.  The bundle's pattern list is checked against the
+maximal patterns computed here from the universals that occur in the matrix.
+The bundle solves its members without building their instances; each solved
+member is also checked against ``solve_csp`` of its instance, built on
+access, and a member whose truth, witness or node count differs makes its
+sentence a disagreement.
 
 Each language is given a switchability witness at the bound r ({XOR0} up to
 arity 3, {LT, CYC} up to arity 2).  Where the witness holds, the verdicts are
@@ -77,6 +79,15 @@ def padded_conjunction(s, r):
     )
 
 
+def maximal_patterns(s, r):
+    """Every choice of min(r, m) of the m alternation positions whose
+    universal occurs in the matrix, in lexicographic order."""
+    alt = normalize_alternating(s)
+    occurring = {v for atom in s.matrix for v in atom.args}
+    positions = [i for i, x in enumerate(alt.x_vars(), start=1) if x in occurring]
+    return tuple(combinations(positions, min(r, len(positions))))
+
+
 def sweep(lang, witness_args, args, rnd) -> int:
     """Decide ``args.count`` sentences over ``lang``; print one summary line
     and return the number of disagreements."""
@@ -102,7 +113,8 @@ def sweep(lang, witness_args, args, rnd) -> int:
         instances += len(bundle.index_sets)
         true_count += padded
         mismatched = [m.indices for m in bundle.members if solve_csp(m.instance) != m.verdict]
-        if truth == bundle.combined == pi2 == padded and not mismatched:
+        patterns = maximal_patterns(s, args.r)
+        if truth == bundle.combined == pi2 == padded and not mismatched and bundle.index_sets == patterns:
             agree += 1
         else:
             oracle = truth if witnessed else "unchecked"
@@ -110,6 +122,8 @@ def sweep(lang, witness_args, args, rnd) -> int:
                 f"DISAGREEMENT at sentence {i}: oracle={oracle} bundle={bundle.combined} pi2={pi2}"
                 f" padded patterns={padded} members unlike their instances={mismatched}"
             )
+            if bundle.index_sets != patterns:
+                print("  bundle patterns:", bundle.index_sets, "maximal patterns:", patterns)
             print("  prefix:", s.prefix)
             print("  matrix:", s.matrix)
     elapsed = time.time() - start

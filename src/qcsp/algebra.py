@@ -552,27 +552,20 @@ def _is_wnu_table(table: Sequence[int], size: int, m: int) -> bool:
 
 def _wnu_slots(size: int, m: int) -> tuple[dict[int, int], dict[int, int]]:
     """Fixed entries and shared value slots of the candidate tables, keyed by
-    entry rank in lexicographic argument order.
+    entry rank in lexicographic argument order, read off :func:`_wnu_entries`.
 
-    Idempotence pins the diagonal; the one-off symmetry shares a single slot
-    per (repeated value, odd value) pattern.  Everything else is free.
+    Idempotence pins the diagonal; the one-off symmetry shares one slot per
+    rank group (at m = 2 the groups of (x, y) and (y, x) are the same ranks).
+    Every other entry is free and gets a slot of its own.  Slots are numbered
+    by their first entry in rank order.
     """
-    fixed: dict[int, int] = {}
-    slot_of: dict[int, int] = {}
-    keys: dict[object, int] = {}
-    for e, args in enumerate(product(range(size), repeat=m)):
-        vals = set(args)
-        if len(vals) == 1:
-            fixed[e] = args[0]
-            continue
-        key: object = ("free", args)
-        if len(vals) == 2:
-            a, b = sorted(vals)
-            if args.count(a) == m - 1:
-                key = ("oneoff", a, b)
-            elif args.count(b) == m - 1:
-                key = ("oneoff", b, a)
-        slot_of[e] = keys.setdefault(key, len(keys))
+    diagonal, one_off = _wnu_entries(size, m)
+    fixed = dict(diagonal)
+    group_of = {e: min(ranks) for ranks in one_off for e in ranks}
+    keys: dict[int, int] = {}
+    slot_of = {
+        e: keys.setdefault(group_of.get(e, e), len(keys)) for e in range(size**m) if e not in fixed
+    }
     return fixed, slot_of
 
 

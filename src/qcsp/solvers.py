@@ -39,7 +39,6 @@ from .transforms import (
     CanonicalFalse,
     CspInstance,
     _elimination_core,
-    check_elimination_budget,
     eliminate_universals,
     move_universals_left,
     normalize_alternating,
@@ -644,16 +643,16 @@ def reduce_pgp_to_csp(
     (:func:`~qcsp.transforms._elimination_core`), so its
     :class:`CspInstance` is built only when :attr:`BundleMember.instance` is
     read; solving that instance gives the member's verdict.  Every pattern
-    has the same size, and its elimination budgets are checked first, so a
-    budget error is raised before any member is solved, whatever their
-    verdicts.  ``conditional`` is the witness gate's flag
+    has 2k+1 universals and the source's atoms, so the same elimination
+    budgets; the first member's elimination checks them before it builds
+    anything, so a budget error is raised before any member is solved,
+    whatever their verdicts.  ``conditional`` is the witness gate's flag
     (:func:`check_witness_gate`) on a true verdict, and False on a false
     one.
     """
     conditional = check_witness_gate(witness, r, override)
     alt = normalize_alternating(s)
     sets = _index_sets(alt, r)
-    check_elimination_budget(s.language.domain.size, 2 * len(sets[0]) + 1, len(s.matrix), budgets)
     members: list[BundleMember] = []
     for idx in sets:
         w = omega(alt, idx)

@@ -242,16 +242,6 @@ def _copy_touched(matrix, renamed, size: int, check) -> list[Atom]:
 # universal elimination (to a CSP with constants)
 
 
-def check_elimination_budget(
-    size: int, n_univ: int, n_atoms: int, budgets: Budgets = DEFAULT_BUDGETS
-) -> None:
-    """Raise BudgetError when eliminating ``n_univ`` universals from a matrix
-    of ``n_atoms`` atoms over a domain of ``size`` elements exceeds a budget."""
-    what = "universal elimination"
-    copies = budgets.check_power(f"{what} copies", budgets.max_matrix_copies, size, n_univ)
-    budgets.check_expansion(what, (n_atoms + 1) * copies)
-
-
 def _elimination_core(
     s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[ConstraintLanguage, list[str], list[tuple[str, tuple[int, ...]]]]:
@@ -259,98 +249,56 @@ def _elimination_core(
     ``eliminate_universals(s)``, each atom as (relation, variable ids), where
     the id of a variable is its position among the names.
 
-    Every copy is computed in closed form (see :func:`eliminate_universals`)
-    and each name is built once.  The budgets are checked before anything is
-    built.  Each atom of the input is checked against the language with
-    constants and the prefix, and the names for being distinct: a malformed
-    input raises ``ValueError`` listing what is wrong with it, so a solver
-    may compile the atoms without building the instance that would check
-    them.
+    Every copy is computed in closed form (see :func:`eliminate_universals`),
+    in output order, and each name is built once.  The budgets are checked
+    before anything is built, against the input's full universal count.  The
+    input is then checked well-formed over its own language, and the names
+    for being distinct: a malformed input raises ``ValueError`` listing what
+    is wrong with it, so a solver may compile the atoms without building the
+    instance that would check them.
     """
     size = s.language.domain.size
-    check_elimination_budget(size, s.universal_count(), len(s.matrix), budgets)
+    what = "universal elimination"
+    n_copies = budgets.check_power(f"{what} copies", budgets.max_matrix_copies, size, s.universal_count())
+    budgets.check_expansion(what, (len(s.matrix) + 1) * n_copies)
+    check_wellformed(s)
     language = gamma_star(s.language)
-    relations = language.relations
 
-    # k of each occurring variable: the occurring universals at or before it
-    prefix = _occurring_prefix(s)
+    # each occurring variable in prefix order, with its k (the occurring
+    # universals at or before it) and the ids of its |A|^k copies v$c_k...$c_1
+    # in digit order, the first universal's value most significant
+    names: list[str] = []
     level: dict[str, int] = {}
+    copies: dict[str, range] = {}
     universals: list[str] = []
-    segments: list[list[str]] = [[]]  # the existentials of each k, in order
-    for q, v in prefix:
+    suffixes = [""]
+    tags = [f"${c}" for c in range(1, size + 1)]
+    for q, v in _occurring_prefix(s):
         if q == FORALL:
             universals.append(v)
-            segments.append([])
-        else:
-            segments[-1].append(v)
+            suffixes = [tag + suffix for suffix in suffixes for tag in tags]
         level[v] = len(universals)
-    top = len(universals)
-    if len(level) < len(prefix) or not all(
-        a.relation in relations
-        and relations[a.relation].arity == len(a.args)
-        and all(v in level for v in a.args)
-        for a in s.matrix
-    ):
-        invariant_report(s.prefix, s.matrix, language).require("sentence")
-
-    # names in output order; copies[v][r] is the id of copy r of v, whose
-    # digits, first universal most significant, give the name v$c_k...$c_1
-    names: list[str] = []
-    copies: dict[str, list[int]] = {v: [] for v in level}
-    tags = [f"${c}" for c in range(1, size + 1)]
-
-    def name(k: int, suffix: str) -> None:
-        for v in segments[k]:
-            copies[v].append(len(names))
-            names.append(v + suffix)
-        if k == top:
-            return
-        u = universals[k]
-        for c in range(size):
-            copies[u].append(len(names))
-            names.append(u + tags[c] + suffix)
-        for c in range(size):
-            name(k + 1, tags[c] + suffix)
-
-    name(0, "")
+        copies[v] = range(len(names), len(names) + len(suffixes))
+        names.extend([v + suffix for suffix in suffixes])
     if len(set(names)) < len(names):
         invariant_report([(EXISTS, v) for v in names], (), language).require("instance")
 
-    # the atoms of each k and above, in matrix order, each with its copies
-    # in digit order and the divisor taking a full digit string to its copy
-    at_least: list[list[tuple[str, list[tuple[int, ...]], int]]] = [[] for _ in range(top + 1)]
+    # each atom in matrix order, its copies in digit order: copy r of an atom
+    # of level K takes copy r // |A|^(K - k) of a variable of level k
+    atoms: list[tuple[str, tuple[int, ...]]] = []
     for atom in s.matrix:
         k = max((level[v] for v in atom.args), default=0)
         columns = []
         for v in atom.args:
             repeat = size ** (k - level[v])
             columns.append(copies[v] if repeat == 1 else [i for i in copies[v] for _ in range(repeat)])
-        entry = (atom.relation, list(zip(*columns)) if columns else [()], size ** (top - k))
-        for j in range(k + 1):
-            at_least[j].append(entry)
-    # each universal's pins, one per copy in digit order: const_c for the
-    # copy's last digit c, the universal's own value
+        rows = zip(*columns) if columns else [()]
+        atoms.extend([(atom.relation, ids) for ids in rows])
+    # then each universal's pins, one per copy in digit order: const_c for
+    # the copy's last digit c, the universal's own value
     consts = [const_name(c) for c in range(size)]
-    pins = [[(consts[r % size], (i,)) for r, i in enumerate(copies[u])] for u in universals]
-    atoms: list[tuple[str, tuple[int, ...]]] = []
-
-    def emit(j: int, t: int, r: int) -> None:
-        # the atoms of level t and above under digits r of universals 1..j-1:
-        # the first copy of universal j in place, then its other copies of
-        # the atoms of level j and above, then its pins
-        if j > top:
-            atoms.extend([(rel, copied[r // d]) for rel, copied, d in at_least[t]])
-            return
-        emit(j + 1, t, r * size)
-        for c in range(1, size):
-            emit(j + 1, j, r * size + c)
-        atoms.extend(pins[j - 1][r * size : (r + 1) * size])
-
-    emit(1, 0, 0)
-    # name and emit reach themselves through their closure cells; clearing
-    # the cells frees this call's lists now, where the cycle would leave
-    # them to the cyclic collector, which then scans them again and again
-    del name, emit
+    for u in universals:
+        atoms.extend([(consts[r % size], (i,)) for r, i in enumerate(copies[u])])
     return language, names, atoms
 
 
@@ -368,13 +316,14 @@ def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
       over variables before the first universal is kept once;
     * each copy of a universal gets one const_a atom pinning it to a = c_k - 1.
 
-    The order is that of expanding the innermost universal first, each
-    expansion keeping the first copy in place, then adding the other copies
-    of the atoms that mention the universal or a later variable, then the
-    pins.  The copies are computed in one integer pass
-    (:func:`_elimination_core`), each name built once.  The result is a CSP
-    over the language with constants.  The budgets are checked against the
-    input's full universal count.
+    The variables come in prefix order, each with its copies in digit order
+    (c_1 most significant); then the atoms in matrix order, each with its
+    copies in digit order; then the pins, universal by universal, each
+    universal's copies in digit order.  The copies are computed in one
+    integer pass (:func:`_elimination_core`), each name built once.  The
+    result is a CSP over the language with constants.  The budgets are
+    checked against the input's full universal count, then the input is
+    checked well-formed over its own language.
     """
     language, names, atoms = _elimination_core(s, budgets)
     return CspInstance(

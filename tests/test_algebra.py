@@ -382,6 +382,24 @@ def test_wnu_table_check_matches_is_wnu_on_every_table(size, m):
     assert any(expected)
 
 
+@pytest.mark.parametrize("size, m", [(1, 3), (2, 2), (2, 5), (3, 2), (3, 4), (4, 3)])
+def test_wnu_slots_share_exactly_the_one_off_patterns(size, m):
+    # each argument tuple by rank: the diagonal is fixed, the tuples with one
+    # value at m - 1 positions and another at one share a slot per value
+    # pair, every other tuple has a slot of its own, numbered as first seen
+    fixed, slot_of = algebra._wnu_slots(size, m)
+    want_fixed, want_slot, keys = {}, {}, {}
+    for e, args in enumerate(product(range(size), repeat=m)):
+        if len(set(args)) == 1:
+            want_fixed[e] = args[0]
+            continue
+        counts = frozenset((v, args.count(v)) for v in args)
+        key = counts if sorted(c for _, c in counts) == [1, m - 1] else args
+        want_slot[e] = keys.setdefault(key, len(keys))
+    assert fixed == want_fixed
+    assert slot_of == want_slot
+
+
 def test_find_wnu_none_matches_bruteforce(one_in_three_lang):
     assert first_wnu_bruteforce(one_in_three_lang, 3) is None
     assert find_wnu(one_in_three_lang, 3) is None

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -219,8 +220,36 @@ def test_eliminate_copy_count(mixed_lang):
     copies = [a for a in inst.atoms if a.relation == "XOR0"]
     consts = [a for a in inst.atoms if a.relation.startswith("const_")]
     assert len(copies) == 4
-    assert len(consts) == 2 + 4  # inner expansion consts get copied by the outer one
+    assert len(consts) == 2 + 4  # one pin per copy: 2 of x1, 4 of x2
     assert solve_csp(inst).truth
+
+
+def test_eliminate_lists_copies_in_digit_order(mixed_lang):
+    # variables in prefix order, atoms in matrix order, then the pins; each
+    # with its copies in digit order, the outer universal's value leading
+    s = sent(
+        mixed_lang,
+        [("forall", "x1"), ("forall", "x2"), ("exists", "y")],
+        [Atom("XOR0", ("x1", "x2", "y"))],
+    )
+    inst = eliminate_universals(s)
+    assert inst.variables == (
+        "x1$1", "x1$2",
+        "x2$1$1", "x2$2$1", "x2$1$2", "x2$2$2",
+        "y$1$1", "y$2$1", "y$1$2", "y$2$2",
+    )
+    assert inst.atoms == (
+        Atom("XOR0", ("x1$1", "x2$1$1", "y$1$1")),
+        Atom("XOR0", ("x1$1", "x2$2$1", "y$2$1")),
+        Atom("XOR0", ("x1$2", "x2$1$2", "y$1$2")),
+        Atom("XOR0", ("x1$2", "x2$2$2", "y$2$2")),
+        Atom("const_0", ("x1$1",)),
+        Atom("const_1", ("x1$2",)),
+        Atom("const_0", ("x2$1$1",)),
+        Atom("const_1", ("x2$2$1",)),
+        Atom("const_0", ("x2$1$2",)),
+        Atom("const_1", ("x2$2$2",)),
+    )
 
 
 def test_eliminate_budget(mixed_lang):
@@ -917,8 +946,9 @@ def test_eliminate_matches_reference(size, seed):
         s = messy_sentence(rnd, lang, max_vars=5 if size == 2 else 4)
         inst = eliminate_universals(s)
         ref = eliminate_universals_reference(s)
-        assert inst.variables == ref.variables, s
-        assert inst.atoms == ref.atoms, s
+        # the same instance; the reference lists it in its expansion order
+        assert sorted(inst.variables) == sorted(ref.variables), s
+        assert Counter(inst.atoms) == Counter(ref.atoms), s
         assert inst.language is ref.language
         universals += any(v.count("$") > 1 for v in inst.variables)
         zero_ary += any(not a.args for a in s.matrix)
@@ -933,6 +963,8 @@ def test_eliminate_matches_reference(size, seed):
         ([("forall", "x")], [("NOT", "x", "y")], "malformed sentence: atom 0: variable y not quantified"),
         ([("forall", "x"), ("exists", "x")], [("NOT", "x", "x")],
          "malformed sentence: variable x quantified twice"),
+        # a sentence is checked over its own language, which has no constants
+        ([("forall", "x")], [("const_0", "x")], "malformed sentence: atom 0: relation const_0 not in language"),
         # a$1 is also the name of the first copy of a
         ([("exists", "a$1"), ("forall", "a")], [("NOT", "a$1", "a")],
          "malformed instance: variable a$1 quantified twice"),
