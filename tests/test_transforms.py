@@ -963,11 +963,11 @@ def test_eliminate_matches_reference(size, seed):
         ([("forall", "x")], [("NOT", "x", "y")], "malformed sentence: atom 0: variable y not quantified"),
         ([("forall", "x"), ("exists", "x")], [("NOT", "x", "x")],
          "malformed sentence: variable x quantified twice"),
-        # a sentence is checked over its own language, which has no constants
-        ([("forall", "x")], [("const_0", "x")], "malformed sentence: atom 0: relation const_0 not in language"),
         # a$1 is also the name of the first copy of a
         ([("exists", "a$1"), ("forall", "a")], [("NOT", "a$1", "a")],
          "malformed instance: variable a$1 quantified twice"),
+        # a sentence is checked over its own language, which has no constants
+        ([("forall", "x")], [("const_0", "x")], "malformed sentence: atom 0: relation const_0 not in language"),
     ],
 )
 def test_eliminate_rejects_malformed_input(mixed_lang, prefix, atoms, message):
