@@ -20,21 +20,21 @@ Each language is given a switchability witness at the bound r ({XOR0} up to
 arity 3, {LT, CYC} up to arity 2).  Where the witness holds, the verdicts are
 also checked against the oracle; where it does not, the reductions run under
 the override and only the checks above, which hold over any language, are
-made.  Prints one summary line per language and exits nonzero on any
-disagreement.
+made.  The sentences are drawn by the tests' generator in
+``tests/helpers.py``.  Prints one summary line per language and exits
+nonzero on any disagreement.
 """
 
 import argparse
 import random
+import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 from qcsp import (
-    Atom,
     BudgetError,
     ConstraintLanguage,
-    QuantifiedSentence,
-    Relation,
     eliminate_universals,
     normalize_alternating,
     omega,
@@ -46,26 +46,14 @@ from qcsp import (
     switchability_witness,
 )
 
-XOR0 = Relation("XOR0", 3, frozenset({(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}))
-LT = Relation("LT", 2, frozenset({(0, 1), (0, 2), (1, 2)}))
-CYC = Relation("CYC", 3, frozenset({(0, 1, 2), (1, 2, 0), (2, 0, 1)}))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from helpers import CYCLE3, LT3, XOR0, random_sentence  # noqa: E402
 
 # (language, keyword arguments of its switchability witness besides r)
 LANGUAGES = [
     (ConstraintLanguage.of(2, XOR0), {"max_arity": 3, "max_power": 4}),
-    (ConstraintLanguage.of(3, LT, CYC), {"max_arity": 2}),
+    (ConstraintLanguage.of(3, LT3, CYCLE3), {"max_arity": 2}),
 ]
-
-
-def random_sentence(rnd, lang, max_vars, max_atoms):
-    names = [f"v{i}" for i in range(rnd.randint(1, max_vars))]
-    prefix = tuple((rnd.choice(["forall", "exists"]), v) for v in names)
-    rels = lang.sorted_relations()
-    atoms = []
-    for _ in range(rnd.randint(0, max_atoms)):
-        rel = rnd.choice(rels)
-        atoms.append(Atom(rel.name, tuple(rnd.choice(names) for _ in range(rel.arity))))
-    return QuantifiedSentence(prefix, tuple(atoms), lang)
 
 
 def padded_conjunction(s, r):

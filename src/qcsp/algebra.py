@@ -379,13 +379,10 @@ class SwitchabilityWitness:
 
     def first_wnu(self, m: int) -> OperationTable | None:
         """The first arity-m operation, in the order held, that is a weak
-        near-unanimity operation, each table read at the entries that
-        :func:`_wnu_entries` names."""
+        near-unanimity operation (:func:`is_wnu`)."""
         if m < 2:
             raise ValueError("weak near-unanimity needs arity >= 2")
-        return next(
-            (f for f in self.operations if f.arity == m and _is_wnu_table(f.table, f.domain.size, m)), None
-        )
+        return next((f for f in self.operations if f.arity == m and is_wnu(f)), None)
 
     def to_json(self) -> dict:
         return {
@@ -511,17 +508,15 @@ def switchability_witness(
 
 
 def is_wnu(f: OperationTable) -> bool:
-    """Idempotent and equal on all one-off argument patterns f(y,x,..,x) etc."""
+    """Idempotent and equal on all one-off argument patterns f(y,x,..,x) etc.,
+    read at the entries that :func:`_wnu_entries` names."""
     if f.arity < 2:
         raise ValueError("weak near-unanimity needs arity >= 2")
-    m = f.arity
-    for x in range(f.domain.size):
-        if f.apply((x,) * m) != x:
-            return False
-        for y in range(f.domain.size):
-            if len({f.apply((x,) * p + (y,) + (x,) * (m - 1 - p)) for p in range(m)}) != 1:
-                return False
-    return True
+    diagonal, one_off = _wnu_entries(f.domain.size, f.arity)
+    table = f.table
+    return all(table[e] == x for e, x in diagonal) and all(
+        len({table[e] for e in ranks}) == 1 for ranks in one_off
+    )
 
 
 @lru_cache(maxsize=32)
@@ -540,14 +535,6 @@ def _wnu_entries(size: int, m: int) -> tuple[tuple[tuple[int, int], ...], tuple[
         if x != y
     )
     return diagonal, one_off
-
-
-def _is_wnu_table(table: Sequence[int], size: int, m: int) -> bool:
-    """:func:`is_wnu` of the arity-m operation with this table."""
-    diagonal, one_off = _wnu_entries(size, m)
-    return all(table[e] == x for e, x in diagonal) and all(
-        len({table[e] for e in ranks}) == 1 for ranks in one_off
-    )
 
 
 def _wnu_slots(size: int, m: int) -> tuple[dict[int, int], dict[int, int]]:

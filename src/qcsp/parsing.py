@@ -41,8 +41,7 @@ from .model import (
     RESERVED_MARK,
 )
 
-_RELATION_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")  # relation and variable names
 _INTEGER = re.compile(r"-?[0-9]+")
 
 _NULLARY_ROW = "()"
@@ -97,7 +96,7 @@ def parse_language(text: str) -> ConstraintLanguage:
             if len(tokens) != 3:
                 raise ParseError("expected 'relation <name> <arity>'", lineno, 1)
             name = tokens[1]
-            if not _RELATION_NAME.fullmatch(name):
+            if not _NAME.fullmatch(name):
                 raise ParseError(f"bad relation name {name!r}", lineno, _column(raw, name))
             if name in relations:
                 raise ParseError(f"duplicate relation name {name!r}", lineno, _column(raw, name))
@@ -149,7 +148,7 @@ def parse_language(text: str) -> ConstraintLanguage:
 
 
 def _variable_problem(name: str, allow_reserved: bool) -> str | None:
-    if not _VARIABLE_NAME.fullmatch(name):
+    if not _NAME.fullmatch(name):
         return f"bad variable name {name!r}"
     if not allow_reserved and RESERVED_MARK in name:
         return f"variable {name!r} uses the reserved '{RESERVED_MARK}' marker"
@@ -293,7 +292,7 @@ def language_from_dict(data: dict) -> ConstraintLanguage:
             raise ParseError(f"relations entry {index}: expected an object, got {entry!r}")
         name = entry.get("relation")
         arity = entry.get("arity")
-        if not isinstance(name, str) or not _RELATION_NAME.fullmatch(name):
+        if not isinstance(name, str) or not _NAME.fullmatch(name):
             raise ParseError(f"relations entry {index}: bad relation name {name!r}")
         if name in relations:
             raise ParseError(f"duplicate relation name {name!r}")

@@ -13,22 +13,23 @@ The pipeline pieces here rewrite prefixes while preserving truth value:
 * :func:`reduce_universal_count` shrinks a forall*exists* prefix to at most
   one universal per domain element, one copy per partition of the universals.
 * :func:`zeta` fully expands an alternating sentence into an equivalent
-  forall*exists* sentence of exponential size.
+  forall*exists* sentence of exponential size, on elimination's copies.
 * relational powers and the lexicographic column constraints translate
   between quantified sentences and CSPs over a power domain.
 
-The three copy-making transforms (:func:`eliminate_universals`,
-:func:`move_universals_left`, :func:`reduce_universal_count`) first drop every
-prefix variable that occurs in no atom: domains are nonempty, so Qx phi is phi
-when x is not in phi.  A vacuous universal is never expanded and a vacuous
-existential never copied, so their output is smaller than the input's prefix
-suggests; their budget checks still count the input as given.  Elimination
-and hoisting copy only the atoms that mention a variable they rename: any
-other atom would come out the same in every copy, so it is kept once.
-Elimination counts its copies in closed form: with k the number of occurring
-universals at or before a variable, the variable gets |A|^k copies, and an
-atom gets |A|^K copies, K being the k of its last variable.  It builds them
-in one pass over integer variable ids and makes each name once.
+The four copy-making transforms (:func:`eliminate_universals`,
+:func:`move_universals_left`, :func:`reduce_universal_count`, :func:`zeta`)
+first drop every prefix variable that occurs in no atom: domains are
+nonempty, so Qx phi is phi when x is not in phi.  A vacuous universal is
+never expanded and a vacuous existential never copied, so their output is
+smaller than the input's prefix suggests; their budget checks still count
+the input as given.  Hoisting copies only the atoms that mention a variable
+it renames: any other atom would come out the same in every copy, so it is
+kept once.  Elimination and full expansion read their copies off one table
+(:func:`_copy_table`), built in closed form in one pass over integer ids:
+with k the number of occurring universals at or before a variable, the
+variable gets |A|^k copies, and an atom gets |A|^K copies, K being the k of
+its last variable.
 
 Every transform returns freshly named variables marked with "$" so the output
 never collides with user input, and every output is checked well-formed.
@@ -37,7 +38,6 @@ never collides with user input, and every output is checked well-formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator
 
 import numpy as np
@@ -242,27 +242,18 @@ def _copy_touched(matrix, renamed, size: int, check) -> list[Atom]:
 # universal elimination (to a CSP with constants)
 
 
-def _elimination_core(
-    s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS
-) -> tuple[ConstraintLanguage, list[str], list[tuple[str, tuple[int, ...]]]]:
-    """The language with constants, the variable names and the atoms of
-    ``eliminate_universals(s)``, each atom as (relation, variable ids), where
-    the id of a variable is its position among the names.
+def _copy_table(s: QuantifiedSentence) -> tuple[list[str], list[range], list[tuple[str, tuple[int, ...]]]]:
+    """The copies that universal elimination and full expansion share: the
+    variable names, the id range of each occurring universal's copies, and
+    the atom copies, each as (relation, variable ids), where the id of a
+    variable is its position among the names.
 
     Every copy is computed in closed form (see :func:`eliminate_universals`),
-    in output order, and each name is built once.  The budgets are checked
-    before anything is built, against the input's full universal count.  The
-    input is then checked well-formed over its own language, and the names
-    for being distinct: a malformed input raises ``ValueError`` listing what
-    is wrong with it, so a solver may compile the atoms without building the
-    instance that would check them.
+    in output order, and each name is built once.  The input is checked
+    well-formed first; the names are not checked for being distinct.
     """
-    size = s.language.domain.size
-    what = "universal elimination"
-    n_copies = budgets.check_power(f"{what} copies", budgets.max_matrix_copies, size, s.universal_count())
-    budgets.check_expansion(what, (len(s.matrix) + 1) * n_copies)
     check_wellformed(s)
-    language = gamma_star(s.language)
+    size = s.language.domain.size
 
     # each occurring variable in prefix order, with its k (the occurring
     # universals at or before it) and the ids of its |A|^k copies v$c_k...$c_1
@@ -280,8 +271,6 @@ def _elimination_core(
         level[v] = len(universals)
         copies[v] = range(len(names), len(names) + len(suffixes))
         names.extend([v + suffix for suffix in suffixes])
-    if len(set(names)) < len(names):
-        invariant_report([(EXISTS, v) for v in names], (), language).require("instance")
 
     # each atom in matrix order, its copies in digit order: copy r of an atom
     # of level K takes copy r // |A|^(K - k) of a variable of level k
@@ -294,11 +283,36 @@ def _elimination_core(
             columns.append(copies[v] if repeat == 1 else [i for i in copies[v] for _ in range(repeat)])
         rows = zip(*columns) if columns else [()]
         atoms.extend([(atom.relation, ids) for ids in rows])
+    return names, [copies[u] for u in universals], atoms
+
+
+def _elimination_core(
+    s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS
+) -> tuple[ConstraintLanguage, list[str], list[tuple[str, tuple[int, ...]]]]:
+    """The language with constants, the variable names and the atoms of
+    ``eliminate_universals(s)``, each atom as (relation, variable ids), where
+    the id of a variable is its position among the names.
+
+    The budgets are checked before anything is built, against the input's
+    full universal count.  The copies are read off :func:`_copy_table`,
+    which checks the input well-formed over its own language; the names are
+    then checked for being distinct: a malformed input raises ``ValueError``
+    listing what is wrong with it, so a solver may compile the atoms without
+    building the instance that would check them.
+    """
+    size = s.language.domain.size
+    what = "universal elimination"
+    n_copies = budgets.check_power(f"{what} copies", budgets.max_matrix_copies, size, s.universal_count())
+    budgets.check_expansion(what, (len(s.matrix) + 1) * n_copies)
+    names, universal_ids, atoms = _copy_table(s)
+    language = gamma_star(s.language)
+    if len(set(names)) < len(names):
+        invariant_report([(EXISTS, v) for v in names], (), language).require("instance")
     # then each universal's pins, one per copy in digit order: const_c for
     # the copy's last digit c, the universal's own value
     consts = [const_name(c) for c in range(size)]
-    for u in universals:
-        atoms.extend([(consts[r % size], (i,)) for r, i in enumerate(copies[u])])
+    for ids in universal_ids:
+        atoms.extend([(consts[r % size], (i,)) for r, i in enumerate(ids)])
     return language, names, atoms
 
 
@@ -320,10 +334,10 @@ def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
     (c_1 most significant); then the atoms in matrix order, each with its
     copies in digit order; then the pins, universal by universal, each
     universal's copies in digit order.  The copies are computed in one
-    integer pass (:func:`_elimination_core`), each name built once.  The
-    result is a CSP over the language with constants.  The budgets are
-    checked against the input's full universal count, then the input is
-    checked well-formed over its own language.
+    integer pass (:func:`_copy_table`, which :func:`zeta` reads too), each
+    name built once.  The result is a CSP over the language with constants.
+    The budgets are checked against the input's full universal count, then
+    the input is checked well-formed over its own language.
     """
     language, names, atoms = _elimination_core(s, budgets)
     return CspInstance(
@@ -493,11 +507,25 @@ def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUD
 
 
 def zeta(alt: AlternatingSentence, budgets: Budgets = DEFAULT_BUDGETS) -> QuantifiedSentence:
-    """Equivalent forall*exists* sentence with one matrix copy per tuple of A^n.
+    """Equivalent forall*exists* sentence on the copies of
+    :func:`eliminate_universals`, read off the same table
+    (:func:`_copy_table`): names v$c_k...$c_1, |A|^K copies of an atom, and
+    no variable that occurs in no atom, so no alternation padding.  Each
+    universal copy, which elimination pins to its last digit's value, is
+    quantified forall in front instead, universal by universal, each in
+    digit order; every other copy follows, existential, in elimination's
+    order, over the input's language.
 
-    In the copy for (a_1,..,a_n) the i-th universal becomes x$i$a_1-..-a_i and
-    the i-th existential becomes y$i$a_1-..-a_(i-1), so existentials are shared
-    exactly between copies that agree on the earlier universal values.
+    It is exact.  Take a winning strategy sigma and any assignment beta of
+    the universal copies.  Set each existential copy e$c_j...$c_1 to sigma's
+    answer to beta(u_1$c_1), ..., beta(u_j$c_j...$c_1).  Then each atom copy
+    holds on one consistent play.  Conversely, set each universal copy to
+    its own last digit's value.  The existential copies then form a
+    strategy, and every play satisfies every atom.
+
+    The budgets are checked first, against ``alt`` as given: |A|^n copies
+    of the matrix, and a prefix of every universal's and existential's
+    copies.
     """
     n = alt.n
     size = alt.sentence.language.domain.size
@@ -508,34 +536,12 @@ def zeta(alt: AlternatingSentence, budgets: Budgets = DEFAULT_BUDGETS) -> Quanti
         "full expansion", copies * max(1, len(alt.sentence.matrix)), prefix=x_total + y_total
     )
 
-    xs = alt.x_vars()
-    ys = alt.y_vars()
-
-    def tag(values: tuple[int, ...]) -> str:
-        return "-".join(str(v) for v in values)
-
-    def x_name(i: int, values: tuple[int, ...]) -> str:
-        return f"x${i}${tag(values)}"
-
-    def y_name(i: int, values: tuple[int, ...]) -> str:
-        return f"y${i}${tag(values)}"
-
-    prefix: list[tuple[str, str]] = []
-    for i in range(1, n + 1):
-        for values in product(range(size), repeat=i):
-            prefix.append((FORALL, x_name(i, values)))
-    for i in range(1, n + 1):
-        for values in product(range(size), repeat=i - 1):
-            prefix.append((EXISTS, y_name(i, values)))
-
-    matrix: list[Atom] = []
-    for a_tuple in product(range(size), repeat=n):
-        cmap: dict[str, str] = {}
-        for i in range(1, n + 1):
-            cmap[xs[i - 1]] = x_name(i, a_tuple[:i])
-            cmap[ys[i - 1]] = y_name(i, a_tuple[: i - 1])
-        matrix.extend(a.rename(cmap) for a in alt.sentence.matrix)
-    out = QuantifiedSentence(tuple(prefix), tuple(matrix), alt.sentence.language)
+    names, universal_ids, atoms = _copy_table(alt.sentence)
+    universal = set().union(*universal_ids)
+    prefix = [(FORALL, names[i]) for ids in universal_ids for i in ids]
+    prefix.extend((EXISTS, v) for i, v in enumerate(names) if i not in universal)
+    matrix = tuple(Atom(rel, tuple([names[i] for i in ids])) for rel, ids in atoms)
+    out = QuantifiedSentence(tuple(prefix), matrix, alt.sentence.language)
     check_wellformed(out)
     return out
 

@@ -21,7 +21,6 @@ from qcsp import (
     enumerate_switch_bounded,
     gamma_star,
     generate_closure,
-    is_wnu,
     polymorphisms,
 )
 from qcsp.model import const_name
@@ -188,8 +187,21 @@ def stirling2(n: int, m: int) -> int:
     return sum((-1) ** i * math.comb(m, i) * (m - i) ** n for i in range(m + 1)) // math.factorial(m)
 
 
+def is_wnu_bruteforce(f: OperationTable) -> bool:
+    """Idempotent and equal on all one-off argument patterns, each entry
+    read through ``OperationTable.apply``."""
+    m = f.arity
+    for x in range(f.domain.size):
+        if f.apply((x,) * m) != x:
+            return False
+        for y in range(f.domain.size):
+            if len({f.apply((x,) * p + (y,) + (x,) * (m - 1 - p)) for p in range(m)}) != 1:
+                return False
+    return True
+
+
 def first_wnu_bruteforce(lang: ConstraintLanguage, m: int) -> OperationTable | None:
-    return next((f for f in polymorphisms_bruteforce(lang, m) if is_wnu(f)), None)
+    return next((f for f in polymorphisms_bruteforce(lang, m) if is_wnu_bruteforce(f)), None)
 
 
 def witness_per_power(lang: ConstraintLanguage, r: int, max_arity: int, max_power: int, budgets: Budgets):

@@ -33,6 +33,7 @@ from helpers import (
     ONE_IN_THREE,
     closure_bruteforce,
     first_wnu_bruteforce,
+    is_wnu_bruteforce,
     polymorphisms_bruteforce,
     preserves_bruteforce,
     reversed_relations,
@@ -376,9 +377,9 @@ def test_polymorphisms_and_find_wnu_match_bruteforce(
 @pytest.mark.parametrize("size, m", [(2, 2), (2, 3), (3, 2)])
 def test_wnu_table_check_matches_is_wnu_on_every_table(size, m):
     dom = DomainSpec(size)
-    tables = list(product(range(size), repeat=size**m))
-    expected = [is_wnu(OperationTable(m, dom, table)) for table in tables]
-    assert [algebra._is_wnu_table(table, size, m) for table in tables] == expected
+    ops = [OperationTable(m, dom, table) for table in product(range(size), repeat=size**m)]
+    expected = [is_wnu_bruteforce(f) for f in ops]
+    assert [is_wnu(f) for f in ops] == expected
     assert any(expected)
 
 

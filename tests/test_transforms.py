@@ -445,29 +445,34 @@ def test_zeta_depth_one_example(mixed_lang):
     alt = build_alternating(mixed_lang, 1, [Atom("NOT", ("x1", "y1"))])
     out = zeta(alt)
     assert out.prefix == (
-        ("forall", "x$1$0"),
-        ("forall", "x$1$1"),
-        ("exists", "y$1$"),
+        ("forall", "x1$1"),
+        ("forall", "x1$2"),
+        ("exists", "y1"),
     )
     assert out.matrix == (
-        Atom("NOT", ("x$1$0", "y$1$")),
-        Atom("NOT", ("x$1$1", "y$1$")),
+        Atom("NOT", ("x1$1", "y1")),
+        Atom("NOT", ("x1$2", "y1")),
     )
     assert oracle_qcsp(alt.sentence).truth is False
     assert oracle_qcsp(out).truth is False
 
 
 def test_zeta_copy_count(mixed_lang, dom3_lang):
+    # an atom gets one copy per value of the occurring universals up to its
+    # last variable, and the j-th occurring universal |A|^j copies
     for lang, n in ((mixed_lang, 2), (mixed_lang, 3), (dom3_lang, 2)):
-        atoms = [Atom(sorted(lang.relations)[0], None)]  # placeholder replaced below
-        prefix = []
-        for i in range(1, n + 1):
-            prefix += [("exists", f"y{i}"), ("forall", f"x{i}")]
+        size = lang.domain.size
         rel = lang.sorted_relations()[0]
-        matrix = [Atom(rel.name, tuple(f"x{i % n + 1}" for i in range(rel.arity)))]
-        alt = normalize_alternating(sent(lang, prefix, matrix))
-        out = zeta(alt)
-        assert len(out.matrix) == lang.domain.size**n * len(matrix)
+        for last in range(1, n + 1):
+            earlier = [f"y{i}" for i in range(1, last + 1)] + [f"x{i}" for i in range(1, last)]
+            for var, other in product([f"x{last}", f"y{last}"], earlier):
+                if other == var:
+                    continue
+                args = (other,) * (rel.arity - 1) + (var,)
+                k = len({v for v in args if v.startswith("x")})
+                out = zeta(build_alternating(lang, n, [Atom(rel.name, args)]))
+                assert len(out.matrix) == size**k, (args, n)
+                assert out.universal_count() == sum(size**j for j in range(1, k + 1)), (args, n)
 
 
 def test_zeta_truth_matches_oracle(mixed_lang):
@@ -492,6 +497,40 @@ def test_zeta_agrees_with_move_left(mixed_lang):
         s = random_sentence(rnd, mixed_lang, max_vars=4)
         alt = normalize_alternating(s)
         assert pi2_truth(zeta(alt)) == pi2_truth(move_universals_left(s))
+
+
+def test_zeta_is_elimination_with_universals_for_pins(mixed_lang, dom3_lang):
+    # both read one copy table: zeta's matrix is elimination's atoms before
+    # the pins, and its universals are the pinned copies, in pin order
+    rnd = random.Random(41)
+    for lang in (mixed_lang, dom3_lang):
+        for _ in range(60):
+            alt = normalize_alternating(random_sentence(rnd, lang, max_vars=4))
+            out = zeta(alt)
+            inst = eliminate_universals(alt.sentence)
+            pins = len(out.universals())
+            body, pinned = inst.atoms[: len(inst.atoms) - pins], inst.atoms[len(inst.atoms) - pins :]
+            assert out.matrix == body
+            assert all(a.relation.startswith("const_") for a in pinned)
+            assert not any(a.relation.startswith("const_") for a in body)
+            assert out.universals() == [a.args[0] for a in pinned]
+            assert out.existentials() == [v for v in inst.variables if v not in set(out.universals())]
+            assert out.language is alt.sentence.language
+
+
+def test_zeta_drops_the_alternation_padding(mixed_lang):
+    # padding dummies occur in no atom, so none of them is copied
+    rnd = random.Random(47)
+    padded = 0
+    for _ in range(80):
+        s = random_sentence(rnd, mixed_lang, max_vars=4)
+        alt = normalize_alternating(s)
+        dummies = [v for v in alt.sentence.prefix_variables() if v.startswith(("y$d", "x$d"))]
+        padded += bool(dummies)
+        out = zeta(alt)
+        assert not any(v.startswith(("y$d", "x$d")) for v in out.prefix_variables())
+        assert {v.split("$")[0] for v in out.prefix_variables()} <= s.matrix_variables()
+    assert padded > 40
 
 
 def test_zeta_budget(dom3_lang):
