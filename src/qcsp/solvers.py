@@ -676,8 +676,8 @@ def reduce_to_pi2(
     Collapses the sentence at every pattern of exactly min(r, m) kept
     universals among the m that occur in the matrix (:func:`_index_sets`),
     hoists each member's universals left, conjoins the members on a shared
-    universal ladder with member-disjoint existentials, and shrinks the
-    universal count.
+    universal ladder z$s1, z$s2, ... with member-disjoint existentials e$cj,
+    and shrinks the universal count.
 
     The smaller patterns are left out because each is implied by a maximal
     one: for J a subset of I, ``omega(alt, I)`` entails ``omega(alt, J)``.
@@ -689,28 +689,46 @@ def reduce_to_pi2(
     is entailed by an occurring pattern of no more kept universals (the proof
     is in :func:`reduce_pgp_to_csp`), and so by a maximal one.  So the
     conjunction is the same over the maximal occurring patterns as over every
-    padded pattern of at most r kept universals, witness or not.  When
-    r >= m the only pattern keeps every occurring universal, and its vacuous
-    collapsed universals are dropped by :func:`move_universals_left`.
+    padded pattern of at most r kept universals, witness or not.
+
+    When m <= r the only pattern keeps every occurring universal, so its
+    collapse is the sentence itself up to vacuous variables: ``omega`` folds
+    only vacuous universals into the z$oj, which are vacuous in turn, and
+    pads only with vacuous dummies.  :func:`move_universals_left` drops
+    every vacuous variable before its first hoist, so hoisting the sentence
+    gives the same prefix and matrix, and the same budget checks, as
+    hoisting that collapse; the sentence is hoisted directly, without
+    normalizing or collapsing it, and hoisting checks it well-formed.
+    The ladder's renaming only keeps several members' existentials apart,
+    so one member (m <= r, or r = 0) is count-reduced directly.  Only the
+    names differ from a one-rung ladder (no $c1 on the existentials): the
+    prefix length, the atom count, the universal count and the truth value
+    are the same.
     """
     check_witness_gate(witness, r, override)
-    alt = normalize_alternating(s)
-    members = [move_universals_left(omega(alt, idx), budgets) for idx in _index_sets(alt, r)]
+    occurring = s.matrix_variables()
+    if sum(1 for q, v in s.prefix if q == FORALL and v in occurring) <= r:
+        members = [move_universals_left(s, budgets)]
+    else:
+        alt = normalize_alternating(s)
+        members = [move_universals_left(omega(alt, idx), budgets) for idx in _index_sets(alt, r)]
 
-    shared_count = max(m.universal_count() for m in members)
-    shared = [f"z$s{i}" for i in range(1, shared_count + 1)]
-    prefix: list[tuple[str, str]] = [(FORALL, z) for z in shared]
-    matrix = []
-    for j, member in enumerate(members, start=1):
-        cmap: dict[str, str] = {}
-        for i, u in enumerate(member.universals()):
-            cmap[u] = shared[i]
-        for e in member.existentials():
-            cmap[e] = f"{e}$c{j}"
-        prefix.extend((EXISTS, cmap[e]) for e in member.existentials())
-        matrix.extend(a.rename(cmap) for a in member.matrix)
-    conjoined = QuantifiedSentence(tuple(prefix), tuple(matrix), s.language)
-    check_wellformed(conjoined)
+    if len(members) == 1:
+        conjoined = members[0]
+    else:
+        shared_count = max(m.universal_count() for m in members)
+        shared = [f"z$s{i}" for i in range(1, shared_count + 1)]
+        prefix: list[tuple[str, str]] = [(FORALL, z) for z in shared]
+        matrix = []
+        for j, member in enumerate(members, start=1):
+            cmap: dict[str, str] = {}
+            for i, u in enumerate(member.universals()):
+                cmap[u] = shared[i]
+            for e in member.existentials():
+                cmap[e] = f"{e}$c{j}"
+            prefix.extend((EXISTS, cmap[e]) for e in member.existentials())
+            matrix.extend(a.rename(cmap) for a in member.matrix)
+        conjoined = QuantifiedSentence(tuple(prefix), tuple(matrix), s.language)
     out = reduce_universal_count(conjoined, budgets)
     if out.universal_count() > s.language.domain.size:
         raise QcspError("universal-count reduction exceeded the domain size")

@@ -362,8 +362,9 @@ def move_universals_left(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
     rewrite terminating.  The universal count compounds per nesting level.
     Prefix variables that occur in no atom are dropped before the first
     hoist, so none of them is copied; each hoist checks the budgets against
-    what it builds.
+    what it builds.  The input is checked well-formed first.
     """
+    check_wellformed(s)
     size = s.language.domain.size
     prefix = _occurring_prefix(s)
     matrix = list(s.matrix)
@@ -468,7 +469,9 @@ def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUD
     none of the universals occurring, the input comes back without its
     vacuous variables.  The budgets are checked against the input as given:
     S(n, min(n, |A|)) copies for its n universals, which is at least S(k, m).
+    The input is checked well-formed first.
     """
+    check_wellformed(s)
     if not s.is_pi2():
         raise ValueError("input must be in forall*exists* form")
     size = s.language.domain.size

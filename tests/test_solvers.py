@@ -35,7 +35,13 @@ from qcsp import solvers
 from qcsp.algebra import lift_operation, table_from_function
 from qcsp.model import const_name, gamma_star
 from qcsp.solvers import BundleMember, pi2_truth
-from qcsp.transforms import eliminate_universals, normalize_alternating, omega
+from qcsp.transforms import (
+    eliminate_universals,
+    move_universals_left,
+    normalize_alternating,
+    omega,
+    reduce_universal_count,
+)
 from helpers import (
     CYCLE3,
     FALSE0,
@@ -939,6 +945,72 @@ def test_pi2_reduction_collapses_at_the_maximal_patterns_only(xor0_lang, xor0_wi
     assert collapsed == [(1, 2), (1, 3), (2, 3)]
     monkeypatch.undo()
     assert pi2_truth(out) == oracle_qcsp(s).truth
+
+
+def test_pi2_reduction_collapses_only_more_occurring_universals_than_r(xor0_lang, monkeypatch):
+    # x1 and x3 occur and x2 is vacuous, so m = 2
+    prefix = [(q, f"{v}{i}") for i in range(1, 4) for q, v in (("exists", "y"), ("forall", "x"))]
+    s = sent(xor0_lang, prefix, [Atom("XOR0", ("x1", "y2", "x3")), Atom("XOR0", ("y1", "y3", "y3"))])
+    normalized, collapsed = [], []
+
+    def counting_normalize(s):
+        normalized.append(s)
+        return normalize_alternating(s)
+
+    def counting_omega(alt, indices):
+        collapsed.append(tuple(indices))
+        return omega(alt, indices)
+
+    monkeypatch.setattr(solvers, "normalize_alternating", counting_normalize)
+    monkeypatch.setattr(solvers, "omega", counting_omega)
+    outs = {}
+    for r, patterns in [(3, []), (2, []), (1, [(1,), (3,)]), (0, [()])]:
+        outs[r] = reduce_to_pi2(s, r, override=True)
+        assert collapsed == patterns, r
+        assert normalized == ([s] if patterns else []), r
+        normalized.clear()
+        collapsed.clear()
+    monkeypatch.undo()
+
+    # one member is count-reduced without the ladder's renaming; two are not
+    for r in (0, 2, 3):
+        assert not [v for v in outs[r].prefix_variables() if "z$s" in v or "$c" in v], r
+    assert [v for v in outs[1].prefix_variables() if "$c" in v]
+    assert outs[2] == outs[3]
+    assert pi2_truth(outs[2]) == oracle_qcsp(s).truth
+
+
+@pytest.mark.parametrize("size, seed", [(2, 131), (3, 137)])
+def test_pi2_reduction_hoists_a_sentence_with_at_most_r_universals_itself(size, seed):
+    # the maximal pattern keeping every occurring universal hoists to the
+    # hoisted sentence; with m <= r it is the one pattern, and a one-rung
+    # ladder changes only the names of what the count reduction builds
+    lang = ConstraintLanguage.of(size, *((XOR0, NOT) if size == 2 else (LT3, CYCLE3)), TRUE0, FALSE0)
+    rnd = random.Random(seed)
+    checked, vacuous, padded = 0, 0, 0
+    for draw in range(160):
+        if draw % 2:
+            s = messy_sentence(rnd, lang, max_vars=6 - size)
+        else:
+            s = random_sentence(rnd, lang, max_vars=6 - size, max_atoms=3)
+        alt = normalize_alternating(s)
+        occurring = s.matrix_variables()
+        positions = tuple(i for i, x in enumerate(alt.x_vars(), start=1) if x in occurring)
+        hoisted = move_universals_left(s)
+        assert hoisted == move_universals_left(omega(alt, positions)), s
+        ladder = {u: f"z$s{i}" for i, u in enumerate(hoisted.universals(), start=1)}
+        ladder.update({e: f"{e}$c1" for e in hoisted.existentials()})
+        want = reduce_universal_count(hoisted.rename(ladder))
+        truth = oracle_qcsp(s).truth
+        for r in range(len(positions), 4):
+            out = reduce_to_pi2(s, r, override=True)
+            sizes = (len(out.prefix), len(out.matrix), out.universal_count())
+            assert sizes == (len(want.prefix), len(want.matrix), want.universal_count()), (s, r)
+            assert pi2_truth(out) == truth, (s, r)
+            checked += 1
+        vacuous += len(positions) < len(s.universals())
+        padded += 2 * alt.n > len(s.prefix)
+    assert checked > 300 and vacuous > 40 and padded > 100
 
 
 # pi2_truth decides each component shape once per call

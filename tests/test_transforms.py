@@ -31,7 +31,7 @@ from qcsp import (
 )
 from qcsp import algebra
 from qcsp.model import decode_rank, encode_tuple
-from qcsp.solvers import pi2_truth, reduce_pgp_to_csp, truth_of
+from qcsp.solvers import pi2_truth, reduce_pgp_to_csp, reduce_to_pi2, truth_of
 from helpers import (
     CYCLE3,
     FALSE0,
@@ -1019,3 +1019,26 @@ def test_eliminate_rejects_malformed_input(mixed_lang, prefix, atoms, message):
     with pytest.raises(ValueError) as err:
         reduce_pgp_to_csp(s, 1, override=True)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "prefix",
+    [
+        [("exists", "x"), ("forall", "x"), ("exists", "y")],
+        [("forall", "x"), ("exists", "x"), ("exists", "y")],
+    ],
+    ids=["exists-forall", "forall-exists"],
+)
+def test_hoisting_and_count_reduction_reject_a_variable_quantified_twice(xor0_lang, prefix):
+    # reduce_to_pi2 hoists a sentence with at most r occurring universals
+    # without normalizing it, so hoisting's entry check is its input check
+    s = sent(xor0_lang, prefix, [Atom("XOR0", ("x", "x", "y"))])
+    calls = [
+        move_universals_left,
+        reduce_universal_count,
+        lambda s: reduce_to_pi2(s, 0, override=True),
+        lambda s: reduce_to_pi2(s, 2, override=True),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^malformed sentence: variable x quantified twice$"):
+            call(s)
