@@ -4,17 +4,20 @@ the reduction to two quantifier levels, over two languages.
 
 Draws random quantified sentences over the affine language {XOR0} and over
 the three-element language {LT, CYC}, and decides each with the collapse
-bundle and ``pi2_truth`` of ``reduce_to_pi2``, the latter unless a budget
-refuses its reduction (counted and reported).  The bundle decides only the
-maximal collapse patterns over the universals that occur in the matrix; its
-verdict and the Π2 verdict are checked against the conjunction over every
-padded collapse pattern of at most r kept universals, vacuous ones included,
-each built and solved.  The bundle's pattern list is checked against the
-maximal patterns computed here from the universals that occur in the matrix.
-The bundle solves its members without building their instances; each solved
-member is also checked against ``solve_csp`` of its instance, built on
-access, and a member whose truth, witness or node count differs makes its
-sentence a disagreement.
+bundle, with ``pi2_truth`` of ``reduce_to_pi2`` and, where the power domain
+fits the budgets (over {XOR0}), with ``solve_csp`` of ``qcsp_to_power_csp``
+of the same reduced sentence.  A budget that refuses the reduction or the
+power CSP is counted and reported, and that route is left unchecked on the
+sentence.  The bundle decides only the maximal collapse patterns over the
+universals that occur in the matrix; its verdict and the Π2 and power-CSP
+verdicts are checked against the conjunction over every padded collapse
+pattern of at most r kept universals, vacuous ones included, each built and
+solved.  The bundle's pattern list is checked against the maximal patterns
+computed here from the universals that occur in the matrix.  The bundle
+solves its members without building their instances; each solved member is
+also checked against ``solve_csp`` of its instance, built on access, and a
+member whose truth, witness or node count differs makes its sentence a
+disagreement.
 
 Each language is given a switchability witness at the bound r ({XOR0} up to
 arity 3, {LT, CYC} up to arity 2).  Where the witness holds, the verdicts are
@@ -35,11 +38,13 @@ from pathlib import Path
 from qcsp import (
     BudgetError,
     ConstraintLanguage,
+    build_power_language,
     eliminate_universals,
     normalize_alternating,
     omega,
     oracle_qcsp,
     pi2_truth,
+    qcsp_to_power_csp,
     reduce_pgp_to_csp,
     reduce_to_pi2,
     solve_csp,
@@ -83,31 +88,44 @@ def sweep(lang, witness_args, args, rnd) -> int:
     witness = switchability_witness(lang, args.r, **witness_args)
     witnessed = witness.verdict == "witnessed"
     gate = {"witness": witness} if witnessed else {"override": True}
+    try:
+        build_power_language(lang)
+        powered, power_note = True, ""
+    except BudgetError as err:
+        powered, power_note = False, f"; power-csp not run ({err})"
     print(f"{{{names}}} over {lang.domain.size} elements, witness at bound {args.r}: {witness.verdict}"
-          + ("" if witnessed else " (override; no oracle check)"))
+          + ("" if witnessed else " (override; no oracle check)") + power_note)
     start = time.time()
-    agree = true_count = solved = instances = refused = 0
+    agree = true_count = solved = instances = refused = power_refused = 0
     for i in range(args.count):
         s = random_sentence(rnd, lang, args.max_vars, args.max_atoms)
         bundle = reduce_pgp_to_csp(s, args.r, **gate)
         padded = padded_conjunction(s, args.r)
+        reduced = None
         try:
-            pi2 = pi2_truth(reduce_to_pi2(s, args.r, **gate))
+            reduced = reduce_to_pi2(s, args.r, **gate)
+            pi2 = pi2_truth(reduced)
         except BudgetError:
             pi2 = padded
             refused += 1
+        power = padded
+        if powered and reduced is not None:
+            try:
+                power = solve_csp(qcsp_to_power_csp(reduced)).truth
+            except BudgetError:
+                power_refused += 1
         truth = oracle_qcsp(s).truth if witnessed else padded
         solved += len(bundle.members)
         instances += len(bundle.index_sets)
         true_count += padded
         mismatched = [m.indices for m in bundle.members if solve_csp(m.instance) != m.verdict]
         patterns = maximal_patterns(s, args.r)
-        if truth == bundle.combined == pi2 == padded and not mismatched and bundle.index_sets == patterns:
+        if truth == bundle.combined == pi2 == power == padded and not mismatched and bundle.index_sets == patterns:
             agree += 1
         else:
             oracle = truth if witnessed else "unchecked"
             print(
-                f"DISAGREEMENT at sentence {i}: oracle={oracle} bundle={bundle.combined} pi2={pi2}"
+                f"DISAGREEMENT at sentence {i}: oracle={oracle} bundle={bundle.combined} pi2={pi2} power={power}"
                 f" padded patterns={padded} members unlike their instances={mismatched}"
             )
             if bundle.index_sets != patterns:
@@ -122,6 +140,8 @@ def sweep(lang, witness_args, args, rnd) -> int:
     )
     if refused:
         print(f"  pi2 refused by a budget on {refused} sentences, left unchecked there")
+    if power_refused:
+        print(f"  power-csp refused by a budget on {power_refused} sentences, left unchecked there")
     return args.count - agree
 
 

@@ -275,14 +275,30 @@ def _list_field(data: dict, key: str, where: str) -> list:
     return value
 
 
+def _known_keys(data: dict, keys: frozenset, where: str) -> None:
+    """Refuse a key outside ``keys``: a missing list reads as empty, so a
+    mistyped key would otherwise go unnoticed."""
+    for key in data:
+        if key not in keys:
+            raise ParseError(f"{where}unknown key {key!r}; expected one of {', '.join(sorted(keys))}")
+
+
+_LANGUAGE_KEYS = frozenset(("domain", "relations"))
+_RELATION_KEYS = frozenset(("relation", "arity", "rows"))
+_SENTENCE_KEYS = frozenset(("prefix", "constraints"))
+
+
 def _entry_fail(field: str, index: int):
     return lambda message, token=None: ParseError(f"{field} entry {index}: {message}")
 
 
 def language_from_dict(data: dict) -> ConstraintLanguage:
-    """Read the JSON language format; booleans are not integers here."""
+    """Read the JSON language format; booleans are not integers here, and a
+    key other than 'domain' and 'relations' (or, in a relation entry,
+    'relation', 'arity' and 'rows') is refused by name."""
     if not isinstance(data, dict) or "domain" not in data:
         raise ParseError("language JSON must be an object with a 'domain' field")
+    _known_keys(data, _LANGUAGE_KEYS, "language JSON: ")
     size = data["domain"]
     if not _is_int(size) or size < 1:
         raise ParseError(f"bad domain size {size!r}")
@@ -290,6 +306,7 @@ def language_from_dict(data: dict) -> ConstraintLanguage:
     for index, entry in enumerate(_list_field(data, "relations", "")):
         if not isinstance(entry, dict):
             raise ParseError(f"relations entry {index}: expected an object, got {entry!r}")
+        _known_keys(entry, _RELATION_KEYS, f"relations entry {index}: ")
         name = entry.get("relation")
         arity = entry.get("arity")
         if not isinstance(name, str) or not _NAME.fullmatch(name):
@@ -314,9 +331,11 @@ def sentence_from_dict(
     data: dict, lang: ConstraintLanguage, allow_reserved: bool = False
 ) -> QuantifiedSentence:
     """Read the JSON sentence format entry by entry, with the checks of
-    :func:`parse_sentence`; an error names the offending entry's index."""
+    :func:`parse_sentence`; an error names the offending entry's index, or
+    the first key other than 'prefix' and 'constraints'."""
     if not isinstance(data, dict):
         raise ParseError("sentence JSON must be an object")
+    _known_keys(data, _SENTENCE_KEYS, "sentence JSON: ")
     reader = _SentenceReader(lang, allow_reserved)
     for index, entry in enumerate(_list_field(data, "prefix", "")):
         fail = _entry_fail("prefix", index)

@@ -38,6 +38,7 @@ from .transforms import (
     AlternatingSentence,
     CanonicalFalse,
     CspInstance,
+    _check_count_budgets,
     _elimination_core,
     eliminate_universals,
     move_universals_left,
@@ -677,7 +678,7 @@ def reduce_to_pi2(
     universals among the m that occur in the matrix (:func:`_index_sets`),
     hoists each member's universals left, conjoins the members on a shared
     universal ladder z$s1, z$s2, ... with member-disjoint existentials e$cj,
-    and shrinks the universal count.
+    and shrinks the universal count if that leaves more than |A| universals.
 
     The smaller patterns are left out because each is implied by a maximal
     one: for J a subset of I, ``omega(alt, I)`` entails ``omega(alt, J)``.
@@ -700,10 +701,24 @@ def reduce_to_pi2(
     hoisting that collapse; the sentence is hoisted directly, without
     normalizing or collapsing it, and hoisting checks it well-formed.
     The ladder's renaming only keeps several members' existentials apart,
-    so one member (m <= r, or r = 0) is count-reduced directly.  Only the
-    names differ from a one-rung ladder (no $c1 on the existentials): the
-    prefix length, the atom count, the universal count and the truth value
-    are the same.
+    so one member (m <= r, or r = 0) is taken as it is.  Only the names
+    differ from a one-rung ladder (no $c1 on the existentials): the prefix
+    length, the atom count, the universal count and the truth value are the
+    same.
+
+    :func:`reduce_universal_count` runs only when the conjoined sentence
+    (the one member, or the ladder) has k > |A| universals.  With k <= |A|
+    it would build S(k, k) = 1 copy, a bijective renaming in prefix order
+    (each universal to z$ui, each existential e to e$1) of a sentence that
+    already meets its contract: forall*exists*, at most |A| universals, no
+    vacuous variable (hoisting drops them, and each z$si occurs in a member
+    with at least i universals), checked well-formed.  So that sentence is
+    returned itself, after the reduction's budget checks with the same
+    figures (:func:`~qcsp.transforms._check_count_budgets`), and only the
+    names differ from the reduced copy: it keeps its hoisted names (x$1,
+    y$2, ...) or the ladder's (z$s1, e$cj) where the reduction gave z$u1
+    and e$1.  The prefix length, the atom count, the universal count and
+    the truth value are the same.
     """
     check_witness_gate(witness, r, override)
     occurring = s.matrix_variables()
@@ -713,6 +728,7 @@ def reduce_to_pi2(
         alt = normalize_alternating(s)
         members = [move_universals_left(omega(alt, idx), budgets) for idx in _index_sets(alt, r)]
 
+    size = s.language.domain.size
     if len(members) == 1:
         conjoined = members[0]
     else:
@@ -729,8 +745,12 @@ def reduce_to_pi2(
             prefix.extend((EXISTS, cmap[e]) for e in member.existentials())
             matrix.extend(a.rename(cmap) for a in member.matrix)
         conjoined = QuantifiedSentence(tuple(prefix), tuple(matrix), s.language)
+        check_wellformed(conjoined)
+    if conjoined.universal_count() <= size:
+        _check_count_budgets(conjoined, budgets)
+        return conjoined
     out = reduce_universal_count(conjoined, budgets)
-    if out.universal_count() > s.language.domain.size:
+    if out.universal_count() > size:
         raise QcspError("universal-count reduction exceeded the domain size")
     return out
 

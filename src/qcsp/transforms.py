@@ -444,6 +444,22 @@ def _partitions(k: int, m: int) -> Iterator[tuple[int, ...]]:
     yield from extend((), 0)
 
 
+def _check_count_budgets(s: QuantifiedSentence, budgets: Budgets) -> None:
+    """The budget checks of :func:`reduce_universal_count` on a
+    forall*exists* sentence as given: S(n, min(n, |A|)) copies for its n
+    universals, vacuous ones included, then the atoms and prefix variables
+    of that many copies; none when n = 0.  A caller that skips the
+    reduction runs them too, so both refuse the same inputs alike."""
+    n_univ = s.universal_count()
+    if n_univ:
+        what = "universal-count reduction"
+        shared = min(n_univ, s.language.domain.size)
+        copies = budgets.check_partitions(f"{what} copies", budgets.max_matrix_copies, n_univ, shared)
+        budgets.check_expansion(
+            what, copies * max(1, len(s.matrix)), prefix=shared + copies * len(s.existentials())
+        )
+
+
 def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) -> QuantifiedSentence:
     """Conjoin one renamed copy per partition of the k universals into
     m = min(k, |A|) blocks, leaving a forall*exists* sentence with m <= |A|
@@ -467,31 +483,28 @@ def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUD
     Prefix variables that occur in no atom are dropped first, so k counts
     only occurring universals and only occurring existentials are copied; with
     none of the universals occurring, the input comes back without its
-    vacuous variables.  The budgets are checked against the input as given:
+    vacuous variables (the input itself when it has none).  The budgets are
+    checked against the input as given (:func:`_check_count_budgets`):
     S(n, min(n, |A|)) copies for its n universals, which is at least S(k, m).
-    The input is checked well-formed first.
+    The input is checked well-formed first, and the output after.
     """
     check_wellformed(s)
     if not s.is_pi2():
         raise ValueError("input must be in forall*exists* form")
-    size = s.language.domain.size
-    n_univ = s.universal_count()
-    if n_univ:
-        what = "universal-count reduction"
-        shared = min(n_univ, size)
-        copies = budgets.check_partitions(f"{what} copies", budgets.max_matrix_copies, n_univ, shared)
-        budgets.check_expansion(
-            what, copies * max(1, len(s.matrix)), prefix=shared + copies * len(s.existentials())
-        )
+    _check_count_budgets(s, budgets)
 
     kept = _occurring_prefix(s)
     uvars = [v for q, v in kept if q == FORALL]
     evars = [v for q, v in kept if q == EXISTS]
     k = len(uvars)
     if k == 0:
-        return QuantifiedSentence(tuple(kept), s.matrix, s.language)
+        if len(kept) == len(s.prefix):
+            return s
+        out = QuantifiedSentence(tuple(kept), s.matrix, s.language)
+        check_wellformed(out)
+        return out
 
-    m = min(k, size)
+    m = min(k, s.language.domain.size)
     zs = [f"z$u{i}" for i in range(1, m + 1)]
     prefix: list[tuple[str, str]] = [(FORALL, z) for z in zs]
     matrix: list[Atom] = []

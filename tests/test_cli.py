@@ -200,6 +200,25 @@ def test_malformed_json_sentence_exit_two(tmp_path, capsys, doc, index):
     assert index in capsys.readouterr().err
 
 
+def test_transform_json_payload_is_refused_whole_as_an_instance(files, tmp_path, capsys):
+    # the payload holds the instance under "sentence"; read whole, it would be
+    # the empty instance, true, where the sentence is false
+    lang, _, false_s = files
+    assert run_cli(["transform", "--language", lang, "--sentence", false_s,
+                    "--transform", "eliminate-universals", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    derived = tmp_path / "derived.json"
+    derived.write_text(json.dumps(payload["language"]))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(payload))
+    assert run_cli(["solve", "--language", derived, "--instance", inst]) == 2
+    err = capsys.readouterr().err
+    # the payload's keys are sorted, so its first unknown key is 'language'
+    assert err.startswith("error: sentence JSON: unknown key 'language'")
+    inst.write_text(json.dumps(payload["sentence"]))
+    assert run_cli(["solve", "--language", derived, "--instance", inst]) == 1
+
+
 def test_missing_file_exit_two(tmp_path, capsys):
     code = run_cli(["solve", "--language", tmp_path / "nope.txt",
                     "--sentence", tmp_path / "nope2.txt"])

@@ -215,10 +215,30 @@ def test_json_mirror_errors():
         {"domain": 2, "relations": [{"relation": "R", "arity": 1, "rows": 0}]},
         {"domain": 2, "relations": [{"relation": "R", "arity": 1, "rows": {"0": 1}}]},
         {"domain": 2, "relations": [{"relation": "R\n", "arity": 1, "rows": []}]},
+        # a key outside the format, which would read as a missing list
+        {"domain": 2, "relation": [{"relation": "R", "arity": 1, "rows": [[0]]}]},
+        {"domain": 2, "relations": [], "language": {}},
+        {"domain": 2, "relations": [{"relation": "R", "arity": 1, "row": [[0]]}]},
     ],
 )
 def test_language_from_dict_rejects_malformed(doc):
     with pytest.raises(ParseError):
+        language_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"domain": 2, "relation": []}, "language JSON: unknown key 'relation'"),
+        ({"domain": 2, "relations": [], "language": {}}, "language JSON: unknown key 'language'"),
+        (
+            {"domain": 2, "relations": [{"relation": "R", "arity": 1, "rows": [[0]]}, {"relation": "S", "row": []}]},
+            "relations entry 1: unknown key 'row'",
+        ),
+    ],
+)
+def test_language_from_dict_names_an_unknown_key(doc, message):
+    with pytest.raises(ParseError, match=f"^{message}; expected one of "):
         language_from_dict(doc)
 
 
@@ -243,6 +263,8 @@ def test_language_from_dict_rejects_malformed(doc):
         ({"prefix": [["forall", "x"]], "constraints": [["NOT", "x", "z"]]}, "constraints entry 0"),
         ({"prefix": [["forall", "x"]], "constraints": [["NOPE", "x"]]}, "constraints entry 0"),
         ({"prefix": [["forall", "x"]], "constraints": [[]]}, "constraints entry 0"),
+        ({"prefix": [["exists", "x"]], "constraint": [["NOT", "x", "x"]]}, "unknown key 'constraint'"),
+        ({"sentence": {"prefix": [], "constraints": []}}, "unknown key 'sentence'"),
     ],
 )
 def test_sentence_from_dict_rejects_malformed(doc, where):

@@ -47,6 +47,7 @@ from helpers import (
     FALSE0,
     LT3,
     NOT,
+    ONE_IN_THREE,
     ORNAND,
     TRUE0,
     XOR0,
@@ -1011,6 +1012,124 @@ def test_pi2_reduction_hoists_a_sentence_with_at_most_r_universals_itself(size, 
         vacuous += len(positions) < len(s.universals())
         padded += 2 * alt.n > len(s.prefix)
     assert checked > 300 and vacuous > 40 and padded > 100
+
+
+def _ladder(lang, depth):
+    prefix = [(q, f"{v}{i}") for i in range(1, depth + 1) for q, v in (("exists", "y"), ("forall", "x"))]
+    return sent(lang, prefix, [Atom("XOR0", (f"y{i}", f"x{i}", f"y{i + 1}")) for i in range(1, depth)])
+
+
+def test_pi2_reduction_count_reduces_only_above_the_domain_size(mixed_lang, monkeypatch):
+    reduced = []
+
+    def counting_reduce(s, budgets=Budgets()):
+        reduced.append(s.universal_count())
+        return reduce_universal_count(s, budgets)
+
+    monkeypatch.setattr(solvers, "reduce_universal_count", counting_reduce)
+    # conjoined sentences of at most |A| = 2 universals come back as built:
+    # hoisted names, or the ladder's z$s1, z$s2 over two members at r = 1
+    skipped = {
+        "no universal": (sent(mixed_lang, [("exists", "y"), ("exists", "w")], [Atom("NOT", ("y", "w"))]), "y"),
+        "pi2 form": (sent(mixed_lang, [("forall", "x"), ("exists", "y")], [Atom("NOT", ("x", "y"))]), "x"),
+        "one hoist": (
+            sent(mixed_lang, [("exists", "y"), ("forall", "x"), ("exists", "w")], [Atom("XOR0", ("y", "x", "w"))]),
+            "x$1",
+        ),
+        "two members": (
+            sent(
+                mixed_lang,
+                [("forall", "x1"), ("forall", "x2"), ("exists", "y")],
+                [Atom("NOT", ("x1", "y")), Atom("XOR0", ("x1", "x2", "y"))],
+            ),
+            "z$s1",
+        ),
+    }
+    for name, (s, first) in skipped.items():
+        for r in range(4):
+            out = reduce_to_pi2(s, r, override=True)
+            assert reduced == [] and out.universal_count() <= 2, (name, r)
+            assert not [v for v in out.prefix_variables() if v.startswith("z$u")], (name, r)
+        assert reduce_to_pi2(s, 1, override=True).prefix[0][1] == first, name
+    # the depth-3 XOR0 ladder hoists to 6 universals at r = 2, and is reduced
+    out = reduce_to_pi2(_ladder(mixed_lang, 3), 2, override=True)
+    assert reduced == [6]
+    assert (out.universals(), len(out.matrix)) == (["z$u1", "z$u2"], 744)
+
+
+@pytest.mark.parametrize("seed", [211, 223])
+def test_pi2_reduction_without_count_reduction_is_exact(seed):
+    # the output's sizes are those of its own count reduction, which renames
+    # at most |A| universals bijectively, and where the witness holds its
+    # pi2 and (|A| = 2) power-CSP verdicts are the oracle's; most outputs
+    # with a universal keep their hoisted names
+    rnd = random.Random(seed)
+    fixed = [
+        ConstraintLanguage.of(2, XOR0, NOT, TRUE0, FALSE0),
+        ConstraintLanguage.of(2, ONE_IN_THREE),
+        ConstraintLanguage.of(3, LT3, CYCLE3, TRUE0),
+    ]
+    checked, witnessed, unwitnessed, powered, hoisted = 0, 0, 0, 0, 0
+    for draw in range(90):
+        if draw % 3:
+            size = rnd.choice((2, 3))
+            lang = random_language(rnd, size, (1, 2, 3) if size == 2 else (1, 2), 6)
+        else:
+            lang = fixed[draw // 3 % 3]
+        if draw % 2 and "T0" in lang.relations:
+            s = messy_sentence(rnd, lang, max_vars=7 - lang.domain.size)
+        else:
+            s = random_sentence(rnd, lang, max_vars=7 - lang.domain.size, max_atoms=3)
+        truth = oracle_qcsp(s).truth
+        # a witness at bound b gates every r >= b
+        arity = 3 if lang.domain.size == 2 else 2
+        bound = next((b for b in range(4) if switchability_witness(lang, b, max_arity=arity).verdict == "witnessed"), 4)
+        for r in range(4):
+            try:
+                out = reduce_to_pi2(s, r, override=True)
+            except BudgetError:
+                continue
+            again = reduce_universal_count(out)
+            assert (len(out.prefix), len(out.matrix), out.universal_count()) == (
+                len(again.prefix), len(again.matrix), again.universal_count()
+            ), (s, r)
+            hoisted += out.universal_count() > 0 and not out.universals()[0].startswith("z$u")
+            checked += 1
+            if r < bound:
+                unwitnessed += 1
+                continue
+            witnessed += 1
+            assert pi2_truth(out) == truth, (s, r)
+            if lang.domain.size == 2:
+                assert solve_csp(qcsp_to_power_csp(out)).truth == truth, (s, r)
+                powered += 1
+    assert checked > 300 and witnessed > 150 and unwitnessed > 80 and powered > 80 and hoisted > 100
+
+
+# A Π2 sentence of one universal that hoisting leaves as it is: 3 atoms, and
+# S(1, 1) = 1 copy over 1 + 2 prefix variables
+_COUNT_BUDGET_FAILURES = [
+    (Budgets(max_matrix_copies=0), "universal-count reduction copies: requires 1, budget allows 0"),
+    (Budgets(max_matrix_atoms=2), "universal-count reduction atoms: requires 3, budget allows 2"),
+    (Budgets(max_prefix_vars=2), "universal-count reduction prefix: requires 3, budget allows 2"),
+    (Budgets(max_bytes=191), r"universal-count reduction \(bytes\): requires 192, budget allows 191"),
+]
+
+
+@pytest.mark.parametrize("budgets, message", _COUNT_BUDGET_FAILURES)
+def test_pi2_reduction_keeps_the_count_reduction_budgets(mixed_lang, budgets, message):
+    atoms = [Atom("NOT", ("x", "y")), Atom("NOT", ("y", "w")), Atom("XOR0", ("x", "y", "w"))]
+    s = sent(mixed_lang, [("forall", "x"), ("exists", "y"), ("exists", "w")], atoms)
+    assert move_universals_left(s, budgets) == s
+    for r in range(4):
+        with pytest.raises(BudgetError, match=f"^{message}$"):
+            reduce_to_pi2(s, r, override=True, budgets=budgets)
+        with pytest.raises(BudgetError, match=f"^{message}$"):
+            reduce_universal_count(s, budgets)
+    # with no universal there is nothing to copy, and nothing is checked
+    closed = sent(mixed_lang, [("exists", "x"), ("exists", "y"), ("exists", "w")], atoms)
+    for r in range(4):
+        assert reduce_to_pi2(closed, r, override=True, budgets=budgets) == closed
 
 
 # pi2_truth decides each component shape once per call

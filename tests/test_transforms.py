@@ -29,8 +29,8 @@ from qcsp import (
     validate_sentence,
     zeta,
 )
-from qcsp import algebra
-from qcsp.model import decode_rank, encode_tuple
+from qcsp import algebra, transforms
+from qcsp.model import check_wellformed, decode_rank, encode_tuple
 from qcsp.solvers import pi2_truth, reduce_pgp_to_csp, reduce_to_pi2, truth_of
 from helpers import (
     CYCLE3,
@@ -377,6 +377,21 @@ def test_reduce_count_one_block_over_many_universals():
 def test_reduce_count_no_universals_unchanged(mixed_lang):
     s = sent(mixed_lang, [("exists", "y")], [Atom("NOT", ("y", "y"))])
     assert reduce_universal_count(s) == s
+
+
+def test_reduce_count_no_universals_returns_the_input_or_a_checked_copy(mixed_lang, monkeypatch):
+    # with no universal occurring, the input itself comes back when it has
+    # no vacuous variable; otherwise its copy without them is checked too
+    checked = []
+    monkeypatch.setattr(transforms, "check_wellformed", lambda s: checked.append(s) or check_wellformed(s))
+    s = sent(mixed_lang, [("exists", "y")], [Atom("NOT", ("y", "y"))])
+    assert reduce_universal_count(s) is s
+    assert checked == [s]
+    padded = sent(mixed_lang, [("forall", "x"), ("exists", "y"), ("exists", "w")], [Atom("NOT", ("y", "y"))])
+    checked.clear()
+    out = reduce_universal_count(padded)
+    assert out == s and out is not padded
+    assert [c is out for c in checked] == [False, True]
 
 
 def test_reduce_count_rejects_non_pi2(mixed_lang):
