@@ -39,7 +39,9 @@ from .transforms import (
     CanonicalFalse,
     CspInstance,
     _check_count_budgets,
-    _elimination_core,
+    _collapse_core,
+    _collapse_prefix,
+    _collapse_sentence,
     eliminate_universals,
     move_universals_left,
     normalize_alternating,
@@ -168,12 +170,11 @@ class _CompiledCsp:
         relations = language.relations
         self.masks: list[tuple[int, int]] = []
         self.atoms: list[tuple[tuple, int, tuple[int, ...]]] = []
-        self.scopes: list[set[int]] = []
         self.watch: list[list[int]] = [[] for _ in range(n)]
         # (relation, variable ids) -> tuples of each distinct atom, unary
         # ones included, for the final witness check
         self.checks: dict[tuple[str, tuple[int, ...]], frozenset] = {}
-        masks, compiled, scopes, watch, checks = self.masks, self.atoms, self.scopes, self.watch, self.checks
+        masks, compiled, watch, checks = self.masks, self.atoms, self.watch, self.checks
         for key in atoms:
             if key in checks:
                 continue
@@ -190,7 +191,6 @@ class _CompiledCsp:
             aid = len(compiled)
             for i in scope:
                 watch[i].append(aid)
-            scopes.append(scope)
             if len(scope) < len(idxs):
                 valid = rel.agreeing(tuple(map(idxs.index, idxs)))
             else:
@@ -200,19 +200,36 @@ class _CompiledCsp:
     def components(self, domains: list[int]) -> list[list[int]]:
         """Connected components of the variables with more than one value
         left, linked through shared atoms; each in name order, and the
-        components ordered by their first name."""
-        branching = [i for i in self.order if domains[i] & (domains[i] - 1)]
-        if not branching:
-            return []
-        parent = list(range(len(domains)))
-        for scope in self.scopes:
-            live = [i for i in scope if domains[i] & (domains[i] - 1)]
-            for a, b in zip(live, live[1:]):
-                parent[_find(parent, a)] = _find(parent, b)
-        groups: dict[int, list[int]] = {}
-        for i in branching:
-            groups.setdefault(_find(parent, i), []).append(i)
-        return list(groups.values())
+        components ordered by their first name.
+
+        One pass over the variables in name order: a branching variable not
+        yet labelled opens the next component, and a walk from it over the
+        atoms that watch each reached variable labels every branching
+        variable linked to it (a variable with one value left links nothing
+        and is labelled -1)."""
+        atoms, watch = self.atoms, self.watch
+        label: dict[int, int] = {}
+        groups: list[list[int]] = []
+        for i in self.order:
+            d = domains[i]
+            if not d & (d - 1):
+                continue
+            if i not in label:
+                c = label[i] = len(groups)
+                groups.append([])
+                stack = [i]
+                while stack:
+                    for aid in watch[stack.pop()]:
+                        for w in atoms[aid][2]:
+                            if w not in label:
+                                dw = domains[w]
+                                if dw & (dw - 1):
+                                    label[w] = c
+                                    stack.append(w)
+                                else:
+                                    label[w] = -1
+            groups[label[i]].append(i)
+        return groups
 
     def solve(self, domains: list[int]) -> tuple[bool, int]:
         """(truth, nodes) of :meth:`assignment`."""
@@ -505,32 +522,36 @@ def check_witness_gate(
     )
 
 
-def _occurring_positions(alt: AlternatingSentence) -> tuple[int, ...]:
-    """The alternation positions i whose universal x_i occurs in the matrix:
-    the only positions a collapse pattern keeps (see :func:`reduce_pgp_to_csp`)."""
-    occurring = alt.sentence.matrix_variables()
-    return tuple(i for i, x in enumerate(alt.x_vars(), start=1) if x in occurring)
-
-
-def _index_sets(alt: AlternatingSentence, r: int) -> tuple[tuple[int, ...], ...]:
+def _index_sets(s: QuantifiedSentence, r: int) -> tuple[tuple[int, ...], ...]:
     """The maximal collapse patterns: every choice of min(r, m) of the m
-    occurring positions, in lexicographic order, so ``((),)`` when m = 0.
-    Both reductions decide exactly these (see :func:`reduce_to_pi2`)."""
-    positions = _occurring_positions(alt)
+    alternation positions whose universal occurs in the matrix, the i of x_i
+    in ``normalize_alternating(s)``, read off ``s`` itself
+    (:func:`~qcsp.transforms._collapse_prefix`, which checks ``s`` as
+    normalizing it would); in lexicographic order, so ``((),)`` when m = 0.
+    Both reductions decide exactly these (see :func:`reduce_pgp_to_csp` for
+    why only occurring positions are kept, :func:`reduce_to_pi2` for why
+    only the maximal patterns)."""
+    positions = _collapse_prefix(s)[2]
     return tuple(combinations(positions, min(r, len(positions))))
 
 
 @dataclass(frozen=True)
 class BundleMember:
-    """One solved collapse pattern: its indices, its collapse and the verdict
-    of the collapse's eliminated instance.  The bundle solves that instance
-    without building it; :attr:`instance` builds it on first access, under
-    the bundle's ``budgets``."""
+    """One solved collapse pattern: its indices, the source sentence and the
+    verdict of the collapse's eliminated instance.  The bundle builds
+    neither the collapse nor its instance: :attr:`sentence` builds the
+    collapse, ``omega(normalize_alternating(source), indices)``, and
+    :attr:`instance` its elimination under the bundle's ``budgets``, each on
+    first access."""
 
     indices: tuple[int, ...]
-    sentence: QuantifiedSentence
+    source: QuantifiedSentence
     verdict: SolveVerdict
     budgets: Budgets = field(default=DEFAULT_BUDGETS, compare=False, repr=False)
+
+    @property
+    def sentence(self) -> QuantifiedSentence:
+        return cached_on(self, "sentence", lambda: omega(normalize_alternating(self.source), self.indices))
 
     @property
     def instance(self) -> CspInstance:
@@ -562,7 +583,7 @@ class ReductionBundle:
     conditional: bool
 
     def __post_init__(self):
-        if self.index_sets != _index_sets(normalize_alternating(self.source), self.r):
+        if self.index_sets != _index_sets(self.source, self.r):
             raise ValueError("index sets must be the maximal patterns over the occurring universals")
         truths = [m.verdict.truth for m in self.members]
         if tuple(m.indices for m in self.members) != self.index_sets[: len(self.members)]:
@@ -606,7 +627,7 @@ def reduce_pgp_to_csp(
     maximal collapse pattern: each keeps k = min(r, m) of the m universals
     occurring in the matrix (2k+1 universals each).
 
-    The patterns keep only occurring universals (:func:`_occurring_positions`)
+    The patterns keep only occurring universals (:func:`_index_sets`)
     because the padded patterns, which may keep any of the n universals, add
     nothing: the conjunction over the occurring patterns equals the
     conjunction over all padded patterns, witness or not.  Take a padded
@@ -640,25 +661,31 @@ def reduce_pgp_to_csp(
 
     Patterns are decided one at a time in index-set order, and the first
     unsatisfiable one decides the verdict; later ones are never built.  A
-    member is solved straight from the integer form of its elimination
-    (:func:`~qcsp.transforms._elimination_core`), so its
-    :class:`CspInstance` is built only when :attr:`BundleMember.instance` is
-    read; solving that instance gives the member's verdict.  Every pattern
-    has 2k+1 universals and the source's atoms, so the same elimination
-    budgets; the first member's elimination checks them before it builds
-    anything, so a budget error is raised before any member is solved,
-    whatever their verdicts.  ``conditional`` is the witness gate's flag
-    (:func:`check_witness_gate`) on a true verdict, and False on a false
-    one.
+    member is solved straight from the integer form of its collapse's
+    elimination, read off the sentence itself in one pass
+    (:func:`~qcsp.transforms._collapse_core`): neither the padded
+    alternation form nor the collapse is built, and the names and atoms are
+    those of ``_elimination_core(omega(normalize_alternating(s), I))``, so
+    the verdict, the witness and the node count are too.  The collapse is
+    built only when :attr:`BundleMember.sentence` is read, and its
+    :class:`CspInstance` only when :attr:`BundleMember.instance` is; solving
+    that instance gives the member's verdict.  Every pattern has 2k+1
+    universals and the source's atoms, so the same elimination budgets; the
+    first member checks them before it builds anything, so a budget error
+    is raised before any member is solved, whatever their verdicts.  A
+    refusal is raised as building the collapses would raise it: a malformed
+    sentence, or one whose padding dummies would take one of its names,
+    before any member; a z$oj a collapse shares with a name of the sentence
+    at that member, before its budgets; copy names that clash after them.
+    ``conditional`` is the witness gate's flag (:func:`check_witness_gate`)
+    on a true verdict, and False on a false one.
     """
     conditional = check_witness_gate(witness, r, override)
-    alt = normalize_alternating(s)
-    sets = _index_sets(alt, r)
+    sets = _index_sets(s, r)
     members: list[BundleMember] = []
     for idx in sets:
-        w = omega(alt, idx)
-        verdict = _solve_ids(*_elimination_core(w, budgets))
-        members.append(BundleMember(idx, w, verdict, budgets))
+        verdict = _solve_ids(*_collapse_core(s, idx, budgets))
+        members.append(BundleMember(idx, s, verdict, budgets))
         if not verdict.truth:
             break
     combined = members[-1].verdict.truth
@@ -691,6 +718,15 @@ def reduce_to_pi2(
     is in :func:`reduce_pgp_to_csp`), and so by a maximal one.  So the
     conjunction is the same over the maximal occurring patterns as over every
     padded pattern of at most r kept universals, witness or not.
+
+    Each collapse is built straight from the sentence in one pass, without
+    the padded alternation form (:func:`~qcsp.transforms._collapse_sentence`):
+    it is ``omega(normalize_alternating(s), I)`` without its vacuous
+    variables.  :func:`move_universals_left` drops every vacuous variable
+    before its first hoist and before any budget check, so each hoisted
+    member, and each check, is the same as hoisting ``omega``'s collapse;
+    a z$oj that a collapse shares with a name of the sentence raises at
+    that member, before its hoist, as ``omega`` raises it.
 
     When m <= r the only pattern keeps every occurring universal, so its
     collapse is the sentence itself up to vacuous variables: ``omega`` folds
@@ -725,8 +761,7 @@ def reduce_to_pi2(
     if sum(1 for q, v in s.prefix if q == FORALL and v in occurring) <= r:
         members = [move_universals_left(s, budgets)]
     else:
-        alt = normalize_alternating(s)
-        members = [move_universals_left(omega(alt, idx), budgets) for idx in _index_sets(alt, r)]
+        members = [move_universals_left(_collapse_sentence(s, idx), budgets) for idx in _index_sets(s, r)]
 
     size = s.language.domain.size
     if len(members) == 1:

@@ -5,7 +5,9 @@ The pipeline pieces here rewrite prefixes while preserving truth value:
 * :func:`normalize_alternating` pads a prefix into strict exists/forall
   alternation with unconstrained dummy variables.
 * :func:`omega` collapses runs of universal variables between chosen
-  positions into shared leading universals z$o0, z$o1, ...
+  positions into shared leading universals z$o0, z$o1, ...  The reductions
+  read the same collapse off the unpadded sentence in closed form
+  (:func:`_fold`), without building either.
 * :func:`eliminate_universals` expands universals into constant-tagged
   copies, yielding a plain CSP over the language with constants.
 * :func:`move_universals_left` hoists universals over the existential block
@@ -29,7 +31,11 @@ kept once.  Elimination and full expansion read their copies off one table
 (:func:`_copy_table`), built in closed form in one pass over integer ids:
 with k the number of occurring universals at or before a variable, the
 variable gets |A|^k copies, and an atom gets |A|^K copies, K being the k of
-its last variable.
+its last variable.  The reductions read a collapse's table off the sentence
+itself (:func:`_collapse_core`): the collapse's occurring prefix, the
+sentence's matrix and the renaming that folds its universals go to the same
+code (:func:`_copy_rows`), which gives the same names and atoms as the
+elimination of :func:`omega`'s collapse of the padded sentence.
 
 Every transform returns freshly named variables marked with "$" so the output
 never collides with user input, and every output is checked well-formed.
@@ -58,6 +64,7 @@ from .model import (
     encode_tuple,
     gamma_star,
     invariant_report,
+    validate_sentence,
 )
 
 GAMMA_PREFIX = "gamma$"
@@ -205,6 +212,89 @@ def omega(alt: AlternatingSentence, indices: tuple[int, ...]) -> QuantifiedSente
     return out
 
 
+def _collapse_prefix(s: QuantifiedSentence):
+    """What every collapse of ``s`` is read from, in one walk of a prefix:
+    the sentence walked, its occurring prefix as (quantifier, variable, p),
+    p being a universal's alternation position (the i of x_i in
+    ``normalize_alternating(s)``) and 0 for an existential, the occurring
+    positions, and whether a prefix variable is named z$o..., so that a
+    collapse's z$oj may collide with it.  A universal takes the next
+    position, and so does the dummy universal that padding puts between two
+    existentials.
+
+    The sentence walked is ``s`` when it is well-formed and no prefix
+    variable looks like a padding dummy (y$d..., x$d...): the padding then
+    adds fresh names that occur in no atom, and changes neither the check
+    nor the collapses.  Any other input is normalized, which raises what
+    normalizing raises, and its padded form is walked.  Kept on the sentence
+    (see :func:`cached_on`).
+    """
+
+    def build():
+        base = s
+        if not validate_sentence(s).ok or any(v.startswith(("y$d", "x$d")) for _, v in s.prefix):
+            base = normalize_alternating(s).sentence
+        occurring = base.matrix_variables()
+        entries: list[tuple[str, str, int]] = []
+        position = 0
+        last = FORALL
+        for q, v in base.prefix:
+            if q == FORALL or last == EXISTS:
+                position += 1
+            last = q
+            if v in occurring:
+                entries.append((q, v, position if q == FORALL else 0))
+        positions = tuple(p for _, _, p in entries if p)
+        taken = any(v.startswith("z$o") for _, v in base.prefix)
+        return base, entries, positions, taken
+
+    return cached_on(s, "collapse_prefix", build)
+
+
+def _fold(s: QuantifiedSentence, indices: tuple[int, ...]) -> tuple[list[tuple[str, str]], dict[str, str]]:
+    """``omega(normalize_alternating(s), indices)`` in closed form, for
+    increasing occurring positions ``indices``: its occurring prefix, and the
+    renaming of the folded universals that takes the matrix of ``s`` to its
+    matrix.  No padding is built: a dummy occurs in no atom.
+
+    Each occurring universal at a position p outside ``indices`` folds into
+    z$oj, j being the number of kept positions below p.  The occurring
+    prefix is the z$oj that some universal folds into, in order, then the
+    occurring prefix of ``s`` without the folded universals.  When ``s``
+    quantifies a z$o... name, the collapse's full prefix is checked first,
+    as ``omega`` checks it, and a z$oj it shares with a name of ``s`` raises
+    the same error.
+    """
+    base, entries, _, taken = _collapse_prefix(s)
+    k = len(indices)
+    zs = [f"z$o{j}" for j in range(k + 1)]
+    if taken:
+        kept = set(indices)
+        position = {v: p for _, v, p in entries}
+        full = [(FORALL, z) for z in zs]
+        full.extend((q, v) for q, v in base.prefix if q == EXISTS or position.get(v) in kept)
+        invariant_report(full, (), s.language).require("sentence")
+    fold: dict[str, str] = {}
+    tail: list[tuple[str, str]] = []
+    j = 0
+    for q, v, p in entries:
+        if p:
+            while j < k and indices[j] < p:
+                j += 1
+            if j == k or indices[j] != p:
+                fold[v] = zs[j]
+                continue
+        tail.append((q, v))
+    return [(FORALL, z) for z in dict.fromkeys(fold.values())] + tail, fold
+
+
+def _collapse_sentence(s: QuantifiedSentence, indices: tuple[int, ...]) -> QuantifiedSentence:
+    """``omega(normalize_alternating(s), indices)`` without its vacuous
+    variables (see :func:`_fold`)."""
+    prefix, fold = _fold(s, indices)
+    return QuantifiedSentence(tuple(prefix), tuple(a.rename(fold) for a in s.matrix), s.language)
+
+
 # ---------------------------------------------------------------------------
 # vacuous quantifiers
 
@@ -253,8 +343,13 @@ def _copy_table(s: QuantifiedSentence) -> tuple[list[str], list[range], list[tup
     well-formed first; the names are not checked for being distinct.
     """
     check_wellformed(s)
-    size = s.language.domain.size
+    return _copy_rows(_occurring_prefix(s), s.matrix, s.language.domain.size)
 
+
+def _copy_rows(prefix, matrix, size: int, renaming: dict[str, str] | None = None):
+    """:func:`_copy_table` of the sentence with occurring ``prefix`` and the
+    matrix ``matrix`` renamed by ``renaming``; the renaming is read, not
+    applied, and each renamed variable takes the copies of its image."""
     # each occurring variable in prefix order, with its k (the occurring
     # universals at or before it) and the ids of its |A|^k copies v$c_k...$c_1
     # in digit order, the first universal's value most significant
@@ -264,18 +359,24 @@ def _copy_table(s: QuantifiedSentence) -> tuple[list[str], list[range], list[tup
     universals: list[str] = []
     suffixes = [""]
     tags = [f"${c}" for c in range(1, size + 1)]
-    for q, v in _occurring_prefix(s):
+    for q, v in prefix:
         if q == FORALL:
             universals.append(v)
             suffixes = [tag + suffix for suffix in suffixes for tag in tags]
         level[v] = len(universals)
         copies[v] = range(len(names), len(names) + len(suffixes))
         names.extend([v + suffix for suffix in suffixes])
+    universal_ids = [copies[u] for u in universals]
+    if renaming:
+        # read every image before any is written: a renamed variable may
+        # share its name with another one's image
+        level.update({u: level[z] for u, z in renaming.items()})
+        copies.update({u: copies[z] for u, z in renaming.items()})
 
     # each atom in matrix order, its copies in digit order: copy r of an atom
     # of level K takes copy r // |A|^(K - k) of a variable of level k
     atoms: list[tuple[str, tuple[int, ...]]] = []
-    for atom in s.matrix:
+    for atom in matrix:
         k = max((level[v] for v in atom.args), default=0)
         columns = []
         for v in atom.args:
@@ -283,7 +384,34 @@ def _copy_table(s: QuantifiedSentence) -> tuple[list[str], list[range], list[tup
             columns.append(copies[v] if repeat == 1 else [i for i in copies[v] for _ in range(repeat)])
         rows = zip(*columns) if columns else [()]
         atoms.extend([(atom.relation, ids) for ids in rows])
-    return names, [copies[u] for u in universals], atoms
+    return names, universal_ids, atoms
+
+
+def _check_elimination_budgets(s: QuantifiedSentence, universals: int, budgets: Budgets) -> None:
+    """Universal elimination's checks for ``universals`` universals over the
+    matrix of ``s``: |A|^universals copies, then that many times one more
+    atom than the matrix holds."""
+    what = "universal elimination"
+    n_copies = budgets.check_power(
+        f"{what} copies", budgets.max_matrix_copies, s.language.domain.size, universals
+    )
+    budgets.check_expansion(what, (len(s.matrix) + 1) * n_copies)
+
+
+def _pinned(base: ConstraintLanguage, names, universal_ids, atoms):
+    """A copy table (see :func:`_copy_table`) as an eliminated CSP: the
+    language with constants, the names, checked distinct, and the atoms
+    followed by each universal's pins."""
+    language = gamma_star(base)
+    if len(set(names)) < len(names):
+        invariant_report([(EXISTS, v) for v in names], (), language).require("instance")
+    # each universal's pins, one per copy in digit order: const_c for the
+    # copy's last digit c, the universal's own value
+    size = base.domain.size
+    consts = [const_name(c) for c in range(size)]
+    for ids in universal_ids:
+        atoms.extend([(consts[r % size], (i,)) for r, i in enumerate(ids)])
+    return language, names, atoms
 
 
 def _elimination_core(
@@ -300,20 +428,22 @@ def _elimination_core(
     listing what is wrong with it, so a solver may compile the atoms without
     building the instance that would check them.
     """
-    size = s.language.domain.size
-    what = "universal elimination"
-    n_copies = budgets.check_power(f"{what} copies", budgets.max_matrix_copies, size, s.universal_count())
-    budgets.check_expansion(what, (len(s.matrix) + 1) * n_copies)
-    names, universal_ids, atoms = _copy_table(s)
-    language = gamma_star(s.language)
-    if len(set(names)) < len(names):
-        invariant_report([(EXISTS, v) for v in names], (), language).require("instance")
-    # then each universal's pins, one per copy in digit order: const_c for
-    # the copy's last digit c, the universal's own value
-    consts = [const_name(c) for c in range(size)]
-    for ids in universal_ids:
-        atoms.extend([(consts[r % size], (i,)) for r, i in enumerate(ids)])
-    return language, names, atoms
+    _check_elimination_budgets(s, s.universal_count(), budgets)
+    return _pinned(s.language, *_copy_table(s))
+
+
+def _collapse_core(
+    s: QuantifiedSentence, indices: tuple[int, ...], budgets: Budgets = DEFAULT_BUDGETS
+) -> tuple[ConstraintLanguage, list[str], list[tuple[str, tuple[int, ...]]]]:
+    """``_elimination_core(omega(normalize_alternating(s), indices))``, with
+    the same names, atoms, checks and messages, read off ``s`` in one pass
+    (see :func:`_fold`): neither the padding nor the collapse is built.  The
+    collapse has 2k+1 universals for k kept positions and the matrix of
+    ``s``, so the budgets are checked on those figures, after the collapse's
+    own check and before anything is built."""
+    prefix, fold = _fold(s, indices)
+    _check_elimination_budgets(s, 2 * len(indices) + 1, budgets)
+    return _pinned(s.language, *_copy_rows(prefix, s.matrix, s.language.domain.size, fold))
 
 
 def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) -> CspInstance:
@@ -362,11 +492,15 @@ def move_universals_left(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
     rewrite terminating.  The universal count compounds per nesting level.
     Prefix variables that occur in no atom are dropped before the first
     hoist, so none of them is copied; each hoist checks the budgets against
-    what it builds.  The input is checked well-formed first.
+    what it builds.  The input is checked well-formed first, and an input
+    already in forall*exists* form with no vacuous variable is returned
+    itself.
     """
     check_wellformed(s)
     size = s.language.domain.size
     prefix = _occurring_prefix(s)
+    if len(prefix) == len(s.prefix) and s.is_pi2():
+        return s
     matrix = list(s.matrix)
     while True:
         boundary = None
@@ -607,17 +741,8 @@ class PowerLanguage(ConstraintLanguage):
     power: int
 
 
-def build_power_language(base: ConstraintLanguage, budgets: Budgets = DEFAULT_BUDGETS) -> PowerLanguage:
-    """The language over A^(|A|**|A|): every base relation powered, plus one
-    unary singleton per lexicographic column of width |A|.
-
-    Built once per language object and kept on it, so later calls return the
-    same object, powered relations and their support tables included.  Every
-    call first runs the checks of a build, in the same order: the power
-    domain, the name and power size of each relation, the column length.  A
-    call with tighter budgets raises what a first call would, and a build
-    that fails is not kept.
-    """
+def _check_power_language(base: ConstraintLanguage, budgets: Budgets) -> None:
+    """The checks of a power-language build, in build order."""
     size = base.domain.size
     budgets.check_power("power domain", budgets.max_power_domain, size, (size, size))
     k = size**size  # at most the power domain's bit length
@@ -627,6 +752,27 @@ def build_power_language(base: ConstraintLanguage, budgets: Budgets = DEFAULT_BU
         if rel.tuples:
             budgets.check_power("power relation tuples", budgets.max_power_tuples, len(rel.tuples), k)
     budgets.check_power("lexicographic column length", budgets.max_power_domain, size, size)
+
+
+def build_power_language(base: ConstraintLanguage, budgets: Budgets = DEFAULT_BUDGETS) -> PowerLanguage:
+    """The language over A^(|A|**|A|): every base relation powered, plus one
+    unary singleton per lexicographic column of width |A|.
+
+    Built once per language object and kept on it, so later calls return the
+    same object, powered relations and their support tables included.  A
+    call first runs the checks of a build, in the same order: the power
+    domain, the name and power size of each relation, the column length.
+    The budgets that passed them are kept on the language too, and a call
+    with budgets kept there runs none: the checks read only the language and
+    the budgets, both frozen.  A call with tighter budgets raises what a
+    first call would, and a build that fails is not kept.
+    """
+    passed = cached_on(base, "power_budgets", set)
+    if budgets not in passed:
+        _check_power_language(base, budgets)
+        passed.add(budgets)
+    size = base.domain.size
+    k = size**size  # at most the power domain's bit length
 
     def build() -> PowerLanguage:
         rels = {rel.name: power_relation(rel, k, base.domain, budgets) for rel in base.sorted_relations()}

@@ -31,7 +31,7 @@ from qcsp import (
     solve_csp,
     switchability_witness,
 )
-from qcsp import solvers
+from qcsp import solvers, transforms
 from qcsp.algebra import lift_operation, table_from_function
 from qcsp.model import const_name, gamma_star
 from qcsp.solvers import BundleMember, pi2_truth
@@ -317,6 +317,46 @@ def test_compiled_csp_differential():
     assert hashlib.sha256(repr(results).encode()).hexdigest() == _COMPILED_DIGEST
 
 
+def _components_by_union_find(model, domains):
+    """Components of the branching variables, linked through the atoms'
+    branching variables, by a union-find: each in name order, ordered by
+    first name."""
+    parent = list(range(len(domains)))
+    for _, _, idxs in model.atoms:
+        live = [i for i in idxs if domains[i] & (domains[i] - 1)]
+        for a, b in zip(live, live[1:]):
+            parent[solvers._find(parent, a)] = solvers._find(parent, b)
+    groups = {}
+    for i in model.order:
+        if domains[i] & (domains[i] - 1):
+            groups.setdefault(solvers._find(parent, i), []).append(i)
+    return list(groups.values())
+
+
+def test_components_match_a_union_find():
+    # the walk over the watch lists gives the union-find's components, in
+    # the same order, on random models and random start domains
+    rnd = random.Random(2027)
+    several = empty = 0
+    for _ in range(400):
+        size = rnd.choice((2, 3))
+        lang = random_language(rnd, size, (1, 2, 3), max_tuples=2 * size + 1, max_relations=3)
+        rels = sorted(lang.relations)
+        names = [f"v{rnd.randrange(100):02d}" for _ in range(rnd.randint(1, 14))]
+        names = list(dict.fromkeys(names))
+        atoms = []
+        for _ in range(rnd.randint(1, 9)):
+            rel = rnd.choice(rels)
+            atoms.append(Atom(rel, tuple(rnd.choice(names) for _ in range(lang.relations[rel].arity))))
+        model = solvers._CompiledCsp(lang, names, solvers._atom_ids(names, atoms))
+        domains = [rnd.randrange(1, 1 << size) for _ in names]
+        got = model.components(domains)
+        assert got == _components_by_union_find(model, domains), (names, atoms, domains)
+        several += len(got) > 1
+        empty += not got
+    assert several > 50 and empty > 10
+
+
 @st.composite
 def dom3_instances(draw):
     rows = draw(st.sets(st.tuples(*[st.integers(0, 2)] * 3), max_size=12))
@@ -385,13 +425,16 @@ def _padded_sets(n, r):
 
 
 def _members(s, index_sets):
-    """The given collapse patterns of ``s``, each built and solved."""
+    """The given collapse patterns of ``s``, each built, solved and listed
+    with its source."""
     alt = normalize_alternating(s)
-    out = []
-    for idx in index_sets:
-        w = omega(alt, idx)
-        out.append(BundleMember(idx, w, solve_csp(eliminate_universals(w))))
-    return out
+    return [BundleMember(idx, s, solve_csp(eliminate_universals(omega(alt, idx)))) for idx in index_sets]
+
+
+def _occurring_positions(alt):
+    """The positions i whose universal x_i occurs in the matrix."""
+    occurring = alt.sentence.matrix_variables()
+    return tuple(i for i, x in enumerate(alt.x_vars(), start=1) if x in occurring)
 
 
 def _eager_members(s, r):
@@ -584,7 +627,7 @@ def test_occurring_patterns_decide_as_every_padded_pattern(size, seed):
             if len(gates) == 2:
                 assert want == oracle_qcsp(s).truth, (lang, s.prefix, s.matrix, r)
             # a vacuous position between the first and the last occurring one
-            positions = solvers._occurring_positions(alt)
+            positions = _occurring_positions(alt)
             cuts += bool(positions) and positions[-1] - positions[0] >= len(positions)
             padded += alt.n > s.universal_count()
             truths.add(want)
@@ -616,7 +659,7 @@ def test_maximal_patterns_decide_as_every_padded_pattern(size, seed):
             for gate in gates:
                 bundle = reduce_pgp_to_csp(s, r, **gate)
                 assert bundle.combined == want, (lang, s.prefix, s.matrix, r)
-                keep = min(r, len(solvers._occurring_positions(alt)))
+                keep = min(r, len(_occurring_positions(alt)))
                 assert all(len(idx) == keep for idx in bundle.index_sets)
                 for member in bundle.members:
                     assert solve_csp(member.instance) == member.verdict
@@ -625,7 +668,7 @@ def test_maximal_patterns_decide_as_every_padded_pattern(size, seed):
             several += len(bundle.index_sets) > 1
             stopped += len(bundle.members) < len(bundle.index_sets)
             repeats += any(len(set(a.args)) < len(a.args) for a in s.matrix)
-            vacuous += alt.n > len(solvers._occurring_positions(alt))
+            vacuous += alt.n > len(_occurring_positions(alt))
             truths.add(want)
     assert witnessed and several > 10 and stopped and repeats > 20 and vacuous > 20
     assert truths == {True, False}
@@ -763,6 +806,176 @@ def test_bundle_members_match_their_instances():
                 members += 1
                 witnessed += bool(verdict.witness)
     assert members > 250 and witnessed > 30
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except (ValueError, QcspError) as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("size, seed", [(2, 151), (3, 157)])
+def test_collapse_table_is_the_elimination_of_omega(size, seed):
+    # the closed-form collapse read off the sentence, for every maximal
+    # pattern at r = 0..3, equals the elimination of omega's collapse of the
+    # padded sentence, names and atoms in order; and hoisting the collapse
+    # built without padding equals hoisting omega's, refusals included
+    lang = ConstraintLanguage.of(size, *((XOR0, NOT) if size == 2 else (LT3, CYCLE3)), TRUE0, FALSE0)
+    rnd = random.Random(seed)
+    tables = hoisted = folded = vacuous = repeats = 0
+    for draw in range(120):
+        if draw % 2:
+            s = messy_sentence(rnd, lang, max_vars=6 if size == 2 else 5)
+        else:
+            s = random_sentence(rnd, lang, max_vars=6 if size == 2 else 5, max_atoms=3)
+        alt = normalize_alternating(s)
+        positions = _occurring_positions(alt)
+        for r in range(4):
+            sets = solvers._index_sets(s, r)
+            assert sets == tuple(combinations(positions, min(r, len(positions)))), (s, r)
+            for idx in sets:
+                w = omega(alt, idx)
+                assert transforms._collapse_core(s, idx) == transforms._elimination_core(w), (s, idx)
+                tables += 1
+                folded += len(idx) < len(positions)
+                if len(positions) > r:
+                    mine = _outcome(lambda: move_universals_left(transforms._collapse_sentence(s, idx)))
+                    assert mine == _outcome(lambda: move_universals_left(w)), (s, idx)
+                    hoisted += 1
+        vacuous += len(positions) < len(s.universals())
+        repeats += any(len(set(a.args)) < len(a.args) for a in s.matrix)
+    assert tables > 300 and hoisted > 100 and folded > 100 and vacuous > 20 and repeats > 20
+
+
+def _members_by_omega(s, r, budgets):
+    """The (indices, verdict) of each member the bundle decides, and the
+    hoisted members of the pi2 route, built from the padded form by
+    ``omega``: the bundle's refusals and their order are this reference's."""
+    alt = normalize_alternating(s)
+    positions = _occurring_positions(alt)
+    sets = list(combinations(positions, min(r, len(positions))))
+    members = []
+    for idx in sets:
+        members.append((idx, solvers._solve_ids(*transforms._elimination_core(omega(alt, idx), budgets))))
+        if not members[-1][1].truth:
+            break
+    return members, [move_universals_left(omega(alt, idx), budgets) for idx in sets]
+
+
+_COLLIDING = ["z$o0", "z$o1", "y$d1", "y$d2", "x$d1", "x$d2", "a$1", "z$o0$1"]
+
+
+@pytest.mark.parametrize("size, seed", [(2, 163), (3, 167)])
+def test_collapse_table_refuses_as_omega_does(size, seed):
+    # sentences built through the API with names the padding, a collapse or
+    # a copy takes, some malformed (a name quantified twice, or an atom over
+    # an unquantified one): the bundle's members and the pi2 route's hoisted
+    # collapses, or what they raise, are those built from omega's collapses
+    lang = ConstraintLanguage.of(size, *((XOR0, NOT) if size == 2 else (LT3, CYCLE3)), TRUE0, FALSE0)
+    rnd = random.Random(seed)
+    refused, decided = [], 0
+    for _ in range(300):
+        names = ["a", "b", "c", "d"] + _COLLIDING
+        prefix = [(rnd.choice(["forall", "exists"]), rnd.choice(names)) for _ in range(rnd.randint(0, 6))]
+        if rnd.random() < 0.8:  # mostly each name once
+            firsts = {}
+            for q, v in prefix:
+                firsts.setdefault(v, q)
+            prefix = [(q, v) for v, q in firsts.items()]
+        pool = [v for _, v in prefix] if prefix and rnd.random() < 0.9 else names
+        atoms = []
+        for _ in range(rnd.randint(0, 3)):
+            rel = rnd.choice(sorted(lang.relations))
+            atoms.append(Atom(rel, tuple(rnd.choice(pool) for _ in range(lang.relations[rel].arity))))
+        s = QuantifiedSentence(tuple(prefix), tuple(atoms), lang)
+        r = rnd.randint(0, 3)
+        budgets = rnd.choice([Budgets(), Budgets(max_matrix_copies=8), Budgets(max_matrix_atoms=12)])
+
+        def by_table():
+            bundle = reduce_pgp_to_csp(s, r, override=True, budgets=budgets)
+            hoisted = [move_universals_left(transforms._collapse_sentence(s, idx), budgets)
+                       for idx in solvers._index_sets(s, r)]
+            return [(m.indices, m.verdict) for m in bundle.members], hoisted
+
+        want = _outcome(lambda: _members_by_omega(s, r, budgets))
+        assert _outcome(by_table) == want, (s, r, budgets)
+        if isinstance(want[0], str):
+            refused.append(want[1])
+        else:
+            decided += 1
+    assert decided > 100
+    for taken in ("z$o", "y$d", "x$d", "universal elimination"):
+        assert sum(taken in message for message in refused) > 3, taken
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_reductions_build_neither_the_padding_nor_omega(xor0_lang, r, monkeypatch):
+    # a depth-3 ladder with a vacuous universal and a repeated variable: the
+    # bundle and the pi2 route read every collapse off the sentence itself
+    prefix = [(q, f"{v}{i}") for i in range(1, 4) for q, v in (("exists", "y"), ("forall", "x"))]
+    matrix = [Atom("XOR0", ("y1", "x1", "y2")), Atom("XOR0", ("y2", "x3", "x3")), Atom("XOR0", ("x1", "y3", "y3"))]
+    s = sent(xor0_lang, prefix, matrix)
+    want_bundle = reduce_pgp_to_csp(s, r, override=True)
+    want_pi2 = reduce_to_pi2(s, r, override=True)
+    s = sent(xor0_lang, prefix, matrix)  # nothing kept on the sentence
+    collapsed, normalized, omegas = _count_collapses(monkeypatch)
+    bundle = reduce_pgp_to_csp(s, r, override=True)
+    pi2 = reduce_to_pi2(s, r, override=True)
+    assert normalized == omegas == []
+    assert collapsed == (list(bundle.index_sets) if r < 2 else [])
+    monkeypatch.undo()
+    assert bundle == want_bundle and pi2 == want_pi2
+    assert bundle.combined == pi2_truth(pi2) == oracle_qcsp(s).truth
+    # a member's collapse is built on first read, and is omega's
+    member = bundle.members[0]
+    assert "sentence" not in member.__dict__
+    assert member.sentence == omega(normalize_alternating(s), member.indices)
+    assert member.source is s
+
+
+@pytest.mark.parametrize(
+    "prefix, matrix, r, message",
+    [
+        # at r = 1 the first pattern keeps a at position 1 beside z$o0, z$o1;
+        # at r = 0 the user's z$o1 is existential and collides with nothing
+        ([("forall", "a"), ("exists", "z$o1"), ("forall", "b"), ("exists", "c")],
+         [("XOR0", "a", "z$o1", "b"), ("NOT", "b", "c")], 1,
+         "malformed sentence: variable z$o1 quantified twice"),
+        # padding puts a dummy y$d1 in front of the first universal
+        ([("forall", "x"), ("exists", "y$d1")], [("NOT", "x", "y$d1")], 0,
+         "malformed sentence: variable y$d1 quantified twice"),
+        # a$1 is also the name of the first copy of a
+        ([("exists", "a$1"), ("forall", "a")], [("NOT", "a$1", "a")], 1,
+         "malformed instance: variable a$1 quantified twice"),
+    ],
+    ids=["z$o1", "y$d1", "a$1"],
+)
+def test_reductions_refuse_colliding_names_as_the_collapse_does(mixed_lang, prefix, matrix, r, message):
+    # a sentence built through the API may already hold a name that the
+    # padding, a collapse or a copy takes: each reduction raises what
+    # building the padded form and the collapses raised.  The padding's and
+    # the collapse's names are checked before any budget, so under a budget
+    # too tight for the member too, and by the pi2 route as well; the
+    # copies' names are checked by the bundle after its budgets
+    s = sent(mixed_lang, prefix, [Atom(rel, tuple(args)) for rel, *args in matrix])
+    tight = Budgets(max_matrix_copies=2, max_matrix_atoms=3)
+    with pytest.raises(ValueError) as err:
+        reduce_pgp_to_csp(s, r, override=True)
+    assert str(err.value) == message
+    if message.startswith("malformed instance"):
+        with pytest.raises(BudgetError, match="universal elimination copies"):
+            reduce_pgp_to_csp(s, r, override=True, budgets=tight)
+        alt = normalize_alternating(s)
+        with pytest.raises(ValueError) as err:
+            eliminate_universals(omega(alt, solvers._index_sets(s, r)[0]))
+        assert str(err.value) == message
+        return
+    for reduce in (reduce_pgp_to_csp, reduce_to_pi2):
+        with pytest.raises(ValueError) as err:
+            reduce(s, r, override=True, budgets=tight)
+        assert str(err.value) == message
 
 
 @pytest.mark.parametrize("size, seed", [(2, 107), (3, 109)])
@@ -932,18 +1145,30 @@ def test_pi2_reduction_is_the_conjunction_over_every_pattern(r):
     assert shallow > 0 or r < 2
 
 
+def _count_collapses(monkeypatch):
+    """Record the patterns ``reduce_to_pi2`` collapses, and every call of
+    ``normalize_alternating`` and ``omega`` from either module."""
+    collapsed, normalized, omegas = [], [], []
+    real_collapse = solvers._collapse_sentence
+
+    def counting_collapse(s, indices):
+        collapsed.append(tuple(indices))
+        return real_collapse(s, indices)
+
+    monkeypatch.setattr(solvers, "_collapse_sentence", counting_collapse)
+    for module in (solvers, transforms):
+        monkeypatch.setattr(module, "normalize_alternating", lambda s: normalized.append(s) or normalize_alternating(s))
+        monkeypatch.setattr(module, "omega", lambda alt, idx: omegas.append(idx) or omega(alt, idx))
+    return collapsed, normalized, omegas
+
+
 def test_pi2_reduction_collapses_at_the_maximal_patterns_only(xor0_lang, xor0_witness, monkeypatch):
     prefix = [(q, f"{v}{i}") for i in range(1, 4) for q, v in (("exists", "y"), ("forall", "x"))]
     s = sent(xor0_lang, prefix, [Atom("XOR0", ("x1", "y2", "x3")), Atom("XOR0", ("y1", "x2", "y3"))])
-    collapsed = []
-
-    def counting_omega(alt, indices):
-        collapsed.append(tuple(indices))
-        return omega(alt, indices)
-
-    monkeypatch.setattr(solvers, "omega", counting_omega)
+    collapsed, normalized, omegas = _count_collapses(monkeypatch)
     out = reduce_to_pi2(s, 2, witness=xor0_witness)
     assert collapsed == [(1, 2), (1, 3), (2, 3)]
+    assert normalized == omegas == []
     monkeypatch.undo()
     assert pi2_truth(out) == oracle_qcsp(s).truth
 
@@ -952,24 +1177,12 @@ def test_pi2_reduction_collapses_only_more_occurring_universals_than_r(xor0_lang
     # x1 and x3 occur and x2 is vacuous, so m = 2
     prefix = [(q, f"{v}{i}") for i in range(1, 4) for q, v in (("exists", "y"), ("forall", "x"))]
     s = sent(xor0_lang, prefix, [Atom("XOR0", ("x1", "y2", "x3")), Atom("XOR0", ("y1", "y3", "y3"))])
-    normalized, collapsed = [], []
-
-    def counting_normalize(s):
-        normalized.append(s)
-        return normalize_alternating(s)
-
-    def counting_omega(alt, indices):
-        collapsed.append(tuple(indices))
-        return omega(alt, indices)
-
-    monkeypatch.setattr(solvers, "normalize_alternating", counting_normalize)
-    monkeypatch.setattr(solvers, "omega", counting_omega)
+    collapsed, normalized, omegas = _count_collapses(monkeypatch)
     outs = {}
     for r, patterns in [(3, []), (2, []), (1, [(1,), (3,)]), (0, [()])]:
         outs[r] = reduce_to_pi2(s, r, override=True)
         assert collapsed == patterns, r
-        assert normalized == ([s] if patterns else []), r
-        normalized.clear()
+        assert normalized == omegas == [], r
         collapsed.clear()
     monkeypatch.undo()
 

@@ -289,6 +289,22 @@ def test_move_left_identity_on_pi2(mixed_lang):
     assert move_universals_left(s) == s
 
 
+def test_move_left_returns_an_input_it_does_not_change(mixed_lang):
+    # no hoist and no vacuous variable: the input itself, as the count
+    # reduction returns it; a vacuous variable is still dropped into a copy
+    s = sent(mixed_lang, [("forall", "x"), ("exists", "y")], [Atom("NOT", ("x", "y"))])
+    assert move_universals_left(s) is s
+    exists_only = sent(mixed_lang, [("exists", "y")], [Atom("NOT", ("y", "y"))])
+    assert move_universals_left(exists_only) is exists_only
+    vacuous = sent(mixed_lang, [("forall", "x"), ("forall", "v"), ("exists", "y")], [Atom("NOT", ("x", "y"))])
+    out = move_universals_left(vacuous)
+    assert out is not vacuous and out == s
+    # the input is still checked first
+    twice = sent(mixed_lang, [("forall", "x"), ("exists", "x")], [Atom("NOT", ("x", "x"))])
+    with pytest.raises(ValueError, match="variable x quantified twice"):
+        move_universals_left(twice)
+
+
 def test_move_left_truth_random(mixed_lang, dom3_lang):
     rnd = random.Random(23)
     for lang, rounds in ((mixed_lang, 150), (dom3_lang, 80)):
@@ -742,6 +758,30 @@ def test_power_language_checks_budgets_on_every_call(rels, budgets):
     failed = _unbuilt(lang)
     assert _raised(lambda: build_power_language(failed, budgets)) == cold
     assert build_power_language(failed) == warm
+
+
+def test_power_language_runs_the_checks_once_per_budgets_value(monkeypatch):
+    # the budgets that passed are kept on the language: an equal value runs
+    # no check again, and tighter ones after looser ones raise what a first
+    # build raises, and are not kept
+    lang = ConstraintLanguage.of(2, XOR0, NOT)
+    loose, tight = Budgets(max_power_tuples=1 << 20), Budgets(max_power_tuples=255)
+    cold = _raised(lambda: build_power_language(_unbuilt(lang), tight))
+    warm = build_power_language(lang, loose)
+    checked = []
+    real = Budgets.check_power
+    monkeypatch.setattr(Budgets, "check_power", lambda self, what, *a: checked.append(what) or real(self, what, *a))
+    assert build_power_language(lang, loose) is warm
+    assert build_power_language(lang, Budgets(max_power_tuples=1 << 20)) is warm
+    assert checked == []
+    for _ in range(2):
+        assert _raised(lambda: build_power_language(lang, tight)) == cold
+    # NOT's 2**4 power tuples fit, XOR0's 4**4 do not
+    assert checked == ["power domain", "power relation tuples", "power relation tuples"] * 2
+    checked.clear()
+    assert build_power_language(lang) is warm
+    assert build_power_language(lang) is warm
+    assert checked == ["power domain", "power relation tuples", "power relation tuples", "lexicographic column length"]
 
 
 def test_power_language_name_check_runs_on_every_call():
