@@ -14,17 +14,20 @@ verdicts are checked against the conjunction over every padded collapse
 pattern of at most r kept universals, vacuous ones included, each built and
 solved.  The bundle's pattern list is checked against the maximal patterns
 computed here from the universals that occur in the matrix.  The bundle
-solves its members without building their instances; each solved member is
-also checked against ``solve_csp`` of its instance, built on access, and a
-member whose truth, witness or node count differs makes its sentence a
-disagreement.
+decides its members without building their instances: a member is refuted
+from its atoms when one of them has no tuple under some values of its
+universals, and solved otherwise.  Each member is also checked against
+``solve_csp`` of its instance, built on access, and a member whose truth,
+witness or node count differs makes its sentence a disagreement; a refuted
+member's instance must be false at 0 nodes.
 
 Each language is given a switchability witness at the bound r ({XOR0} up to
 arity 3, {LT, CYC} up to arity 2).  Where the witness holds, the verdicts are
 also checked against the oracle; where it does not, the reductions run under
 the override and only the checks above, which hold over any language, are
 made.  The sentences are drawn by the tests' generator in
-``tests/helpers.py``.  Prints one summary line per language and exits
+``tests/helpers.py``.  Prints one summary line per language, then how many
+members were refuted from their atoms and how many were solved, and exits
 nonzero on any disagreement.
 """
 
@@ -50,6 +53,8 @@ from qcsp import (
     solve_csp,
     switchability_witness,
 )
+from qcsp.solvers import _refuted_from_atoms
+from qcsp.transforms import _fold
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from helpers import CYCLE3, LT3, XOR0, random_sentence  # noqa: E402
@@ -96,7 +101,7 @@ def sweep(lang, witness_args, args, rnd) -> int:
     print(f"{{{names}}} over {lang.domain.size} elements, witness at bound {args.r}: {witness.verdict}"
           + ("" if witnessed else " (override; no oracle check)") + power_note)
     start = time.time()
-    agree = true_count = solved = instances = refused = power_refused = 0
+    agree = true_count = solved = refuted = instances = refused = power_refused = 0
     for i in range(args.count):
         s = random_sentence(rnd, lang, args.max_vars, args.max_atoms)
         bundle = reduce_pgp_to_csp(s, args.r, **gate)
@@ -115,10 +120,16 @@ def sweep(lang, witness_args, args, rnd) -> int:
             except BudgetError:
                 power_refused += 1
         truth = oracle_qcsp(s).truth if witnessed else padded
-        solved += len(bundle.members)
         instances += len(bundle.index_sets)
         true_count += padded
-        mismatched = [m.indices for m in bundle.members if solve_csp(m.instance) != m.verdict]
+        mismatched = []
+        for m in bundle.members:
+            verdict = solve_csp(m.instance)
+            atoms_refute = _refuted_from_atoms(s, *_fold(s, m.indices))
+            if verdict != m.verdict or atoms_refute and (verdict.truth or verdict.stats["nodes"]):
+                mismatched.append(m.indices)
+            refuted += atoms_refute
+            solved += not atoms_refute
         patterns = maximal_patterns(s, args.r)
         if truth == bundle.combined == pi2 == power == padded and not mismatched and bundle.index_sets == patterns:
             agree += 1
@@ -138,6 +149,7 @@ def sweep(lang, witness_args, args, rnd) -> int:
         f"{true_count} true, {solved} solved of {instances} CSP instances, "
         f"{elapsed:.1f}s"
     )
+    print(f"  {refuted} more refuted from their atoms, each false at 0 nodes when its instance is solved")
     if refused:
         print(f"  pi2 refused by a budget on {refused} sentences, left unchecked there")
     if power_refused:

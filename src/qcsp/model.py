@@ -104,6 +104,26 @@ class Relation:
             )
         return masks[firsts]
 
+    def covers(self, shape: tuple[int, ...], size: int) -> bool:
+        """Whether every assignment of an atom's universals over 0..size-1
+        leaves the atom a tuple.  ``shape[p]`` is the first position of the
+        variable at position p, bitwise negated (``~``) when that variable is
+        universal; only the tuples that agree on a repeated variable's
+        positions count, as in :meth:`agreeing`.  Built once per ``shape``
+        and ``size`` and kept on the relation."""
+        known = cached_on(self, "covers_shapes", dict)
+        key = (shape, size)
+        if key not in known:
+            firsts = [f if f >= 0 else ~f for f in shape]
+            universal = sorted({~f for f in shape if f < 0})
+            rows = {
+                tuple(t[p] for p in universal)
+                for t in self.tuples
+                if all(t[p] == t[f] for p, f in enumerate(firsts))
+            }
+            known[key] = len(rows) == size ** len(universal)
+        return known[key]
+
     def __len__(self) -> int:
         return len(self.tuples)
 
@@ -283,6 +303,15 @@ def validate_sentence(sentence: QuantifiedSentence) -> ValidationReport:
     """
     build = lambda: invariant_report(sentence.prefix, sentence.matrix, sentence.language)
     return cached_on(sentence, "validation_report", build)
+
+
+def known_wellformed(sentence: QuantifiedSentence) -> QuantifiedSentence:
+    """``sentence``, with an ok report kept on it as :func:`validate_sentence`
+    keeps one, so that no later check walks it.  Only for a caller that has
+    itself checked every invariant :func:`invariant_report` checks, as the
+    parser does."""
+    cached_on(sentence, "validation_report", lambda: _NO_ISSUES)
+    return sentence
 
 
 def invariant_report(prefix, matrix, lang: ConstraintLanguage) -> ValidationReport:

@@ -39,6 +39,7 @@ from .model import (
     QuantifiedSentence,
     Relation,
     RESERVED_MARK,
+    known_wellformed,
 )
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")  # relation and variable names
@@ -193,7 +194,10 @@ class _SentenceReader:
         self.atoms.append(Atom(name, tuple(args)))
 
     def sentence(self) -> QuantifiedSentence:
-        return QuantifiedSentence(tuple(self.prefix), tuple(self.atoms), self.lang)
+        """The sentence read, which passed every check of
+        :func:`~qcsp.model.invariant_report` on the way in, so it keeps an ok
+        report and is not checked again."""
+        return known_wellformed(QuantifiedSentence(tuple(self.prefix), tuple(self.atoms), self.lang))
 
 
 def parse_sentence(

@@ -31,17 +31,22 @@ from .model import (
     Atom,
     ConstraintLanguage,
     QuantifiedSentence,
+    RESERVED_MARK,
     cached_on,
     check_wellformed,
+    gamma_star,
 )
 from .transforms import (
     AlternatingSentence,
     CanonicalFalse,
     CspInstance,
     _check_count_budgets,
-    _collapse_core,
+    _check_elimination_budgets,
     _collapse_prefix,
     _collapse_sentence,
+    _copy_rows,
+    _fold,
+    _pinned,
     eliminate_universals,
     move_universals_left,
     normalize_alternating,
@@ -535,6 +540,24 @@ def _index_sets(s: QuantifiedSentence, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(positions, min(r, len(positions))))
 
 
+def _refuted_from_atoms(s: QuantifiedSentence, prefix, fold) -> bool:
+    """Whether some atom of the collapse with occurring ``prefix`` and
+    renaming ``fold`` (see :func:`~qcsp.transforms._fold`) has no tuple
+    under some values of its universals (:meth:`Relation.covers`), its
+    arguments read through the fold.  Every such assignment is the pinned
+    universals of one copy of the atom in the collapse's elimination, so
+    that elimination has no solution."""
+    universals = {v for q, v in prefix if q == FORALL}
+    relations = s.language.relations
+    size = s.language.domain.size
+    for atom in s.matrix:
+        args = [fold.get(v, v) for v in atom.args]
+        shape = tuple([~args.index(v) if v in universals else args.index(v) for v in args])
+        if not relations[atom.relation].covers(shape, size):
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class BundleMember:
     """One solved collapse pattern: its indices, the source sentence and the
@@ -661,30 +684,53 @@ def reduce_pgp_to_csp(
 
     Patterns are decided one at a time in index-set order, and the first
     unsatisfiable one decides the verdict; later ones are never built.  A
-    member is solved straight from the integer form of its collapse's
-    elimination, read off the sentence itself in one pass
-    (:func:`~qcsp.transforms._collapse_core`): neither the padded
+    member is decided from the integer form of its collapse's elimination,
+    read off the sentence itself in one pass, as
+    :func:`~qcsp.transforms._collapse_core` reads it: neither the padded
     alternation form nor the collapse is built, and the names and atoms are
     those of ``_elimination_core(omega(normalize_alternating(s), I))``, so
-    the verdict, the witness and the node count are too.  The collapse is
-    built only when :attr:`BundleMember.sentence` is read, and its
-    :class:`CspInstance` only when :attr:`BundleMember.instance` is; solving
-    that instance gives the member's verdict.  Every pattern has 2k+1
-    universals and the source's atoms, so the same elimination budgets; the
-    first member checks them before it builds anything, so a budget error
-    is raised before any member is solved, whatever their verdicts.  A
-    refusal is raised as building the collapses would raise it: a malformed
-    sentence, or one whose padding dummies would take one of its names,
-    before any member; a z$oj a collapse shares with a name of the sentence
-    at that member, before its budgets; copy names that clash after them.
+    the verdict, the witness and the node count are too.
+
+    Each member's fold is computed once.  After the fold's name check, the
+    budgets and the constant-name check of :func:`gamma_star`, every atom is
+    read through the fold (:func:`_refuted_from_atoms`): if some values of
+    its universals leave it no tuple, the member is false with 0 nodes and
+    no witness, and neither its copy table nor its CSP is built.  That is
+    the verdict solving it gives: the elimination holds that atom's copy
+    with those universals pinned, which has no valid tuple, so the solver
+    fails on its start masks (a unary atom) or on its first propagation,
+    before any node.  Copy names can clash only when a prefix name holds
+    "$", so such a sentence's members are always built, and raise as
+    building them raises.
+
+    The collapse is built only when :attr:`BundleMember.sentence` is read,
+    and its :class:`CspInstance` only when :attr:`BundleMember.instance` is;
+    solving that instance gives the member's verdict.  Every pattern has
+    2k+1 universals and the source's atoms, so the same elimination budgets;
+    the first member checks them before it builds anything, so a budget
+    error is raised before any member is decided, whatever their verdicts.
+    A refusal is raised as building the collapses would raise it: a
+    malformed sentence, or one whose padding dummies would take one of its
+    names, before any member; a z$oj a collapse shares with a name of the
+    sentence at that member, before its budgets; a constant name the
+    language holds for a non-constant relation after them; copy names that
+    clash last.
     ``conditional`` is the witness gate's flag (:func:`check_witness_gate`)
     on a true verdict, and False on a false one.
     """
     conditional = check_witness_gate(witness, r, override)
     sets = _index_sets(s, r)
+    size = s.language.domain.size
+    reserved = any(RESERVED_MARK in v for _, v in s.prefix)
     members: list[BundleMember] = []
     for idx in sets:
-        verdict = _solve_ids(*_collapse_core(s, idx, budgets))
+        prefix, fold = _fold(s, idx)
+        _check_elimination_budgets(s, 2 * len(idx) + 1, budgets)
+        gamma_star(s.language)
+        if not reserved and _refuted_from_atoms(s, prefix, fold):
+            verdict = SolveVerdict(False, "csp", None, {"nodes": 0})
+        else:
+            verdict = _solve_ids(*_pinned(s.language, *_copy_rows(prefix, s.matrix, size, fold)))
         members.append(BundleMember(idx, s, verdict, budgets))
         if not verdict.truth:
             break

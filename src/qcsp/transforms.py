@@ -31,11 +31,12 @@ kept once.  Elimination and full expansion read their copies off one table
 (:func:`_copy_table`), built in closed form in one pass over integer ids:
 with k the number of occurring universals at or before a variable, the
 variable gets |A|^k copies, and an atom gets |A|^K copies, K being the k of
-its last variable.  The reductions read a collapse's table off the sentence
-itself (:func:`_collapse_core`): the collapse's occurring prefix, the
-sentence's matrix and the renaming that folds its universals go to the same
-code (:func:`_copy_rows`), which gives the same names and atoms as the
-elimination of :func:`omega`'s collapse of the padded sentence.
+its last variable.  The bundle reads a collapse's table off the sentence
+itself (:func:`_collapse_core`, whose steps it runs one by one so that a
+member refuted from its atoms builds no table): the collapse's occurring
+prefix, the sentence's matrix and the renaming that folds its universals go
+to the same code (:func:`_copy_rows`), which gives the same names and atoms
+as the elimination of :func:`omega`'s collapse of the padded sentence.
 
 Every transform returns freshly named variables marked with "$" so the output
 never collides with user input, and every output is checked well-formed.
@@ -143,10 +144,16 @@ def normalize_alternating(s: QuantifiedSentence) -> AlternatingSentence:
     """Insert unconstrained dummies until the prefix strictly alternates
     exists/forall, starting with exists and ending with forall.
 
-    The normal form is kept on the sentence (see :func:`cached_on`), so a
-    later call on the same sentence returns the same object."""
+    An input whose matrix names a variable its prefix does not quantify is
+    refused before padding, with its own report: a dummy could otherwise
+    quantify that name.  The normal form is kept on the sentence (see
+    :func:`cached_on`), so a later call on the same sentence returns the same
+    object."""
 
     def build() -> AlternatingSentence:
+        report = validate_sentence(s)
+        if any(issue.kind == "unquantified-variable" for issue in report):
+            report.require("sentence")
         out: list[tuple[str, str]] = []
         counter = 1
         expect = EXISTS

@@ -386,3 +386,39 @@ def test_parse_sentence_raises_only_parse_error(text, allow_reserved):
     except ParseError:
         return
     assert parse_sentence(serialize_sentence(s), lang, allow_reserved=allow_reserved) == s
+
+
+def test_parsed_sentences_keep_an_ok_report(monkeypatch):
+    # the reader of both formats checks every invariant invariant_report
+    # checks, so each sentence it returns keeps an ok report and is not
+    # walked again; random documents over valid and invalid names,
+    # relations and arities either fail to parse or pass a fresh check
+    from qcsp import model
+
+    lang = lang_mixed2()
+    rnd = random.Random(191)
+    names = ["x", "y", "z", "x$1"]
+    parsed = refused = 0
+    for _ in range(400):
+        prefix = [[rnd.choice(["forall", "exists"]), rnd.choice(names)] for _ in range(rnd.randint(0, 4))]
+        constraints = [
+            [rnd.choice(["NOT", "XOR0", "NOPE"]), *(rnd.choice(names) for _ in range(rnd.randint(0, 3)))]
+            for _ in range(rnd.randint(0, 3))
+        ]
+        text = "".join(f"{q} {v}\n" for q, v in prefix) + "".join(f"constraint {' '.join(c)}\n" for c in constraints)
+        allow = rnd.random() < 0.5
+        for read in (
+            lambda: parse_sentence(text, lang, allow_reserved=allow),
+            lambda: sentence_from_dict({"prefix": prefix, "constraints": constraints}, lang, allow_reserved=allow),
+        ):
+            try:
+                s = read()
+            except ParseError:
+                refused += 1
+                continue
+            assert model.invariant_report(s.prefix, s.matrix, lang).ok
+            with monkeypatch.context() as patch:
+                patch.setattr(model, "invariant_report", lambda *a: pytest.fail("a parsed sentence was checked again"))
+                assert model.validate_sentence(s).ok
+            parsed += 1
+    assert parsed > 100 and refused > 100

@@ -718,7 +718,8 @@ def test_bundle_budget_error_precedes_first_false_member(xor0_lang, xor0_witness
     # every pattern is false, and the one maximal pattern (1, 2) keeps 5
     # universals, so 2^5 copies of 3 atoms: the budget error of that size is
     # raised, even where a smaller pattern would fit, and nothing is solved
-    # before it
+    # before it.  Within the budgets the member is refuted from its atoms
+    # (XOR0(x1, y1, y1) has no tuple at x1 = 1), so nothing is solved at all
     prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2"),
               ("exists", "y3"), ("forall", "x3")]
     matrix = [Atom("XOR0", ("x1", "y1", "y1")), Atom("XOR0", ("y2", "x2", "y3"))]
@@ -739,7 +740,7 @@ def test_bundle_budget_error_precedes_first_false_member(xor0_lang, xor0_witness
     assert calls == []
     bundle = reduce_pgp_to_csp(s, 2, witness=xor0_witness, budgets=Budgets(max_matrix_atoms=96))
     assert [(m.indices, m.verdict.truth) for m in bundle.members] == [((1, 2), False)]
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_bundle_invariants_are_checked(xor0_lang, xor0_witness):
@@ -976,6 +977,149 @@ def test_reductions_refuse_colliding_names_as_the_collapse_does(mixed_lang, pref
         with pytest.raises(ValueError) as err:
             reduce(s, r, override=True, budgets=tight)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "prefix, matrix, r",
+    [
+        # no universal occurs, so m = 0 <= r: the pi2 route hoists s itself
+        ([("exists", "y")], [("NOT", "y", "x$d1")], 1),
+        # padding would put a dummy y$d1 in front of x
+        ([("forall", "x")], [("NOT", "x", "y$d1")], 1),
+        # one occurring universal above r = 0: the pi2 route collapses
+        ([("forall", "x"), ("exists", "y")], [("NOT", "y", "x$d1"), ("NOT", "x", "y")], 0),
+    ],
+    ids=["m<=r", "y$d1", "m>r"],
+)
+def test_reductions_refuse_a_name_only_the_padding_quantifies(mixed_lang, prefix, matrix, r):
+    # a matrix variable that the prefix does not quantify is refused before
+    # the padding could quantify it: normalizing, the bundle and both pi2
+    # routes raise the report of the sentence as given
+    s = sent(mixed_lang, prefix, [Atom(rel, tuple(args)) for rel, *args in matrix])
+    name = next(v for a in s.matrix for v in a.args if "$" in v)
+    message = f"malformed sentence: atom 0: variable {name} not quantified"
+    for decide in (
+        normalize_alternating,
+        lambda s: reduce_pgp_to_csp(s, r, override=True),
+        lambda s: reduce_to_pi2(s, r, override=True),
+    ):
+        with pytest.raises(ValueError) as err:
+            decide(s)
+        assert str(err.value) == message
+
+
+def _members_by_collapse_core(s, r):
+    """The (indices, verdict) of each member the bundle decides, each solved
+    from ``_collapse_core``, the table of its collapse's elimination."""
+    members = []
+    for idx in solvers._index_sets(s, r):
+        members.append((idx, solvers._solve_ids(*transforms._collapse_core(s, idx))))
+        if not members[-1][1].truth:
+            break
+    return members
+
+
+def _reserved_names(rnd, s):
+    """``s`` with its first variable renamed to a name holding "$", and at
+    times an occurring variable renamed to the first copy name of an
+    occurring universal."""
+    first = s.prefix[0][1]
+    mapping = {first: f"{first}$x"}
+    occurring = sorted(s.matrix_variables())
+    universals = [v for v in s.universals() if v in occurring]
+    if universals and len(occurring) > 1 and rnd.random() < 0.7:
+        a = rnd.choice(universals)
+        mapping[rnd.choice([v for v in occurring if v != a])] = mapping.get(a, a) + "$1"
+    return s.rename(mapping)
+
+
+@pytest.mark.parametrize("size, seed", [(2, 173), (3, 179)])
+def test_members_refuted_from_their_atoms_are_the_solved_collapses(size, seed):
+    # a member refuted from its atoms has the verdict that solving its
+    # collapse's elimination gives (false, 0 nodes, no witness), and every
+    # other member is solved from that table: over random and messy
+    # sentences with repeated variables, universals folded into one z$oj,
+    # nullary and const_a (the unary) atoms, and reserved names, at r = 0..3.
+    # Where the witness holds, the bundle's verdict is the oracle's; a false
+    # one is the oracle's everywhere
+    consts = [Relation(const_name(a), 1, frozenset({(a,)})) for a in range(size)]
+    lang = ConstraintLanguage.of(size, *((XOR0, NOT) if size == 2 else (LT3, CYCLE3)), *consts, TRUE0, FALSE0)
+    gates = []
+    for r in range(4):
+        witness = switchability_witness(lang, r, max_arity=3 if size == 2 else 2)
+        gates.append({"witness": witness} if witness.verdict == "witnessed" else {"override": True})
+    rnd = random.Random(seed)
+    seen = dict.fromkeys(
+        ["refuted", "solved", "folded", "nullary", "const", "reserved", "raised", "witnessed"], 0
+    )
+    for draw in range(160):
+        if draw % 2:
+            s = messy_sentence(rnd, lang, max_vars=6 if size == 2 else 5)
+        else:
+            s = random_sentence(rnd, lang, max_vars=6 if size == 2 else 5, max_atoms=3)
+        reserved = draw % 4 == 3
+        if reserved:
+            s = _reserved_names(rnd, s)
+        for r in range(4):
+            want = _outcome(lambda: _members_by_collapse_core(s, r))
+            got = _outcome(lambda: reduce_pgp_to_csp(s, r, **gates[r]))
+            if isinstance(want[0], str):
+                assert got == want, (s, r)
+                seen["raised"] += 1
+                continue
+            mine = [(m.indices, m.verdict) for m in got.members]
+            assert mine == want, (s, r)
+            for m, (_, verdict) in zip(got.members, want):
+                assert list((m.verdict.witness or {}).items()) == list((verdict.witness or {}).items())
+            if "witness" in gates[r] or not got.combined:
+                assert got.combined == oracle_qcsp(s).truth, (s, r)
+                seen["witnessed"] += "witness" in gates[r]
+            seen["reserved"] += reserved
+            for idx, verdict in want:
+                prefix, fold = transforms._fold(s, idx)
+                if reserved or not solvers._refuted_from_atoms(s, prefix, fold):
+                    seen["solved"] += 1
+                    continue
+                assert verdict == solvers.SolveVerdict(False, "csp", None, {"nodes": 0})
+                seen["refuted"] += 1
+                seen["folded"] += len(set(fold.values())) < len(fold)
+                seen["nullary"] += any(not a.args for a in s.matrix)
+                seen["const"] += any(a.relation.startswith("const_") for a in s.matrix)
+    assert min(seen.values()) > 5, seen
+    assert seen["refuted"] > 200 and seen["solved"] > 200 and seen["reserved"] > 100, seen
+
+
+def test_refuted_member_builds_no_copies_and_solves_nothing(xor0_lang, mixed_lang, monkeypatch):
+    # XOR0(x, y, y) has no tuple at x = 1, and NOT(x1, x2) none once r = 0
+    # folds x1 and x2 into z$o0: neither member builds its copy table or
+    # calls the solver.  XOR0(x, y, x) holds at y = 0 for each x, so that
+    # member is solved
+    refuted = [
+        (sent(xor0_lang, [("exists", "y"), ("forall", "x")], [Atom("XOR0", ("x", "y", "y"))]), 1),
+        (sent(mixed_lang, [("forall", "x1"), ("exists", "y"), ("forall", "x2")],
+              [Atom("NOT", ("x1", "x2")), Atom("XOR0", ("x1", "y", "x2"))]), 0),
+    ]
+    solved = sent(xor0_lang, [("exists", "y"), ("forall", "x")], [Atom("XOR0", ("x", "y", "x"))])
+    want = [reduce_pgp_to_csp(s, r, override=True) for s, r in refuted]
+    want_solved = reduce_pgp_to_csp(solved, 1, override=True)
+    rows, solves = [], []
+    real_rows, real_solve = solvers._copy_rows, solvers._solve_ids
+    monkeypatch.setattr(solvers, "_copy_rows", lambda *a: rows.append(a) or real_rows(*a))
+    monkeypatch.setattr(solvers, "_solve_ids", lambda *a: solves.append(a) or real_solve(*a))
+    for (s, r), bundle in zip(refuted, want):
+        assert reduce_pgp_to_csp(s, r, override=True) == bundle
+        assert [(m.indices, m.verdict) for m in bundle.members] == [
+            (bundle.index_sets[0], solvers.SolveVerdict(False, "csp", None, {"nodes": 0}))
+        ]
+    assert rows == solves == []
+    for (s, _), bundle in zip(refuted, want):
+        assert solve_csp(bundle.members[0].instance) == bundle.members[0].verdict
+        assert oracle_qcsp(s).truth is False
+    rows.clear()
+    solves.clear()
+    assert reduce_pgp_to_csp(solved, 1, override=True) == want_solved
+    assert want_solved.combined is oracle_qcsp(solved).truth is True
+    assert len(rows) == len(solves) == 1
 
 
 @pytest.mark.parametrize("size, seed", [(2, 107), (3, 109)])
