@@ -26,9 +26,15 @@ arity 3, {LT, CYC} up to arity 2).  Where the witness holds, the verdicts are
 also checked against the oracle; where it does not, the reductions run under
 the override and only the checks above, which hold over any language, are
 made.  The sentences are drawn by the tests' generator in
-``tests/helpers.py``.  Prints one summary line per language, then how many
-members were refuted from their atoms and how many were solved, and exits
-nonzero on any disagreement.
+``tests/helpers.py``.  Every fifth one is then given names that a sentence
+built through the API may hold and the padding or a collapse takes: one or
+two variables are renamed y$d1, x$d1, y$d2, x$d2 or z$o1, and a vacuous
+z$o0 joins the prefix.  Neither route builds the padding, so on such a
+sentence the bundle, ``pi2`` and ``power-csp`` must give one verdict (the
+oracle's where the witness holds) or raise the same refusal; a budget that
+refuses one route leaves it unchecked.  Prints one summary line per
+language, then how many members were refuted from their atoms and how many
+were solved, and exits nonzero on any disagreement.
 """
 
 import argparse
@@ -41,6 +47,8 @@ from pathlib import Path
 from qcsp import (
     BudgetError,
     ConstraintLanguage,
+    QcspError,
+    QuantifiedSentence,
     build_power_language,
     eliminate_universals,
     normalize_alternating,
@@ -86,6 +94,51 @@ def maximal_patterns(s, r):
     return tuple(combinations(positions, min(r, len(positions))))
 
 
+# a fifth of the sentences hold names the padding or a collapse takes
+TAKEN_SHARE = 5
+TAKEN_NAMES = ["y$d1", "x$d1", "y$d2", "x$d2", "z$o1"]
+
+
+def with_taken_names(rnd, s):
+    """``s`` with one or two variables renamed to names the padding or a
+    collapse takes, and a vacuous z$o0 put into its prefix."""
+    variables = [v for _, v in s.prefix]
+    picked = rnd.sample(variables, min(len(variables), rnd.randint(1, 2)))
+    s = s.rename(dict(zip(picked, rnd.sample(TAKEN_NAMES, len(picked)))))
+    prefix = list(s.prefix)
+    prefix.insert(rnd.randint(0, len(prefix)), (rnd.choice(["forall", "exists"]), "z$o0"))
+    return QuantifiedSentence(tuple(prefix), s.matrix, s.language)
+
+
+def outcome(decide):
+    """``decide()``, ``"refused"`` when a budget refuses it, or the message of
+    the refusal it raises."""
+    try:
+        return decide()
+    except BudgetError:
+        return "refused"
+    except (ValueError, QcspError) as err:
+        return f"raises {err}"
+
+
+def taken_names_agree(s, r, gate, truth, powered) -> tuple[bool, list]:
+    """Whether the bundle, pi2 and (when ``powered``) power-csp give one
+    verdict on ``s``, ``truth`` unless it is None, or raise one refusal; and
+    their outcomes."""
+    reduced = outcome(lambda: reduce_to_pi2(s, r, **gate))
+    routes = [outcome(lambda: reduce_pgp_to_csp(s, r, **gate).combined)]
+    if isinstance(reduced, QuantifiedSentence):
+        routes.append(outcome(lambda: pi2_truth(reduced)))
+        if powered:
+            routes.append(outcome(lambda: solve_csp(qcsp_to_power_csp(reduced)).truth))
+    else:
+        routes.append(reduced)
+    checked = {o for o in routes if o != "refused"}
+    if truth is not None and any(isinstance(o, bool) for o in checked):
+        checked.add(truth)
+    return len(checked) <= 1, routes
+
+
 def sweep(lang, witness_args, args, rnd) -> int:
     """Decide ``args.count`` sentences over ``lang``; print one summary line
     and return the number of disagreements."""
@@ -104,6 +157,16 @@ def sweep(lang, witness_args, args, rnd) -> int:
     agree = true_count = solved = refuted = instances = refused = power_refused = 0
     for i in range(args.count):
         s = random_sentence(rnd, lang, args.max_vars, args.max_atoms)
+        if i % TAKEN_SHARE == TAKEN_SHARE - 1:
+            s = with_taken_names(rnd, s)
+            fine, routes = taken_names_agree(s, args.r, gate, oracle_qcsp(s).truth if witnessed else None, powered)
+            agree += fine
+            true_count += routes[0] is True
+            if not fine:
+                print(f"DISAGREEMENT at sentence {i}: bundle, pi2, power-csp gave {routes}")
+                print("  prefix:", s.prefix)
+                print("  matrix:", s.matrix)
+            continue
         bundle = reduce_pgp_to_csp(s, args.r, **gate)
         padded = padded_conjunction(s, args.r)
         reduced = None

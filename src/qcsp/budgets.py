@@ -28,14 +28,14 @@ class Budgets:
     max_op_tables: int = 1 << 20      # candidate tables in one enumeration
     max_closure_points: int = 1 << 20  # tuples a closure may accumulate
     max_power_rank: int = 1 << 24      # |A|**n for closure membership bitsets
-    max_matrix_copies: int = 4096      # expansion copies in eliminate/zeta/reduce
-    max_matrix_atoms: int = 1 << 18    # total atoms a transformed matrix may hold
-    max_prefix_vars: int = 1 << 16     # total quantified variables after a transform
+    max_matrix_copies: int = 4096      # copies a transform makes of what it copies
+    max_matrix_atoms: int = 1 << 18    # atoms a transform builds, pins included
+    max_prefix_vars: int = 1 << 16     # variables a transform builds
     max_power_domain: int = 65536      # |A|**k for power domains
     max_power_tuples: int = 65536      # |R|**k for power relations
     max_game_tree: int = 1 << 22       # |A|**(prefix length) for the oracle
     max_preserve_cells: int = 1 << 27  # array cells in a preservation check
-    max_bytes: int = 1 << 28           # 64 B per atom of a transformed matrix
+    max_bytes: int = 1 << 28           # 64 B per atom a transform builds
 
     @classmethod
     def from_env(cls, **overrides) -> "Budgets":
@@ -86,8 +86,8 @@ class Budgets:
         """Check a matrix expansion, in this order: its ``atoms``, its
         ``prefix`` variables (skipped when None), and the atoms' bytes.  A
         failure is named ``"<what> atoms"``, ``"<what> prefix"`` or ``"<what>
-        (bytes)"``.  Callers check the expansion's copies of the matrix first,
-        with :meth:`check_power` as ``"<what> copies"``."""
+        (bytes)"``.  Callers count what they are about to build, and check its
+        copies first, as ``"<what> copies"``."""
         if atoms > self.max_matrix_atoms:
             raise BudgetError(f"{what} atoms", atoms, self.max_matrix_atoms)
         if prefix is not None and prefix > self.max_prefix_vars:

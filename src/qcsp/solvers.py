@@ -40,8 +40,6 @@ from .transforms import (
     AlternatingSentence,
     CanonicalFalse,
     CspInstance,
-    _check_count_budgets,
-    _check_elimination_budgets,
     _collapse_prefix,
     _collapse_sentence,
     _copy_rows,
@@ -531,13 +529,19 @@ def _index_sets(s: QuantifiedSentence, r: int) -> tuple[tuple[int, ...], ...]:
     """The maximal collapse patterns: every choice of min(r, m) of the m
     alternation positions whose universal occurs in the matrix, the i of x_i
     in ``normalize_alternating(s)``, read off ``s`` itself
-    (:func:`~qcsp.transforms._collapse_prefix`, which checks ``s`` as
-    normalizing it would); in lexicographic order, so ``((),)`` when m = 0.
+    (:func:`~qcsp.transforms._collapse_prefix`, which checks ``s``
+    well-formed); in lexicographic order, so ``((),)`` when m = 0.
     Both reductions decide exactly these (see :func:`reduce_pgp_to_csp` for
     why only occurring positions are kept, :func:`reduce_to_pi2` for why
-    only the maximal patterns)."""
-    positions = _collapse_prefix(s)[2]
-    return tuple(combinations(positions, min(r, len(positions))))
+    only the maximal patterns).  When ``s`` quantifies a z$o... name, every
+    pattern's collapse is checked first (:func:`~qcsp.transforms._fold`), so
+    both reductions refuse a z$oj that one of them shares before deciding
+    any, though the bundle may stop at a false member."""
+    _, positions, taken = _collapse_prefix(s)
+    sets = tuple(combinations(positions, min(r, len(positions))))
+    for idx in sets if taken else ():
+        _fold(s, idx)
+    return sets
 
 
 def _refuted_from_atoms(s: QuantifiedSentence, prefix, fold) -> bool:
@@ -565,7 +569,9 @@ class BundleMember:
     neither the collapse nor its instance: :attr:`sentence` builds the
     collapse, ``omega(normalize_alternating(source), indices)``, and
     :attr:`instance` its elimination under the bundle's ``budgets``, each on
-    first access."""
+    first access.  For a source holding a name the padding or ``omega``
+    takes (y$d1, a vacuous z$o1), which the bundle decides, :attr:`sentence`
+    raises what they raise."""
 
     indices: tuple[int, ...]
     source: QuantifiedSentence
@@ -648,7 +654,7 @@ def reduce_pgp_to_csp(
 ) -> ReductionBundle:
     """Solve the sentence as a conjunction of plain CSP instances, one per
     maximal collapse pattern: each keeps k = min(r, m) of the m universals
-    occurring in the matrix (2k+1 universals each).
+    occurring in the matrix (at most 2k+1 occurring universals each).
 
     The patterns keep only occurring universals (:func:`_index_sets`)
     because the padded patterns, which may keep any of the n universals, add
@@ -688,14 +694,16 @@ def reduce_pgp_to_csp(
     read off the sentence itself in one pass, as
     :func:`~qcsp.transforms._collapse_core` reads it: neither the padded
     alternation form nor the collapse is built, and the names and atoms are
-    those of ``_elimination_core(omega(normalize_alternating(s), I))``, so
-    the verdict, the witness and the node count are too.
+    those of ``_elimination_core(omega(normalize_alternating(s), I))``
+    wherever that builds, so the verdict, the witness and the node count
+    are too.
 
-    Each member's fold is computed once.  After the fold's name check, the
-    budgets and the constant-name check of :func:`gamma_star`, every atom is
-    read through the fold (:func:`_refuted_from_atoms`): if some values of
-    its universals leave it no tuple, the member is false with 0 nodes and
-    no witness, and neither its copy table nor its CSP is built.  That is
+    Each member's fold is computed once.  After the fold's name check and
+    the constant-name check of :func:`gamma_star`, every atom is read
+    through the fold (:func:`_refuted_from_atoms`): if some values of its
+    universals leave it no tuple, the member is false with 0 nodes and no
+    witness, neither its copy table nor its CSP is built, and no budget is
+    checked, since nothing is built.  That is
     the verdict solving it gives: the elimination holds that atom's copy
     with those universals pinned, which has no valid tuple, so the solver
     fails on its start masks (a unary atom) or on its first propagation,
@@ -705,16 +713,13 @@ def reduce_pgp_to_csp(
 
     The collapse is built only when :attr:`BundleMember.sentence` is read,
     and its :class:`CspInstance` only when :attr:`BundleMember.instance` is;
-    solving that instance gives the member's verdict.  Every pattern has
-    2k+1 universals and the source's atoms, so the same elimination budgets;
-    the first member checks them before it builds anything, so a budget
-    error is raised before any member is decided, whatever their verdicts.
-    A refusal is raised as building the collapses would raise it: a
-    malformed sentence, or one whose padding dummies would take one of its
-    names, before any member; a z$oj a collapse shares with a name of the
-    sentence at that member, before its budgets; a constant name the
-    language holds for a non-constant relation after them; copy names that
-    clash last.
+    solving that instance gives the member's verdict.  A solved member's
+    table checks the budgets on its own figures before it is built
+    (:func:`~qcsp.transforms._copy_rows`).  The refusals come in this order:
+    a malformed sentence, then a z$oj that some pattern's collapse shares
+    with an occurring name of the sentence (:func:`_index_sets`), before
+    any member; then, at a member, a constant name the language holds for a
+    non-constant relation, the table's budgets, and copy names that clash.
     ``conditional`` is the witness gate's flag (:func:`check_witness_gate`)
     on a true verdict, and False on a false one.
     """
@@ -725,12 +730,11 @@ def reduce_pgp_to_csp(
     members: list[BundleMember] = []
     for idx in sets:
         prefix, fold = _fold(s, idx)
-        _check_elimination_budgets(s, 2 * len(idx) + 1, budgets)
         gamma_star(s.language)
         if not reserved and _refuted_from_atoms(s, prefix, fold):
             verdict = SolveVerdict(False, "csp", None, {"nodes": 0})
         else:
-            verdict = _solve_ids(*_pinned(s.language, *_copy_rows(prefix, s.matrix, size, fold)))
+            verdict = _solve_ids(*_pinned(s.language, *_copy_rows(prefix, s.matrix, size, fold, budgets)))
         members.append(BundleMember(idx, s, verdict, budgets))
         if not verdict.truth:
             break
@@ -771,8 +775,8 @@ def reduce_to_pi2(
     variables.  :func:`move_universals_left` drops every vacuous variable
     before its first hoist and before any budget check, so each hoisted
     member, and each check, is the same as hoisting ``omega``'s collapse;
-    a z$oj that a collapse shares with a name of the sentence raises at
-    that member, before its hoist, as ``omega`` raises it.
+    a z$oj that a collapse shares with an occurring name of the sentence
+    raises before any member is built (:func:`_index_sets`).
 
     When m <= r the only pattern keeps every occurring universal, so its
     collapse is the sentence itself up to vacuous variables: ``omega`` folds
@@ -783,7 +787,9 @@ def reduce_to_pi2(
     hoisting that collapse; the sentence is hoisted directly, without
     normalizing or collapsing it, and hoisting checks it well-formed.
     The ladder's renaming only keeps several members' existentials apart,
-    so one member (m <= r, or r = 0) is taken as it is.  Only the names
+    so one member (m <= r, or r = 0) is taken as it is.  Several members are
+    conjoined after the budgets are checked on the ladder's atoms and prefix
+    (``"universal ladder"``).  Only the names
     differ from a one-rung ladder (no $c1 on the existentials): the prefix
     length, the atom count, the universal count and the truth value are the
     same.
@@ -795,9 +801,8 @@ def reduce_to_pi2(
     already meets its contract: forall*exists*, at most |A| universals, no
     vacuous variable (hoisting drops them, and each z$si occurs in a member
     with at least i universals), checked well-formed.  So that sentence is
-    returned itself, after the reduction's budget checks with the same
-    figures (:func:`~qcsp.transforms._check_count_budgets`), and only the
-    names differ from the reduced copy: it keeps its hoisted names (x$1,
+    returned itself, and nothing more is built or checked.  Only the names
+    differ from the reduced copy: it keeps its hoisted names (x$1,
     y$2, ...) or the ladder's (z$s1, e$cj) where the reduction gave z$u1
     and e$1.  The prefix length, the atom count, the universal count and
     the truth value are the same.
@@ -814,6 +819,9 @@ def reduce_to_pi2(
         conjoined = members[0]
     else:
         shared_count = max(m.universal_count() for m in members)
+        atoms = sum(len(m.matrix) for m in members)
+        existentials = sum(len(m.existentials()) for m in members)
+        budgets.check_expansion("universal ladder", atoms, prefix=shared_count + existentials)
         shared = [f"z$s{i}" for i in range(1, shared_count + 1)]
         prefix: list[tuple[str, str]] = [(FORALL, z) for z in shared]
         matrix = []
@@ -828,7 +836,6 @@ def reduce_to_pi2(
         conjoined = QuantifiedSentence(tuple(prefix), tuple(matrix), s.language)
         check_wellformed(conjoined)
     if conjoined.universal_count() <= size:
-        _check_count_budgets(conjoined, budgets)
         return conjoined
     out = reduce_universal_count(conjoined, budgets)
     if out.universal_count() > size:

@@ -23,20 +23,21 @@ The four copy-making transforms (:func:`eliminate_universals`,
 :func:`move_universals_left`, :func:`reduce_universal_count`, :func:`zeta`)
 first drop every prefix variable that occurs in no atom: domains are
 nonempty, so Qx phi is phi when x is not in phi.  A vacuous universal is
-never expanded and a vacuous existential never copied, so their output is
-smaller than the input's prefix suggests; their budget checks still count
-the input as given.  Hoisting copies only the atoms that mention a variable
-it renames: any other atom would come out the same in every copy, so it is
-kept once.  Elimination and full expansion read their copies off one table
-(:func:`_copy_table`), built in closed form in one pass over integer ids:
-with k the number of occurring universals at or before a variable, the
-variable gets |A|^k copies, and an atom gets |A|^K copies, K being the k of
-its last variable.  The bundle reads a collapse's table off the sentence
-itself (:func:`_collapse_core`, whose steps it runs one by one so that a
-member refuted from its atoms builds no table): the collapse's occurring
-prefix, the sentence's matrix and the renaming that folds its universals go
-to the same code (:func:`_copy_rows`), which gives the same names and atoms
-as the elimination of :func:`omega`'s collapse of the padded sentence.
+never expanded and a vacuous existential never copied.  Each budget check
+counts the object about to be built, before it is allocated.  Hoisting
+copies only the atoms that mention a variable it renames: any other atom
+would come out the same in every copy, so it is kept once.  Elimination and
+full expansion read their copies off one table (:func:`_copy_table`), built
+in closed form in one pass over integer ids: with k the number of occurring
+universals at or before a variable, the variable gets |A|^k copies, and an
+atom gets |A|^K copies, K being the k of its last variable.  The table's
+code (:func:`_copy_rows`) checks its own figures first.  The bundle reads a
+collapse's table off the sentence itself (:func:`_collapse_core`, whose
+steps it runs one by one so that a member refuted from its atoms builds no
+table): the collapse's occurring prefix, the sentence's matrix and the
+renaming that folds its universals go to the same code, which gives the
+same names and atoms as the elimination of :func:`omega`'s collapse of the
+padded sentence.
 
 Every transform returns freshly named variables marked with "$" so the output
 never collides with user input, and every output is checked well-formed.
@@ -86,9 +87,6 @@ class AlternatingSentence:
             want = EXISTS if i % 2 == 0 else FORALL
             if q != want:
                 raise ValueError(f"prefix position {i} is {q}, expected {want}")
-
-    def y_vars(self) -> list[str]:
-        return [v for i, (_, v) in enumerate(self.sentence.prefix) if i % 2 == 0]
 
     def x_vars(self) -> list[str]:
         return [v for i, (_, v) in enumerate(self.sentence.prefix) if i % 2 == 1]
@@ -220,67 +218,57 @@ def omega(alt: AlternatingSentence, indices: tuple[int, ...]) -> QuantifiedSente
 
 
 def _collapse_prefix(s: QuantifiedSentence):
-    """What every collapse of ``s`` is read from, in one walk of a prefix:
-    the sentence walked, its occurring prefix as (quantifier, variable, p),
-    p being a universal's alternation position (the i of x_i in
-    ``normalize_alternating(s)``) and 0 for an existential, the occurring
-    positions, and whether a prefix variable is named z$o..., so that a
-    collapse's z$oj may collide with it.  A universal takes the next
-    position, and so does the dummy universal that padding puts between two
-    existentials.
-
-    The sentence walked is ``s`` when it is well-formed and no prefix
-    variable looks like a padding dummy (y$d..., x$d...): the padding then
-    adds fresh names that occur in no atom, and changes neither the check
-    nor the collapses.  Any other input is normalized, which raises what
-    normalizing raises, and its padded form is walked.  Kept on the sentence
-    (see :func:`cached_on`).
+    """What every collapse of ``s`` is read from, in one walk of its prefix:
+    its occurring prefix as (quantifier, variable, p), p being a universal's
+    alternation position (the i of x_i in ``normalize_alternating(s)``) and
+    0 for an existential, the occurring positions, and whether a prefix
+    variable is named z$o..., so that a collapse's z$oj may collide with it.
+    A universal takes the next position, and so does the dummy universal
+    that padding puts between two existentials.  The padding adds only
+    variables that occur in no atom, so no collapse built from this walk
+    holds one, and a prefix name the padding would take is not refused.
+    ``s`` is checked well-formed first.  Kept on the sentence (see
+    :func:`cached_on`).
     """
 
     def build():
-        base = s
-        if not validate_sentence(s).ok or any(v.startswith(("y$d", "x$d")) for _, v in s.prefix):
-            base = normalize_alternating(s).sentence
-        occurring = base.matrix_variables()
+        check_wellformed(s)
+        occurring = s.matrix_variables()
         entries: list[tuple[str, str, int]] = []
         position = 0
         last = FORALL
-        for q, v in base.prefix:
+        for q, v in s.prefix:
             if q == FORALL or last == EXISTS:
                 position += 1
             last = q
             if v in occurring:
                 entries.append((q, v, position if q == FORALL else 0))
         positions = tuple(p for _, _, p in entries if p)
-        taken = any(v.startswith("z$o") for _, v in base.prefix)
-        return base, entries, positions, taken
+        taken = any(v.startswith("z$o") for _, v in s.prefix)
+        return entries, positions, taken
 
     return cached_on(s, "collapse_prefix", build)
 
 
 def _fold(s: QuantifiedSentence, indices: tuple[int, ...]) -> tuple[list[tuple[str, str]], dict[str, str]]:
-    """``omega(normalize_alternating(s), indices)`` in closed form, for
-    increasing occurring positions ``indices``: its occurring prefix, and the
-    renaming of the folded universals that takes the matrix of ``s`` to its
-    matrix.  No padding is built: a dummy occurs in no atom.
+    """The collapse of ``s`` at increasing occurring positions ``indices``
+    in closed form: its occurring prefix, and the renaming of the folded
+    universals that takes the matrix of ``s`` to its matrix.  It is
+    ``omega(normalize_alternating(s), indices)`` without its vacuous
+    variables wherever that builds, and no padding is built: a dummy occurs
+    in no atom.
 
     Each occurring universal at a position p outside ``indices`` folds into
     z$oj, j being the number of kept positions below p.  The occurring
     prefix is the z$oj that some universal folds into, in order, then the
     occurring prefix of ``s`` without the folded universals.  When ``s``
-    quantifies a z$o... name, the collapse's full prefix is checked first,
-    as ``omega`` checks it, and a z$oj it shares with a name of ``s`` raises
-    the same error.
+    quantifies a z$o... name, that prefix is checked, and a z$oj it shares
+    with an occurring name of ``s`` raises as ``omega`` raises it; a
+    vacuous one is not in the collapse, and is not refused.
     """
-    base, entries, _, taken = _collapse_prefix(s)
+    entries, _, taken = _collapse_prefix(s)
     k = len(indices)
     zs = [f"z$o{j}" for j in range(k + 1)]
-    if taken:
-        kept = set(indices)
-        position = {v: p for _, v, p in entries}
-        full = [(FORALL, z) for z in zs]
-        full.extend((q, v) for q, v in base.prefix if q == EXISTS or position.get(v) in kept)
-        invariant_report(full, (), s.language).require("sentence")
     fold: dict[str, str] = {}
     tail: list[tuple[str, str]] = []
     j = 0
@@ -292,7 +280,10 @@ def _fold(s: QuantifiedSentence, indices: tuple[int, ...]) -> tuple[list[tuple[s
                 fold[v] = zs[j]
                 continue
         tail.append((q, v))
-    return [(FORALL, z) for z in dict.fromkeys(fold.values())] + tail, fold
+    prefix = [(FORALL, z) for z in dict.fromkeys(fold.values())] + tail
+    if taken:
+        invariant_report(prefix, (), s.language).require("sentence")
+    return prefix, fold
 
 
 def _collapse_sentence(s: QuantifiedSentence, indices: tuple[int, ...]) -> QuantifiedSentence:
@@ -339,7 +330,9 @@ def _copy_touched(matrix, renamed, size: int, check) -> list[Atom]:
 # universal elimination (to a CSP with constants)
 
 
-def _copy_table(s: QuantifiedSentence) -> tuple[list[str], list[range], list[tuple[str, tuple[int, ...]]]]:
+def _copy_table(
+    s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS, pinned: bool = True
+) -> tuple[list[str], list[range], list[tuple[str, tuple[int, ...]]]]:
     """The copies that universal elimination and full expansion share: the
     variable names, the id range of each occurring universal's copies, and
     the atom copies, each as (relation, variable ids), where the id of a
@@ -347,62 +340,80 @@ def _copy_table(s: QuantifiedSentence) -> tuple[list[str], list[range], list[tup
 
     Every copy is computed in closed form (see :func:`eliminate_universals`),
     in output order, and each name is built once.  The input is checked
-    well-formed first; the names are not checked for being distinct.
+    well-formed first, then the table's budgets (see :func:`_copy_rows`);
+    the names are not checked for being distinct.
     """
     check_wellformed(s)
-    return _copy_rows(_occurring_prefix(s), s.matrix, s.language.domain.size)
+    return _copy_rows(_occurring_prefix(s), s.matrix, s.language.domain.size, None, budgets, pinned)
 
 
-def _copy_rows(prefix, matrix, size: int, renaming: dict[str, str] | None = None):
+def _copy_rows(
+    prefix,
+    matrix,
+    size: int,
+    renaming: dict[str, str] | None = None,
+    budgets: Budgets = DEFAULT_BUDGETS,
+    pinned: bool = True,
+):
     """:func:`_copy_table` of the sentence with occurring ``prefix`` and the
     matrix ``matrix`` renamed by ``renaming``; the renaming is read, not
-    applied, and each renamed variable takes the copies of its image."""
-    # each occurring variable in prefix order, with its k (the occurring
-    # universals at or before it) and the ids of its |A|^k copies v$c_k...$c_1
-    # in digit order, the first universal's value most significant
-    names: list[str] = []
+    applied, and each renamed variable takes the copies of its image.
+
+    The budgets are checked on the table itself, before any name or row is
+    built: its |A|^k copies for its k universals, then its atoms, with one
+    pin per universal copy when the table is ``pinned``, and its variables
+    (:meth:`Budgets.check_expansion`).  The checks are named after universal
+    elimination, or after full expansion for a table without pins."""
+    # each occurring variable's k, the occurring universals at or before it,
+    # and the number of prefix variables of each k
     level: dict[str, int] = {}
-    copies: dict[str, range] = {}
-    universals: list[str] = []
-    suffixes = [""]
-    tags = [f"${c}" for c in range(1, size + 1)]
+    width = [0]
     for q, v in prefix:
         if q == FORALL:
-            universals.append(v)
-            suffixes = [tag + suffix for suffix in suffixes for tag in tags]
-        level[v] = len(universals)
-        copies[v] = range(len(names), len(names) + len(suffixes))
-        names.extend([v + suffix for suffix in suffixes])
-    universal_ids = [copies[u] for u in universals]
+            width.append(0)
+        level[v] = len(width) - 1
+        width[-1] += 1
     if renaming:
         # read every image before any is written: a renamed variable may
         # share its name with another one's image
         level.update({u: level[z] for u, z in renaming.items()})
+    atom_levels = [max([level[v] for v in atom.args], default=0) for atom in matrix]
+
+    # once the copies pass, no |A|^i below is above the copies budget
+    what = "universal elimination" if pinned else "full expansion"
+    k = len(width) - 1
+    budgets.check_power(f"{what} copies", budgets.max_matrix_copies, size, k)
+    powers = [size**i for i in range(k + 1)]
+    n_atoms = sum([powers[i] for i in atom_levels]) + (sum(powers[1:]) if pinned else 0)
+    budgets.check_expansion(what, n_atoms, prefix=sum([n * c for n, c in zip(width, powers)]))
+
+    # each occurring variable in prefix order, with the ids of its |A|^k
+    # copies v$c_k...$c_1 in digit order, the first universal's value most
+    # significant
+    names: list[str] = []
+    copies: dict[str, range] = {}
+    suffixes = [""]
+    tags = [f"${c}" for c in range(1, size + 1)]
+    for q, v in prefix:
+        if q == FORALL:
+            suffixes = [tag + suffix for suffix in suffixes for tag in tags]
+        copies[v] = range(len(names), len(names) + len(suffixes))
+        names.extend([v + suffix for suffix in suffixes])
+    universal_ids = [copies[v] for q, v in prefix if q == FORALL]
+    if renaming:
         copies.update({u: copies[z] for u, z in renaming.items()})
 
     # each atom in matrix order, its copies in digit order: copy r of an atom
     # of level K takes copy r // |A|^(K - k) of a variable of level k
     atoms: list[tuple[str, tuple[int, ...]]] = []
-    for atom in matrix:
-        k = max((level[v] for v in atom.args), default=0)
+    for atom, top in zip(matrix, atom_levels):
         columns = []
         for v in atom.args:
-            repeat = size ** (k - level[v])
+            repeat = powers[top - level[v]]
             columns.append(copies[v] if repeat == 1 else [i for i in copies[v] for _ in range(repeat)])
         rows = zip(*columns) if columns else [()]
         atoms.extend([(atom.relation, ids) for ids in rows])
     return names, universal_ids, atoms
-
-
-def _check_elimination_budgets(s: QuantifiedSentence, universals: int, budgets: Budgets) -> None:
-    """Universal elimination's checks for ``universals`` universals over the
-    matrix of ``s``: |A|^universals copies, then that many times one more
-    atom than the matrix holds."""
-    what = "universal elimination"
-    n_copies = budgets.check_power(
-        f"{what} copies", budgets.max_matrix_copies, s.language.domain.size, universals
-    )
-    budgets.check_expansion(what, (len(s.matrix) + 1) * n_copies)
 
 
 def _pinned(base: ConstraintLanguage, names, universal_ids, atoms):
@@ -428,29 +439,29 @@ def _elimination_core(
     ``eliminate_universals(s)``, each atom as (relation, variable ids), where
     the id of a variable is its position among the names.
 
-    The budgets are checked before anything is built, against the input's
-    full universal count.  The copies are read off :func:`_copy_table`,
-    which checks the input well-formed over its own language; the names are
-    then checked for being distinct: a malformed input raises ``ValueError``
-    listing what is wrong with it, so a solver may compile the atoms without
-    building the instance that would check them.
+    The copies are read off :func:`_copy_table`, which checks the input
+    well-formed over its own language, then the budgets on the instance it
+    is about to build; the names are then checked for being distinct: a
+    malformed input raises ``ValueError`` listing what is wrong with it, so
+    a solver may compile the atoms without building the instance that would
+    check them.
     """
-    _check_elimination_budgets(s, s.universal_count(), budgets)
-    return _pinned(s.language, *_copy_table(s))
+    return _pinned(s.language, *_copy_table(s, budgets))
 
 
 def _collapse_core(
     s: QuantifiedSentence, indices: tuple[int, ...], budgets: Budgets = DEFAULT_BUDGETS
 ) -> tuple[ConstraintLanguage, list[str], list[tuple[str, tuple[int, ...]]]]:
-    """``_elimination_core(omega(normalize_alternating(s), indices))``, with
-    the same names, atoms, checks and messages, read off ``s`` in one pass
-    (see :func:`_fold`): neither the padding nor the collapse is built.  The
-    collapse has 2k+1 universals for k kept positions and the matrix of
-    ``s``, so the budgets are checked on those figures, after the collapse's
-    own check and before anything is built."""
+    """The elimination of the collapse of ``s`` at ``indices`` (see
+    :func:`_fold`), with the names and atoms of
+    ``_elimination_core(omega(normalize_alternating(s), indices))``, read
+    off ``s`` in one pass: neither the padding nor the collapse is built.
+    After the collapse's own check and the constant-name check of
+    :func:`gamma_star`, the budgets are checked on the table about to be
+    built (:func:`_copy_rows`)."""
     prefix, fold = _fold(s, indices)
-    _check_elimination_budgets(s, 2 * len(indices) + 1, budgets)
-    return _pinned(s.language, *_copy_rows(prefix, s.matrix, s.language.domain.size, fold))
+    gamma_star(s.language)
+    return _pinned(s.language, *_copy_rows(prefix, s.matrix, s.language.domain.size, fold, budgets))
 
 
 def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) -> CspInstance:
@@ -473,8 +484,9 @@ def eliminate_universals(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGE
     universal's copies in digit order.  The copies are computed in one
     integer pass (:func:`_copy_table`, which :func:`zeta` reads too), each
     name built once.  The result is a CSP over the language with constants.
-    The budgets are checked against the input's full universal count, then
-    the input is checked well-formed over its own language.
+    The input is checked well-formed over its own language, then the budgets
+    on the instance's own figures: |A|^k copies for its k occurring
+    universals, its atoms and pins, then its variables.
     """
     language, names, atoms = _elimination_core(s, budgets)
     return CspInstance(
@@ -585,22 +597,6 @@ def _partitions(k: int, m: int) -> Iterator[tuple[int, ...]]:
     yield from extend((), 0)
 
 
-def _check_count_budgets(s: QuantifiedSentence, budgets: Budgets) -> None:
-    """The budget checks of :func:`reduce_universal_count` on a
-    forall*exists* sentence as given: S(n, min(n, |A|)) copies for its n
-    universals, vacuous ones included, then the atoms and prefix variables
-    of that many copies; none when n = 0.  A caller that skips the
-    reduction runs them too, so both refuse the same inputs alike."""
-    n_univ = s.universal_count()
-    if n_univ:
-        what = "universal-count reduction"
-        shared = min(n_univ, s.language.domain.size)
-        copies = budgets.check_partitions(f"{what} copies", budgets.max_matrix_copies, n_univ, shared)
-        budgets.check_expansion(
-            what, copies * max(1, len(s.matrix)), prefix=shared + copies * len(s.existentials())
-        )
-
-
 def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUDGETS) -> QuantifiedSentence:
     """Conjoin one renamed copy per partition of the k universals into
     m = min(k, |A|) blocks, leaving a forall*exists* sentence with m <= |A|
@@ -625,14 +621,14 @@ def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUD
     only occurring universals and only occurring existentials are copied; with
     none of the universals occurring, the input comes back without its
     vacuous variables (the input itself when it has none).  The budgets are
-    checked against the input as given (:func:`_check_count_budgets`):
-    S(n, min(n, |A|)) copies for its n universals, which is at least S(k, m).
-    The input is checked well-formed first, and the output after.
+    checked on the output before it is built: its S(k, m) copies, then
+    S(k, m) times the matrix's atoms, and its m + S(k, m) times the
+    occurring existentials' prefix variables.  The input is checked
+    well-formed first, and the output after.
     """
     check_wellformed(s)
     if not s.is_pi2():
         raise ValueError("input must be in forall*exists* form")
-    _check_count_budgets(s, budgets)
 
     kept = _occurring_prefix(s)
     uvars = [v for q, v in kept if q == FORALL]
@@ -646,6 +642,9 @@ def reduce_universal_count(s: QuantifiedSentence, budgets: Budgets = DEFAULT_BUD
         return out
 
     m = min(k, s.language.domain.size)
+    what = "universal-count reduction"
+    copies = budgets.check_partitions(f"{what} copies", budgets.max_matrix_copies, k, m)
+    budgets.check_expansion(what, copies * len(s.matrix), prefix=m + copies * len(evars))
     zs = [f"z$u{i}" for i in range(1, m + 1)]
     prefix: list[tuple[str, str]] = [(FORALL, z) for z in zs]
     matrix: list[Atom] = []
@@ -680,20 +679,11 @@ def zeta(alt: AlternatingSentence, budgets: Budgets = DEFAULT_BUDGETS) -> Quanti
     its own last digit's value.  The existential copies then form a
     strategy, and every play satisfies every atom.
 
-    The budgets are checked first, against ``alt`` as given: |A|^n copies
-    of the matrix, and a prefix of every universal's and existential's
-    copies.
+    The input is checked well-formed, then the budgets on the output's own
+    figures, before it is built: |A|^k copies for its k occurring
+    universals, its atoms, then its prefix (see :func:`_copy_rows`).
     """
-    n = alt.n
-    size = alt.sentence.language.domain.size
-    copies = budgets.check_power("full expansion copies", budgets.max_matrix_copies, size, n)
-    x_total = sum(size**i for i in range(1, n + 1))
-    y_total = sum(size ** (i - 1) for i in range(1, n + 1))
-    budgets.check_expansion(
-        "full expansion", copies * max(1, len(alt.sentence.matrix)), prefix=x_total + y_total
-    )
-
-    names, universal_ids, atoms = _copy_table(alt.sentence)
+    names, universal_ids, atoms = _copy_table(alt.sentence, budgets, pinned=False)
     universal = set().union(*universal_ids)
     prefix = [(FORALL, names[i]) for ids in universal_ids for i in ids]
     prefix.extend((EXISTS, v) for i, v in enumerate(names) if i not in universal)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,8 @@ from qcsp import (
 )
 from qcsp import solvers, transforms
 from qcsp.algebra import lift_operation, table_from_function
-from qcsp.model import const_name, gamma_star
+from qcsp.model import check_wellformed, const_name, gamma_star
+from qcsp.parsing import parse_language, parse_sentence
 from qcsp.solvers import BundleMember, pi2_truth
 from qcsp.transforms import (
     eliminate_universals,
@@ -715,32 +717,44 @@ def test_bundle_lists_only_the_occurring_patterns(dom3_lang):
 
 
 def test_bundle_budget_error_precedes_first_false_member(xor0_lang, xor0_witness, monkeypatch):
-    # every pattern is false, and the one maximal pattern (1, 2) keeps 5
-    # universals, so 2^5 copies of 3 atoms: the budget error of that size is
-    # raised, even where a smaller pattern would fit, and nothing is solved
-    # before it.  Within the budgets the member is refuted from its atoms
-    # (XOR0(x1, y1, y1) has no tuple at x1 = 1), so nothing is solved at all
+    # the one maximal pattern (1, 2) of each sentence keeps x1 and x2, the
+    # two occurring universals, so its table holds 2 universals, 13
+    # variables and 12 atoms (6 of them pins).  In `refuted` that member is
+    # refuted from its atoms (XOR0(x1, y1, y1) has no tuple at x1 = 1): it
+    # builds nothing and checks nothing, so no budget refuses it.  In
+    # `ladder` it is solved, and its own table's figures are checked before
+    # anything is solved: one below each raises, and at each it builds
     prefix = [("exists", "y1"), ("forall", "x1"), ("exists", "y2"), ("forall", "x2"),
               ("exists", "y3"), ("forall", "x3")]
-    matrix = [Atom("XOR0", ("x1", "y1", "y1")), Atom("XOR0", ("y2", "x2", "y3"))]
-    s = sent(xor0_lang, prefix, matrix)
-    assert not any(_eager_verdicts(s, 2))
+    refuted = sent(xor0_lang, prefix, [Atom("XOR0", ("x1", "y1", "y1")), Atom("XOR0", ("y2", "x2", "y3"))])
+    ladder = sent(xor0_lang, prefix, [Atom("XOR0", ("y1", "x1", "y2")), Atom("XOR0", ("y2", "x2", "y3"))])
+    assert not any(_eager_verdicts(refuted, 2))
     calls = []
     real_solve = solvers._solve_ids
     monkeypatch.setattr(solvers, "_solve_ids", lambda *a: calls.append(a) or real_solve(*a))
+    nothing = Budgets(max_matrix_copies=0, max_matrix_atoms=0, max_prefix_vars=0, max_bytes=0)
+    bundle = reduce_pgp_to_csp(refuted, 2, witness=xor0_witness, budgets=nothing)
+    assert [(m.indices, m.verdict) for m in bundle.members] == [
+        ((1, 2), solvers.SolveVerdict(False, "csp", None, {"nodes": 0}))
+    ]
+    assert calls == []
+    inst = reduce_pgp_to_csp(ladder, 2, witness=xor0_witness).members[0].instance
+    assert (len(inst.variables), len(inst.atoms)) == (13, 12)
+    calls.clear()
     for budgets, message in [
-        (Budgets(max_matrix_copies=4), "universal elimination copies: requires 32, budget allows 4"),
-        (Budgets(max_matrix_copies=16), "universal elimination copies: requires 32, budget allows 16"),
-        (Budgets(max_matrix_atoms=20), "universal elimination atoms: requires 96, budget allows 20"),
-        (Budgets(max_matrix_atoms=95), "universal elimination atoms: requires 96, budget allows 95"),
+        (Budgets(max_matrix_copies=3), "universal elimination copies: requires 4, budget allows 3"),
+        (Budgets(max_matrix_atoms=11), "universal elimination atoms: requires 12, budget allows 11"),
+        (Budgets(max_prefix_vars=12), "universal elimination prefix: requires 13, budget allows 12"),
+        (Budgets(max_bytes=767), "universal elimination (bytes): requires 768, budget allows 767"),
     ]:
         with pytest.raises(BudgetError) as err:
-            reduce_pgp_to_csp(s, 2, witness=xor0_witness, budgets=budgets)
+            reduce_pgp_to_csp(ladder, 2, witness=xor0_witness, budgets=budgets)
         assert str(err.value) == message
     assert calls == []
-    bundle = reduce_pgp_to_csp(s, 2, witness=xor0_witness, budgets=Budgets(max_matrix_atoms=96))
-    assert [(m.indices, m.verdict.truth) for m in bundle.members] == [((1, 2), False)]
-    assert len(calls) == 0
+    exact = Budgets(max_matrix_copies=4, max_matrix_atoms=12, max_prefix_vars=13, max_bytes=768)
+    bundle = reduce_pgp_to_csp(ladder, 2, witness=xor0_witness, budgets=exact)
+    assert [(m.indices, m.verdict.truth) for m in bundle.members] == [((1, 2), True)]
+    assert len(calls) == 1
 
 
 def test_bundle_invariants_are_checked(xor0_lang, xor0_witness):
@@ -850,19 +864,64 @@ def test_collapse_table_is_the_elimination_of_omega(size, seed):
     assert tables > 300 and hoisted > 100 and folded > 100 and vacuous > 20 and repeats > 20
 
 
+def _refuted_by_enumeration(w):
+    """Whether some atom of ``w`` has no tuple under some values of its
+    universals, by enumerating the values of its variables."""
+    size = w.language.domain.size
+    universals = set(w.universals())
+    for atom in w.matrix:
+        tuples = w.language.relations[atom.relation].tuples
+        us = sorted(set(atom.args) & universals)
+        es = sorted(set(atom.args) - universals)
+        for uvals in product(range(size), repeat=len(us)):
+            fixed = dict(zip(us, uvals))
+            if not any(
+                tuple({**fixed, **dict(zip(es, evals))}[v] for v in atom.args) in tuples
+                for evals in product(range(size), repeat=len(es))
+            ):
+                return True
+    return False
+
+
 def _members_by_omega(s, r, budgets):
     """The (indices, verdict) of each member the bundle decides, and the
-    hoisted members of the pi2 route, built from the padded form by
-    ``omega``: the bundle's refusals and their order are this reference's."""
-    alt = normalize_alternating(s)
+    hoisted members of the pi2 route, built from omega's collapses of the
+    padded sentence: the bundle's refusals and their order are this
+    reference's.  Every prefix name is renamed to a fresh one first, so that
+    neither the padding nor a collapse can take it; each collapse then drops
+    its vacuous variables, gets its names back and is checked well-formed,
+    so it is refused where the collapse built shares a name; every collapse
+    is checked before any member is decided.  A member
+    refuted by enumerating its atoms' values (:func:`_refuted_by_enumeration`)
+    builds nothing; a sentence with a "$" in a prefix name has every member
+    built."""
+    check_wellformed(s)
+    fresh = {v: f"#{i}" for i, (_, v) in enumerate(s.prefix)}
+    back = {f: v for v, f in fresh.items()}
+    alt = normalize_alternating(s.rename(fresh))
     positions = _occurring_positions(alt)
     sets = list(combinations(positions, min(r, len(positions))))
+    reserved = any("$" in v for v in fresh)
+
+    def collapse(idx):
+        w = omega(alt, idx)
+        occurring = w.matrix_variables()
+        prefix = tuple((q, back.get(v, v)) for q, v in w.prefix if v in occurring)
+        w = QuantifiedSentence(prefix, tuple(a.rename(back) for a in w.matrix), s.language)
+        check_wellformed(w)
+        return w
+
+    collapses = [collapse(idx) for idx in sets]
     members = []
-    for idx in sets:
-        members.append((idx, solvers._solve_ids(*transforms._elimination_core(omega(alt, idx), budgets))))
-        if not members[-1][1].truth:
+    for idx, w in zip(sets, collapses):
+        if not reserved and _refuted_by_enumeration(w):
+            verdict = solvers.SolveVerdict(False, "csp", None, {"nodes": 0})
+        else:
+            verdict = solvers._solve_ids(*transforms._elimination_core(w, budgets))
+        members.append((idx, verdict))
+        if not verdict.truth:
             break
-    return members, [move_universals_left(omega(alt, idx), budgets) for idx in sets]
+    return members, [move_universals_left(w, budgets) for w in collapses]
 
 
 _COLLIDING = ["z$o0", "z$o1", "y$d1", "y$d2", "x$d1", "x$d2", "a$1", "z$o0$1"]
@@ -874,9 +933,11 @@ def test_collapse_table_refuses_as_omega_does(size, seed):
     # a copy takes, some malformed (a name quantified twice, or an atom over
     # an unquantified one): the bundle's members and the pi2 route's hoisted
     # collapses, or what they raise, are those built from omega's collapses
+    # with every name of the sentence kept out of the padding and the
+    # collapse.  A padding name or a vacuous z$o... is refused nowhere
     lang = ConstraintLanguage.of(size, *((XOR0, NOT) if size == 2 else (LT3, CYCLE3)), TRUE0, FALSE0)
     rnd = random.Random(seed)
-    refused, decided = [], 0
+    refused, decided, padding, vacuous = [], 0, 0, 0
     for _ in range(300):
         names = ["a", "b", "c", "d"] + _COLLIDING
         prefix = [(rnd.choice(["forall", "exists"]), rnd.choice(names)) for _ in range(rnd.randint(0, 6))]
@@ -892,7 +953,7 @@ def test_collapse_table_refuses_as_omega_does(size, seed):
             atoms.append(Atom(rel, tuple(rnd.choice(pool) for _ in range(lang.relations[rel].arity))))
         s = QuantifiedSentence(tuple(prefix), tuple(atoms), lang)
         r = rnd.randint(0, 3)
-        budgets = rnd.choice([Budgets(), Budgets(max_matrix_copies=8), Budgets(max_matrix_atoms=12)])
+        budgets = rnd.choice([Budgets(), Budgets(max_matrix_copies=4), Budgets(max_matrix_atoms=6)])
 
         def by_table():
             bundle = reduce_pgp_to_csp(s, r, override=True, budgets=budgets)
@@ -906,9 +967,11 @@ def test_collapse_table_refuses_as_omega_does(size, seed):
             refused.append(want[1])
         else:
             decided += 1
-    assert decided > 100
-    for taken in ("z$o", "y$d", "x$d", "universal elimination"):
-        assert sum(taken in message for message in refused) > 3, taken
+            padding += any(v.startswith(("y$d", "x$d")) for _, v in s.prefix)
+            vacuous += any(v.startswith("z$o") and v not in s.matrix_variables() for _, v in s.prefix)
+    assert decided > 150 and padding > 100 and vacuous > 60
+    for taken in ("quantified twice", "not quantified", "z$o", "universal elimination"):
+        assert sum(taken in message for message in refused) > 5, taken
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])
@@ -944,9 +1007,9 @@ def test_reductions_build_neither_the_padding_nor_omega(xor0_lang, r, monkeypatc
         ([("forall", "a"), ("exists", "z$o1"), ("forall", "b"), ("exists", "c")],
          [("XOR0", "a", "z$o1", "b"), ("NOT", "b", "c")], 1,
          "malformed sentence: variable z$o1 quantified twice"),
-        # padding puts a dummy y$d1 in front of the first universal
-        ([("forall", "x"), ("exists", "y$d1")], [("NOT", "x", "y$d1")], 0,
-         "malformed sentence: variable y$d1 quantified twice"),
+        # padding would put a dummy y$d1 in front of the first universal,
+        # but no route builds the padding: both decide it
+        ([("forall", "x"), ("exists", "y$d1")], [("NOT", "x", "y$d1")], 0, None),
         # a$1 is also the name of the first copy of a
         ([("exists", "a$1"), ("forall", "a")], [("NOT", "a$1", "a")], 1,
          "malformed instance: variable a$1 quantified twice"),
@@ -955,19 +1018,27 @@ def test_reductions_build_neither_the_padding_nor_omega(xor0_lang, r, monkeypatc
 )
 def test_reductions_refuse_colliding_names_as_the_collapse_does(mixed_lang, prefix, matrix, r, message):
     # a sentence built through the API may already hold a name that the
-    # padding, a collapse or a copy takes: each reduction raises what
-    # building the padded form and the collapses raised.  The padding's and
-    # the collapse's names are checked before any budget, so under a budget
-    # too tight for the member too, and by the pi2 route as well; the
-    # copies' names are checked by the bundle after its budgets
+    # padding, a collapse or a copy takes.  A collapse's name is refused
+    # where the collapse built holds it, before any budget, so under a
+    # budget too tight for the member too, and by the pi2 route as well; the
+    # copies' names are checked by the bundle after its budgets.  The
+    # padding is never built, so its names are refused nowhere
     s = sent(mixed_lang, prefix, [Atom(rel, tuple(args)) for rel, *args in matrix])
     tight = Budgets(max_matrix_copies=2, max_matrix_atoms=3)
+    if message is None:
+        bundle = reduce_pgp_to_csp(s, r, override=True)
+        assert bundle.combined is pi2_truth(reduce_to_pi2(s, r, override=True, budgets=tight)) is True
+        with pytest.raises(ValueError, match=r"variable y\$d1 quantified twice"):
+            bundle.members[0].sentence
+        return
     with pytest.raises(ValueError) as err:
         reduce_pgp_to_csp(s, r, override=True)
     assert str(err.value) == message
     if message.startswith("malformed instance"):
-        with pytest.raises(BudgetError, match="universal elimination copies"):
+        # the member's table: 1 universal, 2 + 2 variables, 2 atoms and 2 pins
+        with pytest.raises(BudgetError) as err:
             reduce_pgp_to_csp(s, r, override=True, budgets=tight)
+        assert str(err.value) == "universal elimination atoms: requires 4, budget allows 3"
         alt = normalize_alternating(s)
         with pytest.raises(ValueError) as err:
             eliminate_universals(omega(alt, solvers._index_sets(s, r)[0]))
@@ -1006,6 +1077,103 @@ def test_reductions_refuse_a_name_only_the_padding_quantifies(mixed_lang, prefix
         with pytest.raises(ValueError) as err:
             decide(s)
         assert str(err.value) == message
+
+
+def _agreement_sentences(rnd, lang, count):
+    """API-built sentences whose prefix holds names the padding takes
+    (y$d..., x$d...), a name a collapse takes (z$o1), and a vacuous z$o0;
+    at times an atom names a variable the prefix does not quantify."""
+    everything = ["a", "b", "c", "y$d1", "y$d2", "x$d1", "x$d2", "z$o1"]
+    for _ in range(count):
+        names = rnd.sample(everything, rnd.randint(1, 5))
+        prefix = [(rnd.choice(["forall", "exists"]), v) for v in names]
+        prefix.insert(rnd.randint(0, len(prefix)), (rnd.choice(["forall", "exists"]), "z$o0"))
+        pool = everything if rnd.random() < 0.15 else names
+        atoms = []
+        for _ in range(rnd.randint(1, 3)):
+            rel = rnd.choice(sorted(lang.relations))
+            atoms.append(Atom(rel, tuple(rnd.choice(pool) for _ in range(lang.relations[rel].arity))))
+        yield QuantifiedSentence(tuple(prefix), tuple(atoms), lang)
+
+
+@pytest.mark.parametrize("size, seed", [(2, 223), (3, 227)])
+def test_padding_names_get_one_answer_from_every_route(size, seed):
+    # neither route builds the padding, so a prefix name it would take is
+    # refused by neither, and both refuse a z$oj that a collapse shares
+    # before deciding anything: at r = 0..3 the bundle and the pi2 route
+    # both decide, or both raise the same message.  Where the witness holds, the
+    # verdict is the oracle's; over two elements the power CSP agrees.  The
+    # routes build objects of different sizes, so a budget may refuse one
+    # and not the other: such a case is counted, not compared
+    lang = ConstraintLanguage.of(size, *((XOR0, NOT) if size == 2 else (LT3, CYCLE3)))
+    gates = []
+    for r in range(4):
+        witness = switchability_witness(lang, r, max_arity=3 if size == 2 else 2)
+        gates.append({"witness": witness} if witness.verdict == "witnessed" else {"override": True})
+    sentences = list(_agreement_sentences(random.Random(seed), lang, 120))
+    if size == 2:  # false: for every a, b the one c with NOT(b, c) must be a xor y$d1
+        sentences.insert(0, sent(lang, [("forall", "a"), ("exists", "y$d1"), ("forall", "b"), ("exists", "c")],
+                                 [Atom("XOR0", ("a", "y$d1", "c")), Atom("NOT", ("b", "c"))]))
+    decided = witnessed = raised = shared = budgeted = 0
+    for s in sentences:
+        truth = None
+        for r in range(4):
+            bundle = _outcome(lambda: reduce_pgp_to_csp(s, r, **gates[r]).combined)
+            pi2 = _outcome(lambda: reduce_to_pi2(s, r, **gates[r]))
+            if any(isinstance(o, tuple) and o[0] == "BudgetError" for o in (bundle, pi2)):
+                budgeted += 1
+                continue
+            if isinstance(pi2, tuple):
+                assert bundle == pi2, (s, r)
+                raised += 1
+                shared += "z$o1 quantified twice" in pi2[1]
+                continue
+            verdicts = {bundle, pi2_truth(pi2)}
+            if size == 2:
+                verdicts.add(solve_csp(qcsp_to_power_csp(pi2)).truth)
+            assert len(verdicts) == 1, (s, r)
+            decided += 1
+            if "witness" in gates[r]:
+                truth = oracle_qcsp(s).truth if truth is None else truth
+                assert bundle is truth, (s, r)
+                witnessed += 1
+    assert decided > 300 and witnessed > 200 and raised > 40 and shared > 5 and budgeted < 5
+
+
+def _bench_reductions():
+    """Each bench item of the bundle, pi2 and power workloads, seeds 1-29,
+    reduced at r = 0..3: the bundle's verdict and members (indices, truth,
+    nodes, witness in order), and the pi2 route's output sentence."""
+    inputs = pytest.importorskip("inputs")
+    langs = {k: parse_language(inputs.language_text(spec)) for k, (spec, _) in inputs.SENTENCE_LANGUAGES.items()}
+    out = []
+    for workload in ("bundle", "pi2", "power"):
+        for seed in range(1, 30):
+            for item in inputs.make_items(workload, seed):
+                s = parse_sentence(item["text"], langs[item["key"]])
+                for r in range(4):
+                    if workload == "bundle":
+                        b = reduce_pgp_to_csp(s, r, override=True)
+                        members = [(m.indices, m.verdict.truth, m.verdict.stats["nodes"],
+                                    tuple((m.verdict.witness or {}).items())) for m in b.members]
+                        out.append((b.combined, members))
+                    else:
+                        p = reduce_to_pi2(s, r, override=True)
+                        out.append((p.prefix, p.matrix))
+    return out
+
+
+# the digest of _bench_reductions() as the code gave it before the budgets
+# counted only what is built
+_BENCH_DIGEST = "99ad1f3b42b74d7d6ef140a387ef15c8f153259b3739c385e2cac280224767d3"
+
+
+def test_bench_items_reduce_as_before(monkeypatch):
+    # where no budget refuses, counting only what is built changes no
+    # verdict, member, node count, witness or pi2 output
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    digest = hashlib.sha256(repr(_bench_reductions()).encode()).hexdigest()
+    assert digest == _BENCH_DIGEST
 
 
 def _members_by_collapse_core(s, r):
@@ -1463,8 +1631,8 @@ def test_pi2_reduction_without_count_reduction_is_exact(seed):
     assert checked > 300 and witnessed > 150 and unwitnessed > 80 and powered > 80 and hoisted > 100
 
 
-# A Π2 sentence of one universal that hoisting leaves as it is: 3 atoms, and
-# S(1, 1) = 1 copy over 1 + 2 prefix variables
+# A Π2 sentence of one universal that hoisting leaves as it is: its count
+# reduction builds 3 atoms, S(1, 1) = 1 copy over 1 + 2 prefix variables
 _COUNT_BUDGET_FAILURES = [
     (Budgets(max_matrix_copies=0), "universal-count reduction copies: requires 1, budget allows 0"),
     (Budgets(max_matrix_atoms=2), "universal-count reduction atoms: requires 3, budget allows 2"),
@@ -1477,12 +1645,15 @@ _COUNT_BUDGET_FAILURES = [
 def test_pi2_reduction_keeps_the_count_reduction_budgets(mixed_lang, budgets, message):
     atoms = [Atom("NOT", ("x", "y")), Atom("NOT", ("y", "w")), Atom("XOR0", ("x", "y", "w"))]
     s = sent(mixed_lang, [("forall", "x"), ("exists", "y"), ("exists", "w")], atoms)
-    assert move_universals_left(s, budgets) == s
-    for r in range(4):
-        with pytest.raises(BudgetError, match=f"^{message}$"):
-            reduce_to_pi2(s, r, override=True, budgets=budgets)
-        with pytest.raises(BudgetError, match=f"^{message}$"):
-            reduce_universal_count(s, budgets)
+    # the reduction checks what it builds; the pi2 route, with one member of
+    # at most |A| universals, builds no reduced copy and checks none: it
+    # returns s itself, or at r = 0 its collapse onto z$o0
+    assert move_universals_left(s, budgets) is s
+    with pytest.raises(BudgetError, match=f"^{message}$"):
+        reduce_universal_count(s, budgets)
+    assert reduce_to_pi2(s, 0, override=True, budgets=budgets) == s.rename({"x": "z$o0"})
+    for r in range(1, 4):
+        assert reduce_to_pi2(s, r, override=True, budgets=budgets) is s
     # with no universal there is nothing to copy, and nothing is checked
     closed = sent(mixed_lang, [("exists", "x"), ("exists", "y"), ("exists", "w")], atoms)
     for r in range(4):

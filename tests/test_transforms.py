@@ -253,10 +253,17 @@ def test_eliminate_lists_copies_in_digit_order(mixed_lang):
 
 
 def test_eliminate_budget(mixed_lang):
-    prefix = [("forall", f"x{i}") for i in range(15)]
-    s = sent(mixed_lang, prefix, [])
-    with pytest.raises(BudgetError):
-        eliminate_universals(s)
+    # 15 occurring universals take 2^15 copies; 15 vacuous ones take none,
+    # and the instance of 1 variable and 1 atom builds under budgets of 1
+    prefix = [("forall", f"x{i}") for i in range(15)] + [("exists", "y")]
+    occurring = sent(mixed_lang, prefix, [Atom("XOR0", (f"x{i}", f"x{i + 1}", "y")) for i in range(14)])
+    with pytest.raises(BudgetError) as err:
+        eliminate_universals(occurring)
+    assert str(err.value) == "universal elimination copies: requires 32768, budget allows 4096"
+    vacuous = sent(mixed_lang, prefix, [Atom("NOT", ("y", "y"))])
+    tight = Budgets(max_matrix_copies=1, max_matrix_atoms=1, max_prefix_vars=1, max_bytes=64)
+    inst = eliminate_universals(vacuous, tight)
+    assert inst.variables == ("y",) and inst.atoms == (Atom("NOT", ("y", "y")),)
 
 
 def test_eliminate_truth_random(mixed_lang, dom3_lang):
@@ -565,9 +572,15 @@ def test_zeta_drops_the_alternation_padding(mixed_lang):
 
 
 def test_zeta_budget(dom3_lang):
-    alt = build_alternating(dom3_lang, 2, [])
-    with pytest.raises(BudgetError):
+    # both universals occur: 3^2 copies; with no atom nothing occurs, and
+    # the empty expansion builds under budgets of 0
+    alt = build_alternating(dom3_lang, 2, [Atom("LT", ("x1", "x2"))])
+    with pytest.raises(BudgetError) as err:
         zeta(alt, Budgets(max_matrix_copies=4))
+    assert str(err.value) == "full expansion copies: requires 9, budget allows 4"
+    nothing = Budgets(max_matrix_copies=1, max_matrix_atoms=0, max_prefix_vars=0, max_bytes=0)
+    out = zeta(build_alternating(dom3_lang, 2, []), nothing)
+    assert out.prefix == () and out.matrix == ()
 
 
 # ---------------------------------------------------------------------------
@@ -1002,16 +1015,24 @@ def test_reduce_count_with_only_vacuous_universals(mixed_lang):
 
 
 def test_reduce_count_budget_counts_vacuous_universals(mixed_lang):
-    # S(13, 2) = 4095 copies fit the default 4096; S(14, 2) = 8191 do not
-    def vacuous(n):
+    # vacuous universals are not counted: with 14 of them nothing is copied
+    # and nothing is checked.  Occurring ones are: S(13, 2) = 4095 copies
+    # fit the default 4096, and S(14, 2) = 8191 do not
+    def sentence(n, occurring):
         prefix = [("forall", f"x{i}") for i in range(n)] + [("exists", "y")]
-        return sent(mixed_lang, prefix, [Atom("NOT", ("y", "y"))])
+        if not occurring:
+            return sent(mixed_lang, prefix, [Atom("NOT", ("y", "y"))])
+        return sent(mixed_lang, prefix, [Atom("XOR0", (f"x{i}", f"x{min(i + 1, n - 1)}", "y")) for i in range(0, n, 2)])
 
-    assert reduce_universal_count(vacuous(13)).prefix == (("exists", "y"),)
+    nothing = Budgets(max_matrix_copies=0, max_matrix_atoms=0, max_prefix_vars=0)
+    assert reduce_universal_count(sentence(14, False), nothing).prefix == (("exists", "y"),)
     with pytest.raises(BudgetError) as err:
-        reduce_universal_count(vacuous(14))
+        reduce_universal_count(sentence(14, True))
     assert err.value.what == "universal-count reduction copies"
     assert err.value.required == 8191
+    with pytest.raises(BudgetError) as err:
+        reduce_universal_count(sentence(13, True), Budgets(max_matrix_copies=4094))
+    assert err.value.required == 4095
 
 
 def test_instance_reports_every_broken_invariant_at_once(mixed_lang):
